@@ -32,6 +32,7 @@ from .operator import (
     WaveProbe,
     assemble_symbol,
     build_blocks,
+    direction_symbols,
     operators_for,
     symbol_for,
 )

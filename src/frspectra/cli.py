@@ -17,6 +17,7 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
+from itertools import product
 from math import radians
 
 import numpy as np
@@ -187,30 +188,18 @@ def _sweep_combos(args):
         raise UserInputError("--theta: angles must lie in [0, 90] degrees")
     if any(not 0.0 <= t <= 90.0 for t in phis):
         raise UserInputError("--phi: angles must lie in [0, 90] degrees")
-    combos = []
-    for p in ps:
-        for fam in fams:
-            for iota in iotas if fam == OSFR else [None]:
-                if fam == OSFR and iota is None:
-                    raise UserInputError("--iota is required with --family osfr")
-                for alpha in alphas:
-                    for gx in gxs:
-                        for gy in gys:
-                            for gz in gzs:
-                                for dx in dxs:
-                                    for dy in dys:
-                                        for dz in dzs:
-                                            for theta in thetas:
-                                                for phi in phis:
-                                                    combos.append(
-                                                        dict(
-                                                            p=p, family=fam, iota=iota,
-                                                            alpha=alpha, gx=gx, gy=gy,
-                                                            gz=gz, dx=dx, dy=dy, dz=dz,
-                                                            theta=theta, phi=phi, d=d,
-                                                        )
-                                                    )
-    return combos
+    if OSFR in fams and args.iota is None:
+        raise UserInputError("--iota is required with --family osfr")
+    fam_iotas = [(fam, iota) for fam in fams for iota in (iotas if fam == OSFR else [None])]
+    return [
+        dict(
+            p=p, family=fam, iota=iota, alpha=alpha, gx=gx, gy=gy, gz=gz,
+            dx=dx, dy=dy, dz=dz, theta=theta, phi=phi, d=d,
+        )
+        for p, (fam, iota), alpha, gx, gy, gz, dx, dy, dz, theta, phi in product(
+            ps, fam_iotas, alphas, gxs, gys, gzs, dxs, dys, dzs, thetas, phis
+        )
+    ]
 
 
 def _combo_scheme_stencil(c):

@@ -168,22 +168,20 @@ def lift_to_dimension(mat: np.ndarray, direction: int, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrBlocks:
-    """Interface-coupling blocks, 1D and tensor-lifted per direction.
+    """The three 1D interface-coupling blocks.
 
     c_minus couples to the upstream neighbour, c_plus to the downstream
-    one, c_zero is the in-cell operator. ``lifted[m]`` holds the triple
-    acting along direction m on the flattened (p+1)^d vector.
+    one, c_zero is the in-cell operator.
     """
 
     d: int
     c_minus: np.ndarray
     c_zero: np.ndarray
     c_plus: np.ndarray
-    lifted: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
 
 def build_blocks(scheme: SchemeConfig, ops: BasisOperators) -> FrBlocks:
-    """Form the three 1D coupling blocks and their per-direction lifts."""
+    """Form the three 1D coupling blocks."""
     n = ops.D.shape[0]
     if n != scheme.p + 1:
         raise ValueError(
@@ -193,11 +191,7 @@ def build_blocks(scheme: SchemeConfig, ops: BasisOperators) -> FrBlocks:
     c_minus = a * np.outer(ops.hL, ops.lR)
     c_plus = (1.0 - a) * np.outer(ops.hR, ops.lL)
     c_zero = ops.D - a * np.outer(ops.hL, ops.lL) - (1.0 - a) * np.outer(ops.hR, ops.lR)
-    lifted = tuple(
-        tuple(lift_to_dimension(c, m, scheme.d) for c in (c_minus, c_zero, c_plus))
-        for m in range(scheme.d)
-    )
-    return FrBlocks(scheme.d, c_minus, c_zero, c_plus, lifted)
+    return FrBlocks(scheme.d, c_minus, c_zero, c_plus)
 
 
 @dataclass(frozen=True)
@@ -210,24 +204,25 @@ class SemiDiscreteSymbol:
     scheme: SchemeConfig
 
 
-def assemble_symbol(
+def direction_symbols(
     scheme: SchemeConfig,
     stencil: StretchedStencil,
     probe: WaveProbe,
     blocks: FrBlocks,
-) -> SemiDiscreteSymbol:
-    """Assemble Q for one (k, theta, phi) on the given stencil.
+) -> tuple[np.ndarray, ...]:
+    """The d one-dimensional (p+1)x(p+1) symbols Q_m for one (k, theta, phi).
 
     Per direction m with velocity component a_m and central spacing
-    delta_m, the contribution is
+    delta_m,
 
-        -a_m * [ (2/d_up) C_minus e^{-i k a_m d_up}
-               + (2/delta_m) C_zero
-               + (2/d_dn) C_plus e^{+i k a_m delta_m} ]
+        Q_m = -a_m * [ (2/d_up) C_minus e^{-i k a_m d_up}
+                     + (2/delta_m) C_zero
+                     + (2/d_dn) C_plus e^{+i k a_m delta_m} ]
 
     with d_up = delta_m/gamma_m the upstream width and d_dn =
     gamma_m*delta_m the downstream width. Upstream and downstream blocks
-    carry their own cells' metric factors.
+    carry their own cells' metric factors. A direction with a_m = 0 gives
+    an exactly zero Q_m.
     """
     if scheme.d != stencil.d or scheme.d != blocks.d:
         raise ValueError(
@@ -235,22 +230,40 @@ def assemble_symbol(
             f"blocks d={blocks.d}"
         )
     vel = probe.velocity(scheme.d)
-    n_total = blocks.lifted[0][0].shape[0]
-    q = np.zeros((n_total, n_total), dtype=complex)
     k = probe.k
+    out = []
     for m in range(scheme.d):
-        c_minus, c_zero, c_plus = blocks.lifted[m]
         d_up = stencil.upstream(m)
         d_c = stencil.delta[m]
         d_dn = stencil.downstream(m)
         a_m = vel[m]
-        q -= a_m * (
-            (2.0 / d_up) * c_minus * np.exp(-1j * k * a_m * d_up)
-            + (2.0 / d_c) * c_zero
-            + (2.0 / d_dn) * c_plus * np.exp(1j * k * a_m * d_c)
+        q_m = -a_m * (
+            (2.0 / d_up) * blocks.c_minus * np.exp(-1j * k * a_m * d_up)
+            + (2.0 / d_c) * blocks.c_zero
+            + (2.0 / d_dn) * blocks.c_plus * np.exp(1j * k * a_m * d_c)
         )
-    if not np.isfinite(q).all():
-        raise ValueError("symbol assembly produced non-finite entries")
+        if not np.isfinite(q_m).all():
+            raise ValueError("symbol assembly produced non-finite entries")
+        out.append(q_m)
+    return tuple(out)
+
+
+def assemble_symbol(
+    scheme: SchemeConfig,
+    stencil: StretchedStencil,
+    probe: WaveProbe,
+    blocks: FrBlocks,
+) -> SemiDiscreteSymbol:
+    """Assemble the dense Q for one (k, theta, phi) on the given stencil.
+
+    Q is the Kronecker sum of the per-direction symbols of
+    :func:`direction_symbols`, each tensor-lifted to act along its own
+    direction on the flattened (p+1)^d vector.
+    """
+    q = sum(
+        lift_to_dimension(q_m, m, scheme.d)
+        for m, q_m in enumerate(direction_symbols(scheme, stencil, probe, blocks))
+    )
     return SemiDiscreteSymbol(Q=q, probe=probe, stencil=stencil, scheme=scheme)
 
 

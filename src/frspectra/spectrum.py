@@ -17,14 +17,15 @@ import numpy as np
 
 from .basis import make_points
 from .operator import (
+    FrBlocks,
     SchemeConfig,
     SemiDiscreteSymbol,
     StretchedStencil,
     WaveProbe,
     build_blocks,
     direction_cosines,
+    direction_symbols,
     operators_for,
-    symbol_for,
 )
 
 KAPPA_ILL_CONDITIONED = 1e8
@@ -189,27 +190,41 @@ def _match_to_previous(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
     """Permutation aligning ``cur`` with ``prev`` by complex closeness.
 
     Greedy nearest-neighbour assignment followed by pairwise swap repair
-    until the total distance stops improving; deterministic.
+    until the total distance stops improving; deterministic. A repair pass
+    scans the pairs (i, j), i < j, in lexicographic order and swaps a pair
+    whenever that lowers its cost by more than 1e-15; passes repeat until
+    one makes no swap. Between swaps nothing changes, so each step jumps
+    to the first improving pair after the last swap, found over the whole
+    matrix.
     """
     n = prev.size
     dist = np.abs(prev[:, None] - cur[None, :])
+    nearest = dist.argmin(axis=1).tolist()
     perm = np.full(n, -1)
     used = np.zeros(n, dtype=bool)
-    for i in np.argsort(dist.min(axis=1)):
-        j = int(np.argmin(np.where(used, np.inf, dist[i])))
+    for i in np.argsort(dist.min(axis=1)).tolist():
+        j = nearest[i]  # the first minimum stays first among unused columns
+        if used[j]:
+            j = int(np.argmin(np.where(used, np.inf, dist[i])))
         perm[i] = j
         used[j] = True
-    improved = True
-    while improved:
-        improved = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                cost_now = dist[i, perm[i]] + dist[j, perm[j]]
-                cost_swapped = dist[i, perm[j]] + dist[j, perm[i]]
-                if cost_swapped < cost_now - 1e-15:
-                    perm[i], perm[j] = perm[j], perm[i]
-                    improved = True
-    return perm
+    rows = np.arange(n)
+    upper = rows[:, None] < rows[None, :]
+    last, swapped = -1, False  # flat index of the last swap in this pass
+    while True:
+        own = dist[rows, perm]
+        crossed = dist[:, perm]
+        improves = crossed + crossed.T < own[:, None] + own[None, :] - 1e-15
+        hits = np.flatnonzero((improves & upper).ravel()[last + 1:])
+        if hits.size:
+            last += 1 + int(hits[0])
+            i, j = divmod(last, n)
+            perm[i], perm[j] = perm[j], perm[i]
+            swapped = True
+        elif swapped:
+            last, swapped = -1, False
+        else:
+            return perm
 
 
 def track_branches(mode_sets: Sequence[np.ndarray]) -> np.ndarray:
@@ -290,6 +305,62 @@ class ModeSweep:
         return self.omega_physical * self.scale
 
 
+def factored_spectra(
+    scheme: SchemeConfig,
+    stencil: StretchedStencil,
+    theta: float,
+    phi: float,
+    ks: np.ndarray,
+    blocks: FrBlocks,
+    with_kappa: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigenvalues of Q(k) at each k from per-direction 1D eigensolves.
+
+    Q is the Kronecker sum of the direction symbols Q_m, so its eigenvalues
+    are the sums of one eigenvalue of each Q_m and its eigenvectors are
+    Kronecker products of theirs (Horn & Johnson, Topics in Matrix
+    Analysis, 4.4). The unit-column eigenvector matrix W is then the
+    Kronecker product of the 1D ones, and kappa(W) = prod_m kappa(W_m).
+    Only directions with a_m != 0 are solved; a direction with a_m = 0
+    contributes exact zeros and the identity basis (kappa_m = 1).
+
+    Returns the eigenvalues, shape (n_k, (p+1)^d) in the order of the
+    lifted basis (xi index fastest), and kappa(W) per k when
+    ``with_kappa`` is set, else None. The dense :func:`analyze` of
+    :func:`~frspectra.operator.assemble_symbol` is the reference.
+    """
+    vel = direction_cosines(theta, phi, scheme.d)
+    active = [m for m in range(scheme.d) if vel[m] != 0.0]
+    q = np.array(
+        [
+            direction_symbols(scheme, stencil, WaveProbe(k=k, theta=theta, phi=phi), blocks)
+            for k in ks
+        ]
+    )[:, active]
+    try:
+        if with_kappa:
+            lam_1d, vecs = np.linalg.eig(q)
+        else:
+            lam_1d = np.linalg.eigvals(q)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"eigendecomposition failed: {exc}") from exc
+    if not (np.isfinite(lam_1d).all() and (not with_kappa or np.isfinite(vecs).all())):
+        raise EigensolverError("eigendecomposition returned non-finite values")
+    n_k, n, d = len(ks), scheme.p + 1, scheme.d
+    lam = np.zeros((n_k,) + (n,) * d, dtype=complex)
+    for col, m in enumerate(active):
+        shape = [n_k] + [1] * d
+        shape[d - m] = n  # the xi direction (m = 0) is the last axis
+        lam = lam + lam_1d[:, col].reshape(shape)
+    lam = lam.reshape(n_k, -1)
+    if not with_kappa:
+        return lam, None
+    sv = np.linalg.svd(vecs, compute_uv=False)
+    with np.errstate(divide="ignore"):
+        kappa = (sv[..., 0] / sv[..., -1]).prod(axis=1)
+    return lam, kappa
+
+
 def dispersion_sweep(
     scheme: SchemeConfig,
     stencil: StretchedStencil,
@@ -299,8 +370,13 @@ def dispersion_sweep(
 ) -> ModeSweep:
     """Analyze a k sweep at fixed angles with branch tracking.
 
-    An unreported geometric ladder of wavenumbers below the smallest
-    requested one seeds the physical-branch identification.
+    Spectra come from per-direction 1D eigensolves (:func:`factored_spectra`):
+    the (p+1)^d modes at each k are the sums of the 1D eigenvalues, sorted
+    by (Re, Im) and branch-tracked as a whole, and kappa is the product of
+    the 1D values (a direction with a_m = 0 counts as kappa = 1). The dense
+    :func:`analyze` of the assembled symbol remains the reference. An
+    unreported geometric ladder of wavenumbers below the smallest requested
+    one seeds the physical-branch identification.
     """
     if k_hat is None:
         k_hat = default_k_hat_grid()
@@ -312,21 +388,16 @@ def dispersion_sweep(
     ks = np.concatenate((lead, k_hat)) / factor
     n_lead = lead.size
     blocks = build_blocks(scheme, operators_for(scheme))
-    mode_sets = []
-    kappas = np.empty(k_hat.size)
-    for i, k in enumerate(ks):
-        probe = WaveProbe(k=k, theta=theta, phi=phi)
-        res = analyze(symbol_for(scheme, stencil, probe, blocks=blocks))
-        mode_sets.append(res.modes)
-        if i >= n_lead:
-            kappas[i - n_lead] = res.kappa
-    tracked = track_branches(mode_sets)
+    lam, kappa = factored_spectra(scheme, stencil, theta, phi, ks, blocks, with_kappa=True)
+    omega = 1j * lam
+    order = np.lexsort((omega.imag, omega.real), axis=-1)
+    tracked = track_branches(np.take_along_axis(omega, order, axis=-1))
     physical = physical_mode_select(tracked, ks)
     return ModeSweep(
         k=ks[n_lead:],
         k_hat=k_hat,
         modes=tracked[n_lead:],
         physical=physical,
-        kappa=kappas,
+        kappa=kappa[n_lead:],
         scale=factor,
     )

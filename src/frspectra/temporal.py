@@ -29,11 +29,13 @@ from .operator import (
     symbol_for,
 )
 from .spectrum import (
+    KAPPA_ILL_CONDITIONED,
     _anchor_ladder,
     ModeSweep,
     SpectrumResult,
     EigensolverError,
     default_k_hat_grid,
+    factored_spectra,
     normalization_factor,
     normalize_wavenumber,
     nyquist_wavenumber,
@@ -153,7 +155,10 @@ class _SymbolSpectra:
 
     Since R is a polynomial in Q, the spectrum of R is the polynomial
     applied to the spectrum of Q; each tau evaluation is then cheap once
-    the eigenvalues over the k grid are known.
+    the eigenvalues over the k grid are known. The eigenvalues are the
+    Kronecker sums of per-direction 1D eigenvalues
+    (:func:`~frspectra.spectrum.factored_spectra`); rho does not depend on
+    their order, and the dense symbol remains the reference.
     """
 
     def __init__(self, scheme, stencil, theta, phi):
@@ -164,15 +169,16 @@ class _SymbolSpectra:
         self.blocks = build_blocks(scheme, operators_for(scheme))
         self._cache: dict[float, np.ndarray] = {}
 
+    def on_grid(self, ks: np.ndarray) -> np.ndarray:
+        """Eigenvalues at every k of ``ks``, shape (len(ks), (p+1)^d)."""
+        return factored_spectra(
+            self.scheme, self.stencil, self.theta, self.phi, ks, self.blocks
+        )[0]
+
     def eigenvalues(self, k: float) -> np.ndarray:
         lam = self._cache.get(k)
         if lam is None:
-            probe = WaveProbe(k=k, theta=self.theta, phi=self.phi)
-            q = symbol_for(self.scheme, self.stencil, probe, blocks=self.blocks).Q
-            lam = np.linalg.eigvals(q)
-            if not np.isfinite(lam).all():
-                raise EigensolverError(f"non-finite eigenvalues at k = {k}")
-            self._cache[k] = lam
+            lam = self._cache[k] = self.on_grid(np.array([k]))[0]
         return lam
 
     def rho(self, rk: RkScheme, tau: float, k: float) -> float:
@@ -198,7 +204,7 @@ def cfl_limit(
     spectra = _SymbolSpectra(scheme, stencil, theta, phi)
     k_nq = nyquist_wavenumber(theta, phi, stencil, scheme.p)
     ks = np.linspace(0.0, k_nq, nk + 1)[1:]
-    lam_grid = np.array([spectra.eigenvalues(k) for k in ks])
+    lam_grid = spectra.on_grid(ks)
 
     vel = WaveProbe(k=1.0, theta=theta, phi=phi).velocity(scheme.d)
     ratios = [vel[m] / stencil.delta[m] for m in range(scheme.d)]
@@ -303,7 +309,7 @@ def fully_discrete_spectrum(
         kappa=kappa,
         beta=beta,
         degenerate=False,
-        ill_conditioned=bool(kappa > 1e8),
+        ill_conditioned=bool(kappa > KAPPA_ILL_CONDITIONED),
     )
 
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from frspectra.cli import main, parse_range
+from frspectra.cli import _sweep_combos, build_parser, main, parse_range
 from frspectra.basis import CorrectionFamily
 from frspectra.operator import SchemeConfig, StretchedStencil
 from frspectra.spectrum import dispersion_sweep
@@ -33,6 +33,30 @@ class TestRangeParsing:
         for text in ("a", "1:2", "1:2:0", "1:2:3:4"):
             with pytest.raises(UserInputError):
                 parse_range(text)
+
+
+class TestSweepCombos:
+    def test_canonical_order(self):
+        args = build_parser().parse_args([
+            "dispersion", "--d", "3", "--p", "2:3:1", "--family", "dg,osfr",
+            "--iota", "0:0.1:0.1", "--alpha", "0.5:1:0.5", "--gx", "1:1.1:0.1",
+            "--dz", "1:2:1", "--theta", "0:90:90", "--phi", "0:45:45",
+        ])
+        expected = [
+            (p, fam, iota, alpha, gx, dz, theta, phi)
+            for p in (2, 3)
+            for fam, iota in (("dg", None), ("osfr", 0.0), ("osfr", 0.1))
+            for alpha in (0.5, 1.0)
+            for gx in (1.0, 1.1)
+            for dz in (1.0, 2.0)
+            for theta in (0.0, 90.0)
+            for phi in (0.0, 45.0)
+        ]
+        got = [
+            (c["p"], c["family"], c["iota"], c["alpha"], c["gx"], c["dz"], c["theta"], c["phi"])
+            for c in _sweep_combos(args)
+        ]
+        assert got == expected
 
 
 class TestDispersionCommand:

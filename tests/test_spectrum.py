@@ -9,12 +9,19 @@ from frspectra.operator import (
     SchemeConfig,
     StretchedStencil,
     WaveProbe,
+    assemble_symbol,
+    build_blocks,
+    direction_symbols,
+    operators_for,
     symbol_for,
 )
 from frspectra.spectrum import (
+    _anchor_ladder,
+    _match_to_previous,
     analyze,
     diagonalization_residual,
     dispersion_sweep,
+    factored_spectra,
     normalization_factor,
     normalize_wavenumber,
     nyquist_wavenumber,
@@ -266,3 +273,151 @@ class TestScaleInvariance:
             scaled.omega_hat_physical - base.omega_hat_physical
         ).max() < 1e-10
         assert np.abs(scaled.kappa - base.kappa).max() < 1e-8 * np.abs(base.kappa).max()
+
+
+def reference_match(prev, cur):
+    """Scalar greedy-plus-swap matcher: the oracle for _match_to_previous."""
+    n = prev.size
+    dist = np.abs(prev[:, None] - cur[None, :])
+    perm = np.full(n, -1)
+    used = np.zeros(n, dtype=bool)
+    for i in np.argsort(dist.min(axis=1)):
+        j = int(np.argmin(np.where(used, np.inf, dist[i])))
+        perm[i] = j
+        used[j] = True
+    improved = True
+    while improved:
+        improved = False
+        for i in range(n):
+            for j in range(i + 1, n):
+                cost_now = dist[i, perm[i]] + dist[j, perm[j]]
+                cost_swapped = dist[i, perm[j]] + dist[j, perm[i]]
+                if cost_swapped < cost_now - 1e-15:
+                    perm[i], perm[j] = perm[j], perm[i]
+                    improved = True
+    return perm
+
+
+class TestMatcher:
+    def test_swap_repair_beats_greedy(self):
+        # greedy gives 0.6 to the row at 1.0 (its nearest), leaving 1.7 for
+        # the row at 0; the swap lowers the total distance from 2.1 to 1.3
+        prev = np.array([0.0, 1.0], dtype=complex)
+        cur = np.array([0.6, 1.7], dtype=complex)
+        assert list(_match_to_previous(prev, cur)) == [0, 1]
+        assert list(reference_match(prev, cur)) == [0, 1]
+
+    @given(
+        n=st.integers(1, 70),
+        copies=st.integers(1, 4),
+        drift=st.sampled_from([1e-9, 1e-3, 0.1, 1.0, 5.0]),
+        coarse=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_permutation_as_scalar_reference(self, n, copies, drift, coarse, seed):
+        # copies > 1 repeats every value exactly, as the Kronecker sum does
+        # for a direction with a_m = 0; coarse rounds to a 0.1 grid, which
+        # makes many distances tie exactly
+        rng = np.random.default_rng(seed)
+        m = -(-n // copies)
+        base = rng.normal(size=m) + 1j * rng.normal(size=m)
+        moved = base + drift * (rng.normal(size=m) + 1j * rng.normal(size=m))
+        if coarse:
+            base, moved = np.round(base, 1), np.round(moved, 1)
+        prev = np.repeat(base, copies)[:n]
+        cur = rng.permutation(np.repeat(moved, copies)[:n])
+        assert np.array_equal(_match_to_previous(prev, cur), reference_match(prev, cur))
+
+
+def dense_sweep_omega_hat(sch, stencil, theta, phi, k_hat):
+    """Physical omega_hat from dense analyze() at every k, tracked in full."""
+    factor = normalization_factor(theta, phi, stencil, sch.p)
+    lead = _anchor_ladder(k_hat[0])
+    ks = np.concatenate((lead, k_hat)) / factor
+    blocks = build_blocks(sch, operators_for(sch))
+    modes = [
+        analyze(assemble_symbol(sch, stencil, WaveProbe(k=k, theta=theta, phi=phi), blocks)).modes
+        for k in ks
+    ]
+    tracked = track_branches(modes)
+    return tracked[lead.size:, physical_mode_select(tracked, ks)] * factor
+
+
+class TestFactoredSpectra:
+    GAMMA = (1.1, 0.9, 1.05)
+
+    def stretched(self, d):
+        return StretchedStencil.stretched(self.GAMMA[:d])
+
+    def test_dense_symbol_is_lifted_sum(self):
+        sch = scheme(2, 0.8, 3)
+        stencil = self.stretched(3)
+        probe = WaveProbe(k=1.7, theta=0.5, phi=0.4)
+        blocks = build_blocks(sch, operators_for(sch))
+        q_x, q_y, q_z = direction_symbols(sch, stencil, probe, blocks)
+        eye = np.eye(3)
+        lifted = (
+            np.kron(eye, np.kron(eye, q_x))
+            + np.kron(eye, np.kron(q_y, eye))
+            + np.kron(q_z, np.kron(eye, eye))
+        )
+        assert np.abs(assemble_symbol(sch, stencil, probe, blocks).Q - lifted).max() < 1e-14
+
+    @pytest.mark.parametrize("d, theta, phi", [(2, 0.6, 0.0), (3, 0.5, 0.4), (3, 0.0, 0.7)])
+    def test_eigenvalues_match_dense(self, d, theta, phi):
+        sch = scheme(3, 1.0, d)
+        stencil = self.stretched(d)
+        blocks = build_blocks(sch, operators_for(sch))
+        ks = np.array([0.3, 1.9, 4.2])
+        lam, _ = factored_spectra(sch, stencil, theta, phi, ks, blocks)
+        for k, factored in zip(ks, lam):
+            probe = WaveProbe(k=k, theta=theta, phi=phi)
+            dense = np.linalg.eigvals(assemble_symbol(sch, stencil, probe, blocks).Q)
+            aligned = factored[_match_to_previous(dense, factored)]
+            assert np.abs(aligned - dense).max() < 1e-12 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_kappa_is_product_of_direction_values(self, d):
+        sch = scheme(3, 1.0, d)
+        stencil = self.stretched(d)
+        blocks = build_blocks(sch, operators_for(sch))
+        theta, phi, k = 0.6, (0.4 if d == 3 else 0.0), 2.3
+        dense = analyze(assemble_symbol(sch, stencil, WaveProbe(k=k, theta=theta, phi=phi), blocks))
+        assert not dense.degenerate
+        _, kappa = factored_spectra(sch, stencil, theta, phi, np.array([k]), blocks, True)
+        assert abs(kappa[0] - dense.kappa) < 1e-8 * dense.kappa
+
+    @pytest.mark.parametrize(
+        "d, theta, phi, k_hat",
+        [(2, 0.6, 0.0, np.linspace(0.05, 2.8, 24)), (3, 0.5, 0.4, np.linspace(0.05, 2.0, 10))],
+    )
+    def test_sweep_matches_dense_sweep(self, d, theta, phi, k_hat):
+        sch = scheme(3 if d == 2 else 2, 1.0, d)
+        stencil = self.stretched(d)
+        sweep = dispersion_sweep(sch, stencil, theta, phi, k_hat)
+        dense = dense_sweep_omega_hat(sch, stencil, theta, phi, k_hat)
+        assert np.abs(sweep.omega_hat_physical - dense).max() < 1e-10
+
+    def test_kappa_continuous_at_degenerate_diagonal(self):
+        # the dense eigenvector basis at exactly 45 degrees is LAPACK's
+        # choice within a repeated eigenvalue (kappa 13.2305 there); the
+        # factored kappa does not depend on it
+        sch = scheme(3, 1.0, 2)
+        stencil = StretchedStencil.uniform(2)
+        kappa = {
+            deg: dispersion_sweep(sch, stencil, np.radians(deg), 0.0, np.array([2.0])).kappa[0]
+            for deg in (44.999, 45.0, 45.001)
+        }
+        assert round(kappa[45.0], 4) == 11.1402
+        for deg in (44.999, 45.001):
+            assert abs(kappa[deg] - kappa[45.0]) < 1e-5 * kappa[45.0]
+
+    def test_zero_direction_counts_as_identity(self):
+        # at theta = 0 the y symbol vanishes and kappa is the 1D value
+        sch2 = scheme(3, 1.0, 2)
+        k_hat = np.array([0.5, 2.0])
+        aligned = dispersion_sweep(sch2, StretchedStencil.uniform(2), 0.0, 0.0, k_hat)
+        one_d = dispersion_sweep(scheme(3), StretchedStencil.uniform(1), k_hat=k_hat)
+        assert np.abs(aligned.kappa - one_d.kappa).max() < 1e-12 * one_d.kappa.max()
+        assert np.abs(aligned.omega_hat_physical - one_d.omega_hat_physical).max() < 1e-12

@@ -3,10 +3,12 @@ import numpy as np
 import pytest
 
 from frspectra.basis import CorrectionFamily
+from frspectra import temporal
 from frspectra.operator import (
     SchemeConfig,
     StretchedStencil,
     WaveProbe,
+    assemble_symbol,
     symbol_for,
 )
 from frspectra.spectrum import dispersion_sweep
@@ -112,6 +114,41 @@ class TestCflLimit:
         assert abs(r1.cfl_limit - r2.cfl_limit) < 1e-3 * r1.cfl_limit
         assert abs(r2.tau_limit - 3.0 * r1.tau_limit) < 1e-3 * r2.tau_limit
 
+    def test_factored_eigenvalues_match_dense(self):
+        sch = scheme(4, 1.0, 2)
+        stencil = StretchedStencil.stretched((0.9, 0.95))
+        spectra = temporal._SymbolSpectra(sch, stencil, 0.5, 0.0)
+        for k in (0.4, 2.5, 7.0):
+            dense = np.linalg.eigvals(
+                assemble_symbol(sch, stencil, WaveProbe(k=k, theta=0.5), spectra.blocks).Q
+            )
+            for tau in (0.05, 0.2):
+                expected = np.abs(RK44.stability(tau * dense)).max()
+                assert abs(spectra.rho(RK44, tau, k) - expected) < 1e-12
+
+    @pytest.mark.parametrize(
+        "d, gamma, angles",
+        [(2, (0.9, 0.95), (0.5, 0.0)), (3, (0.95, 1.0, 0.9), (0.5, 0.4))],
+    )
+    def test_limit_matches_dense_eigenvalue_search(self, monkeypatch, d, gamma, angles):
+        sch = scheme(3 if d == 2 else 2, 1.0, d)
+        stencil = StretchedStencil.stretched(gamma)
+        factored = cfl_limit(sch, stencil, angles, RK44)
+
+        def dense_on_grid(self, ks):
+            return np.array([
+                np.linalg.eigvals(assemble_symbol(
+                    self.scheme, self.stencil,
+                    WaveProbe(k=k, theta=self.theta, phi=self.phi), self.blocks,
+                ).Q)
+                for k in ks
+            ])
+
+        monkeypatch.setattr(temporal._SymbolSpectra, "on_grid", dense_on_grid)
+        dense = cfl_limit(sch, stencil, angles, RK44)
+        assert factored.stable and dense.stable
+        assert abs(factored.tau_limit - dense.tau_limit) < 1e-12 * dense.tau_limit
+
     def test_expanding_grid_flagged_zero(self):
         res = cfl_limit(scheme(4), StretchedStencil.stretched((1.2,)), 0.0, RK44)
         assert not res.stable
@@ -195,6 +232,12 @@ class TestFullyDiscrete:
         res = fully_discrete_spectrum(sym, EULER, 0.5)
         assert res.modes[0].imag == -np.inf
         assert np.isfinite(res.modes[0].real)
+
+    def test_ill_conditioned_uses_shared_threshold(self, monkeypatch):
+        sym = symbol_for(scheme(2), StretchedStencil.uniform(1), WaveProbe(k=1.0))
+        assert not fully_discrete_spectrum(sym, RK44, 1e-2).ill_conditioned
+        monkeypatch.setattr(temporal, "KAPPA_ILL_CONDITIONED", 0.5)
+        assert fully_discrete_spectrum(sym, RK44, 1e-2).ill_conditioned
 
     def test_finite_modes_in_regular_case(self):
         sym = symbol_for(scheme(1), StretchedStencil.uniform(1), WaveProbe(k=1.0))
