@@ -17,7 +17,7 @@ One writer per state; independent runs parallelize at the case level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, pi, sin
+from math import cos, factorial, pi, sin
 
 import numpy as np
 
@@ -26,11 +26,18 @@ from .operator import (
     SchemeConfig,
     StretchedStencil,
     WaveProbe,
+    assemble_symbol,
+    build_blocks,
     direction_cosines,
     operators_for,
-    symbol_for,
 )
-from .spectrum import analyze, normalization_factor
+from .spectrum import (
+    _anchor_ladder,
+    analyze,
+    factored_spectra,
+    normalization_factor,
+    tracked_frequencies,
+)
 from .temporal import RK44, RkScheme
 
 BLOWUP_THRESHOLD = 1e10
@@ -306,16 +313,17 @@ def physical_eigenvector(
 ) -> tuple[complex, np.ndarray]:
     """Physical-mode frequency and eigenvector at one wavenumber.
 
-    Branch identity is established by a dense tracked sweep from the
-    small-k limit up to the target, then matched to the eigendecomposition
-    at the exact target wavenumber. Central schemes at oblique incidence
-    can carry a second branch osculating the physical dispersion at k -> 0
-    (a pair of counter-signed secondary modes whose intercepts cancel);
-    such ties are broken by the plane-wave projection weight beta at the
-    target, which is what physically distinguishes the resolved wave.
+    Branch identity is established by a tracked sweep from the small-k
+    limit up to the target, with eigenvalues from per-direction 1D
+    eigensolves (:func:`~frspectra.spectrum.factored_spectra`), then
+    matched to the dense :func:`~frspectra.spectrum.analyze` at the exact
+    target wavenumber, the one point that needs the eigenvector. Central
+    schemes at oblique incidence can carry a second branch osculating the
+    physical dispersion at k -> 0 (a pair of counter-signed secondary modes
+    whose intercepts cancel); such ties are broken by the plane-wave
+    projection weight beta at the target, which is what physically
+    distinguishes the resolved wave.
     """
-    from .spectrum import _anchor_ladder, track_branches
-
     factor = normalization_factor(theta, phi, stencil, scheme.p)
     k_hat_target = k * factor
     # geometric through the low decades, linear near the target so matching
@@ -331,11 +339,8 @@ def physical_eigenvector(
         )
     )
     ks = grid / factor
-    mode_sets = []
-    for k_i in ks:
-        res_i = analyze(symbol_for(scheme, stencil, WaveProbe(k=k_i, theta=theta, phi=phi)))
-        mode_sets.append(res_i.modes)
-    tracked = track_branches(mode_sets)
+    blocks = build_blocks(scheme, operators_for(scheme))
+    tracked = tracked_frequencies(factored_spectra(scheme, stencil, theta, phi, ks, blocks)[0])
     scores = np.abs(tracked[0] / ks[0] - 1.0)
     order = np.argsort(scores)
     cutoff = max(10.0 * scores[order[0]], 1e-6)
@@ -343,7 +348,7 @@ def physical_eigenvector(
     if not candidates:
         candidates = [int(order[0])]
 
-    res = analyze(symbol_for(scheme, stencil, WaveProbe(k=k, theta=theta, phi=phi)))
+    res = analyze(assemble_symbol(scheme, stencil, WaveProbe(k=k, theta=theta, phi=phi), blocks))
     cols = [int(np.argmin(np.abs(res.modes - tracked[-1, j]))) for j in candidates]
     weights = np.abs(res.beta[cols])
     idx = cols[int(np.argmax(weights))]
@@ -461,8 +466,6 @@ def check_decay_rate(
     floor = max(abs(predicted), 1e-3 * k)
     # RK truncation bias on the fitted rate is ~ tau^s |omega|^(s+1) / (s+1)!
     s = len(rk.coeffs) - 1
-    from math import factorial
-
     omega_scale = max(abs(omega), 0.2 * k)
     tau = min(
         0.05 / omega_scale,

@@ -65,6 +65,8 @@ def parse_range(text: str, integer: bool = False):
             if step <= 0:
                 raise ValueError("step must be > 0")
             n = int(np.floor((stop - start) / step + 1e-9))
+            if n < 0:
+                raise ValueError("empty range")
             values = [start + i * step for i in range(n + 1)]
             return [cast(round(v)) if integer else v for v in values]
     except ValueError as exc:

@@ -11,7 +11,7 @@ concurrently as long as results are gathered in a deterministic order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -321,8 +321,10 @@ def factored_spectra(
     Kronecker products of theirs (Horn & Johnson, Topics in Matrix
     Analysis, 4.4). The unit-column eigenvector matrix W is then the
     Kronecker product of the 1D ones, and kappa(W) = prod_m kappa(W_m).
-    Only directions with a_m != 0 are solved; a direction with a_m = 0
-    contributes exact zeros and the identity basis (kappa_m = 1).
+    Only directions with |a_m| above machine epsilon are solved; any other
+    direction (such as a_x = cos(pi/2)) adds less than round-off to every
+    eigenvalue and contributes exact zeros and the identity basis
+    (kappa_m = 1).
 
     Returns the eigenvalues, shape (n_k, (p+1)^d) in the order of the
     lifted basis (xi index fastest), and kappa(W) per k when
@@ -330,7 +332,7 @@ def factored_spectra(
     :func:`~frspectra.operator.assemble_symbol` is the reference.
     """
     vel = direction_cosines(theta, phi, scheme.d)
-    active = [m for m in range(scheme.d) if vel[m] != 0.0]
+    active = [m for m in range(scheme.d) if abs(vel[m]) > np.finfo(float).eps]
     q = np.array(
         [
             direction_symbols(scheme, stencil, WaveProbe(k=k, theta=theta, phi=phi), blocks)
@@ -361,22 +363,32 @@ def factored_spectra(
     return lam, kappa
 
 
-def dispersion_sweep(
+def tracked_frequencies(lam: np.ndarray) -> np.ndarray:
+    """Branch-tracked frequencies omega = i*lambda along an ascending k sweep.
+
+    ``lam`` holds the eigenvalues of Q, shape (n_k, n_modes). Each row is
+    sorted by (Re, Im), as :func:`analyze` sorts its modes, before
+    :func:`track_branches` aligns the rows into branches.
+    """
+    omega = 1j * lam
+    order = np.lexsort((omega.imag, omega.real), axis=-1)
+    return track_branches(np.take_along_axis(omega, order, axis=-1))
+
+
+def factored_sweep(
     scheme: SchemeConfig,
     stencil: StretchedStencil,
-    theta: float = 0.0,
-    phi: float = 0.0,
-    k_hat: np.ndarray | None = None,
+    theta: float,
+    phi: float,
+    k_hat: np.ndarray | None,
+    frequencies: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> ModeSweep:
-    """Analyze a k sweep at fixed angles with branch tracking.
+    """Branch-tracked sweep over a normalized wavenumber grid.
 
-    Spectra come from per-direction 1D eigensolves (:func:`factored_spectra`):
-    the (p+1)^d modes at each k are the sums of the 1D eigenvalues, sorted
-    by (Re, Im) and branch-tracked as a whole, and kappa is the product of
-    the 1D values (a direction with a_m = 0 counts as kappa = 1). The dense
-    :func:`analyze` of the assembled symbol remains the reference. An
-    unreported geometric ladder of wavenumbers below the smallest requested
-    one seeds the physical-branch identification.
+    Validates ``k_hat`` (the default grid when None) and prepends the
+    unreported :func:`_anchor_ladder` that seeds the physical branch.
+    ``frequencies(ks, lam)`` maps the wavenumbers and the eigenvalues of Q
+    from :func:`factored_spectra` to branch-tracked frequencies.
     """
     if k_hat is None:
         k_hat = default_k_hat_grid()
@@ -389,15 +401,35 @@ def dispersion_sweep(
     n_lead = lead.size
     blocks = build_blocks(scheme, operators_for(scheme))
     lam, kappa = factored_spectra(scheme, stencil, theta, phi, ks, blocks, with_kappa=True)
-    omega = 1j * lam
-    order = np.lexsort((omega.imag, omega.real), axis=-1)
-    tracked = track_branches(np.take_along_axis(omega, order, axis=-1))
-    physical = physical_mode_select(tracked, ks)
+    modes = frequencies(ks, lam)
+    physical = physical_mode_select(modes, ks)
     return ModeSweep(
         k=ks[n_lead:],
         k_hat=k_hat,
-        modes=tracked[n_lead:],
+        modes=modes[n_lead:],
         physical=physical,
         kappa=kappa[n_lead:],
         scale=factor,
+    )
+
+
+def dispersion_sweep(
+    scheme: SchemeConfig,
+    stencil: StretchedStencil,
+    theta: float = 0.0,
+    phi: float = 0.0,
+    k_hat: np.ndarray | None = None,
+) -> ModeSweep:
+    """Analyze a k sweep at fixed angles with branch tracking.
+
+    Spectra come from per-direction 1D eigensolves (:func:`factored_spectra`):
+    the (p+1)^d modes at each k are the sums of the 1D eigenvalues, sorted
+    by (Re, Im) and branch-tracked as a whole (:func:`tracked_frequencies`),
+    and kappa is the product of the 1D values (a direction with |a_m| below
+    machine epsilon counts as kappa = 1). The dense :func:`analyze` of the
+    assembled symbol remains the reference. The grid, its seeding ladder
+    and the physical branch are those of :func:`factored_sweep`.
+    """
+    return factored_sweep(
+        scheme, stencil, theta, phi, k_hat, lambda ks, lam: tracked_frequencies(lam)
     )

@@ -15,6 +15,7 @@ concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import sqrt
 
 import numpy as np
@@ -26,20 +27,16 @@ from .operator import (
     WaveProbe,
     build_blocks,
     operators_for,
-    symbol_for,
 )
 from .spectrum import (
     KAPPA_ILL_CONDITIONED,
-    _anchor_ladder,
     ModeSweep,
     SpectrumResult,
     EigensolverError,
-    default_k_hat_grid,
+    factored_sweep,
     factored_spectra,
-    normalization_factor,
     normalize_wavenumber,
     nyquist_wavenumber,
-    physical_mode_select,
     plane_wave_samples,
     track_branches,
 )
@@ -150,41 +147,6 @@ def _golden_max(f, a: float, b: float, iters: int = 30) -> tuple[float, float]:
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
-class _SymbolSpectra:
-    """Eigenvalues of Q(k) with caching, for fast rho(R) evaluation.
-
-    Since R is a polynomial in Q, the spectrum of R is the polynomial
-    applied to the spectrum of Q; each tau evaluation is then cheap once
-    the eigenvalues over the k grid are known. The eigenvalues are the
-    Kronecker sums of per-direction 1D eigenvalues
-    (:func:`~frspectra.spectrum.factored_spectra`); rho does not depend on
-    their order, and the dense symbol remains the reference.
-    """
-
-    def __init__(self, scheme, stencil, theta, phi):
-        self.scheme = scheme
-        self.stencil = stencil
-        self.theta = theta
-        self.phi = phi
-        self.blocks = build_blocks(scheme, operators_for(scheme))
-        self._cache: dict[float, np.ndarray] = {}
-
-    def on_grid(self, ks: np.ndarray) -> np.ndarray:
-        """Eigenvalues at every k of ``ks``, shape (len(ks), (p+1)^d)."""
-        return factored_spectra(
-            self.scheme, self.stencil, self.theta, self.phi, ks, self.blocks
-        )[0]
-
-    def eigenvalues(self, k: float) -> np.ndarray:
-        lam = self._cache.get(k)
-        if lam is None:
-            lam = self._cache[k] = self.on_grid(np.array([k]))[0]
-        return lam
-
-    def rho(self, rk: RkScheme, tau: float, k: float) -> float:
-        return float(np.abs(rk.stability(tau * self.eigenvalues(k))).max())
-
-
 def cfl_limit(
     scheme: SchemeConfig,
     stencil: StretchedStencil,
@@ -199,12 +161,24 @@ def cfl_limit(
     spectral radius of R(tau, k); the k grid is uniform with nk points
     plus golden-section refinement around the running maximum. The
     bisection converges to relative width ``rel_tol``.
+
+    The spectrum of R is the stability polynomial applied to tau times the
+    eigenvalues of Q, taken from per-direction 1D eigensolves
+    (:func:`~frspectra.spectrum.factored_spectra`) and cached per k, since
+    the refinement revisits many k points.
     """
     theta, phi = probe_angles if isinstance(probe_angles, tuple) else (probe_angles, 0.0)
-    spectra = _SymbolSpectra(scheme, stencil, theta, phi)
+    blocks = build_blocks(scheme, operators_for(scheme))
     k_nq = nyquist_wavenumber(theta, phi, stencil, scheme.p)
     ks = np.linspace(0.0, k_nq, nk + 1)[1:]
-    lam_grid = spectra.on_grid(ks)
+    lam_grid = factored_spectra(scheme, stencil, theta, phi, ks, blocks)[0]
+
+    @cache
+    def eigenvalues(k: float) -> np.ndarray:
+        return factored_spectra(scheme, stencil, theta, phi, np.array([k]), blocks)[0][0]
+
+    def rho(tau: float, k: float) -> float:
+        return float(np.abs(rk.stability(tau * eigenvalues(k))).max())
 
     vel = WaveProbe(k=1.0, theta=theta, phi=phi).velocity(scheme.d)
     ratios = [vel[m] / stencil.delta[m] for m in range(scheme.d)]
@@ -223,7 +197,7 @@ def cfl_limit(
         best_k, best_rho = float(ks[j]), float(rho_grid[j])
         lo = ks[j - 1] if j > 0 else ks[0] * 0.5
         hi = ks[j + 1] if j + 1 < ks.size else k_nq
-        k_ref, rho_ref = _golden_max(lambda k: spectra.rho(rk, tau, k), lo, hi)
+        k_ref, rho_ref = _golden_max(lambda k: rho(tau, k), lo, hi)
         if rho_ref > best_rho:
             best_k, best_rho = k_ref, rho_ref
         return best_rho, best_k
@@ -324,40 +298,25 @@ def fully_discrete_sweep(
 ) -> ModeSweep:
     """Branch-tracked fully-discrete frequencies over a k sweep.
 
-    Amplification factors are tracked along k and the complex logarithm is
-    unwrapped along the physical branch, seeded from the small-k limit
-    where the principal branch is exact.
+    The update e^{i k tau} R(tau Q) has the eigenvalues e^{i k tau}
+    R(tau lambda), with lambda from :func:`~frspectra.spectrum.factored_sweep`,
+    and the eigenvectors (hence kappa) of Q. Amplification factors are
+    tracked along k and the complex logarithm is unwrapped along each
+    branch, seeded from the small-k limit where the principal branch is
+    exact. The dense :func:`fully_discrete_spectrum` is the reference.
     """
-    if k_hat is None:
-        k_hat = default_k_hat_grid()
-    k_hat = np.asarray(k_hat, dtype=float)
-    factor = normalization_factor(theta, phi, stencil, scheme.p)
-    lead = _anchor_ladder(k_hat[0])
-    ks = np.concatenate((lead, k_hat)) / factor
-    n_lead = lead.size
-    blocks = build_blocks(scheme, operators_for(scheme))
-    amp_sets = []
-    kappas = np.empty(k_hat.size)
-    for i, k in enumerate(ks):
-        probe = WaveProbe(k=k, theta=theta, phi=phi)
-        symbol = symbol_for(scheme, stencil, probe, blocks=blocks)
-        update = build_update(symbol, rk, tau)
-        r_eigs, vecs = np.linalg.eig(update.R)
-        amp_sets.append(np.exp(1j * k * tau) * r_eigs)
-        if i >= n_lead:
-            sv = np.linalg.svd(vecs, compute_uv=False)
-            kappas[i - n_lead] = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
-    tracked_amp = track_branches(amp_sets)
-    with np.errstate(divide="ignore"):
-        magnitude = np.log(np.abs(tracked_amp))
-    args = np.unwrap(np.angle(tracked_amp), axis=0)
-    omega = ks[:, None] - args / tau + 1j * magnitude / tau
-    physical = physical_mode_select(omega, ks)
-    return ModeSweep(
-        k=ks[n_lead:],
-        k_hat=k_hat,
-        modes=omega[n_lead:],
-        physical=physical,
-        kappa=kappas,
-        scale=factor,
-    )
+    if tau <= 0:
+        raise ValueError(f"time step must be > 0, got {tau}")
+
+    def frequencies(ks: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            amp = np.exp(1j * ks * tau)[:, None] * rk.stability(tau * lam)
+        if not np.isfinite(amp).all():
+            raise OverflowError(f"update operator overflowed at tau = {tau}")
+        tracked_amp = track_branches(amp)
+        with np.errstate(divide="ignore"):
+            magnitude = np.log(np.abs(tracked_amp))
+        args = np.unwrap(np.angle(tracked_amp), axis=0)
+        return ks[:, None] - args / tau + 1j * magnitude / tau
+
+    return factored_sweep(scheme, stencil, theta, phi, k_hat, frequencies)

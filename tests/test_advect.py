@@ -11,16 +11,49 @@ from frspectra.advect import (
     commensurate_wave,
     dump_state,
     eigenmode_state,
+    physical_eigenvector,
     plane_wave_state,
 )
 from frspectra.basis import CorrectionFamily
 from frspectra.operator import SchemeConfig, StretchedStencil, WaveProbe, symbol_for
+from frspectra.spectrum import _anchor_ladder, analyze, normalization_factor, track_branches
 from frspectra.temporal import RK44, cfl_limit
 
 
 def scheme(p, alpha=1.0, d=1, kind="huynh"):
     fam = CorrectionFamily.dg(p) if kind == "dg" else CorrectionFamily.huynh_g2(p)
     return SchemeConfig(p, fam, alpha, d)
+
+
+def dense_physical_eigenvector(sch, stencil, theta, phi, k):
+    """physical_eigenvector with a dense analyze() at every sweep point."""
+    factor = normalization_factor(theta, phi, stencil, sch.p)
+    k_hat_target = k * factor
+    lo = min(1e-3, 0.1 * k_hat_target)
+    grid = np.unique(
+        np.concatenate(
+            [
+                _anchor_ladder(lo),
+                np.geomspace(lo, 0.5 * k_hat_target, 24, endpoint=False),
+                np.linspace(0.5 * k_hat_target, k_hat_target, 24),
+            ]
+        )
+    )
+    ks = grid / factor
+    tracked = track_branches([
+        analyze(symbol_for(sch, stencil, WaveProbe(k=k_i, theta=theta, phi=phi))).modes
+        for k_i in ks
+    ])
+    scores = np.abs(tracked[0] / ks[0] - 1.0)
+    order = np.argsort(scores)
+    cutoff = max(10.0 * scores[order[0]], 1e-6)
+    candidates = [int(j) for j in order if scores[j] < 0.1 and scores[j] <= cutoff]
+    if not candidates:
+        candidates = [int(order[0])]
+    res = analyze(symbol_for(sch, stencil, WaveProbe(k=k, theta=theta, phi=phi)))
+    cols = [int(np.argmin(np.abs(res.modes - tracked[-1, j]))) for j in candidates]
+    idx = cols[int(np.argmax(np.abs(res.beta[cols])))]
+    return complex(res.modes[idx]), res.eigvecs[:, idx]
 
 
 class TestGrids:
@@ -185,6 +218,18 @@ class TestRateChecks:
             f"rate mismatch: predicted {check.predicted}, measured {check.measured}, "
             f"rel {check.rel_error}"
         )
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @pytest.mark.parametrize("k_hat", [0.3, 1.0, 2.2])
+    def test_physical_eigenvector_matches_dense_tracking(self, alpha, k_hat):
+        sch = scheme(3, alpha, 2)
+        stencil = StretchedStencil.uniform(2)
+        theta = np.radians(30)
+        k = k_hat / normalization_factor(theta, 0.0, stencil, 3)
+        omega, vec = physical_eigenvector(sch, stencil, theta, 0.0, k)
+        dense_omega, dense_vec = dense_physical_eigenvector(sch, stencil, theta, 0.0, k)
+        assert abs(omega - dense_omega) < 1e-12
+        assert abs(abs(np.vdot(dense_vec, vec)) - 1.0) < 1e-12
 
     def test_commensurate_wave_is_exact(self):
         k, delta = commensurate_wave(2, np.radians(30), 3.0, (8, 8))

@@ -30,7 +30,7 @@ class TestRangeParsing:
     def test_bad_ranges(self):
         from frspectra.cli import UserInputError
 
-        for text in ("a", "1:2", "1:2:0", "1:2:3:4"):
+        for text in ("a", "1:2", "1:2:0", "1:2:3:4", "2:1:1"):
             with pytest.raises(UserInputError):
                 parse_range(text)
 

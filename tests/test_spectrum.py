@@ -29,6 +29,7 @@ from frspectra.spectrum import (
     track_branches,
     wavenumber_for,
 )
+from frspectra.temporal import RK44, fully_discrete_sweep
 
 
 def scheme(p, alpha=1.0, d=1, kind="huynh"):
@@ -419,5 +420,29 @@ class TestFactoredSpectra:
         k_hat = np.array([0.5, 2.0])
         aligned = dispersion_sweep(sch2, StretchedStencil.uniform(2), 0.0, 0.0, k_hat)
         one_d = dispersion_sweep(scheme(3), StretchedStencil.uniform(1), k_hat=k_hat)
+        assert np.abs(aligned.kappa - one_d.kappa).max() < 1e-12 * one_d.kappa.max()
+        assert np.abs(aligned.omega_hat_physical - one_d.omega_hat_physical).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            lambda sch, stencil, theta, phi, k_hat: dispersion_sweep(
+                sch, stencil, theta, phi, k_hat
+            ),
+            lambda sch, stencil, theta, phi, k_hat: fully_discrete_sweep(
+                sch, stencil, RK44, 0.18, theta, phi, k_hat
+            ),
+        ],
+        ids=["dispersion", "fully_discrete"],
+    )
+    @pytest.mark.parametrize("d, theta, phi", [(2, 0.0, 0.0), (2, 90.0, 0.0), (3, 30.0, 90.0)])
+    def test_grid_aligned_angles_equal_1d(self, sweep, d, theta, phi):
+        # cos(pi/2) = 6.1e-17 is not zero, yet that direction adds less than
+        # round-off to every eigenvalue, so it counts as inactive as at a_m = 0
+        k_hat = np.array([0.0314, 0.5, 2.0])
+        angles = np.radians(theta), np.radians(phi)
+        aligned = sweep(scheme(3, 1.0, d), StretchedStencil.uniform(d), *angles, k_hat)
+        one_d = sweep(scheme(3), StretchedStencil.uniform(1), 0.0, 0.0, k_hat)
+        assert round(one_d.kappa[0], 4) == 3.3297
         assert np.abs(aligned.kappa - one_d.kappa).max() < 1e-12 * one_d.kappa.max()
         assert np.abs(aligned.omega_hat_physical - one_d.omega_hat_physical).max() < 1e-12

@@ -11,7 +11,13 @@ from frspectra.operator import (
     assemble_symbol,
     symbol_for,
 )
-from frspectra.spectrum import dispersion_sweep
+from frspectra.spectrum import (
+    _anchor_ladder,
+    dispersion_sweep,
+    normalization_factor,
+    physical_mode_select,
+    track_branches,
+)
 from frspectra.temporal import (
     EULER,
     RK33,
@@ -26,6 +32,25 @@ from frspectra.temporal import (
 
 def scheme(p, alpha=1.0, d=1):
     return SchemeConfig(p, CorrectionFamily.huynh_g2(p), alpha, d)
+
+
+def dense_fully_discrete_sweep(sch, stencil, rk, tau, theta, k_hat):
+    """Physical omega and kappa from eig(R(tau Q)) of the dense symbol at every k."""
+    factor = normalization_factor(theta, 0.0, stencil, sch.p)
+    lead = _anchor_ladder(k_hat[0])
+    ks = np.concatenate((lead, k_hat)) / factor
+    amp_sets, kappas = [], []
+    for k in ks:
+        update = build_update(symbol_for(sch, stencil, WaveProbe(k=k, theta=theta)), rk, tau)
+        r_eigs, vecs = np.linalg.eig(update.R)
+        amp_sets.append(np.exp(1j * k * tau) * r_eigs)
+        sv = np.linalg.svd(vecs, compute_uv=False)
+        kappas.append(sv[0] / sv[-1])
+    tracked_amp = track_branches(amp_sets)
+    args = np.unwrap(np.angle(tracked_amp), axis=0)
+    omega = ks[:, None] - args / tau + 1j * np.log(np.abs(tracked_amp)) / tau
+    physical = physical_mode_select(omega, ks)
+    return omega[lead.size:, physical], np.array(kappas[lead.size:])
 
 
 class TestRkSchemes:
@@ -114,17 +139,29 @@ class TestCflLimit:
         assert abs(r1.cfl_limit - r2.cfl_limit) < 1e-3 * r1.cfl_limit
         assert abs(r2.tau_limit - 3.0 * r1.tau_limit) < 1e-3 * r2.tau_limit
 
-    def test_factored_eigenvalues_match_dense(self):
+    def test_factored_eigenvalues_match_dense(self, monkeypatch):
+        # the eigenvalues the search evaluates, on the grid and in the
+        # golden-section refinement, give the dense spectral radius
         sch = scheme(4, 1.0, 2)
         stencil = StretchedStencil.stretched((0.9, 0.95))
-        spectra = temporal._SymbolSpectra(sch, stencil, 0.5, 0.0)
-        for k in (0.4, 2.5, 7.0):
-            dense = np.linalg.eigvals(
-                assemble_symbol(sch, stencil, WaveProbe(k=k, theta=0.5), spectra.blocks).Q
-            )
+        factored, calls = temporal.factored_spectra, []
+
+        def recording(*args):
+            out = factored(*args)
+            calls.append((args[4], out[0]))
+            return out
+
+        monkeypatch.setattr(temporal, "factored_spectra", recording)
+        cfl_limit(sch, stencil, (0.5, 0.0), RK44)
+        grid_ks, grid_lam = calls[0]
+        rows = [int(np.argmin(np.abs(grid_ks - k))) for k in (0.4, 2.5, 7.0)]
+        evaluated = [(grid_ks[j], grid_lam[j]) for j in rows]
+        evaluated += [(ks[0], lam[0]) for ks, lam in calls[1:4]]
+        for k, lam in evaluated:
+            dense = np.linalg.eigvals(symbol_for(sch, stencil, WaveProbe(k=k, theta=0.5)).Q)
             for tau in (0.05, 0.2):
                 expected = np.abs(RK44.stability(tau * dense)).max()
-                assert abs(spectra.rho(RK44, tau, k) - expected) < 1e-12
+                assert abs(np.abs(RK44.stability(tau * lam)).max() - expected) < 1e-12
 
     @pytest.mark.parametrize(
         "d, gamma, angles",
@@ -135,16 +172,15 @@ class TestCflLimit:
         stencil = StretchedStencil.stretched(gamma)
         factored = cfl_limit(sch, stencil, angles, RK44)
 
-        def dense_on_grid(self, ks):
+        def dense_spectra(scheme, stencil, theta, phi, ks, blocks, with_kappa=False):
             return np.array([
                 np.linalg.eigvals(assemble_symbol(
-                    self.scheme, self.stencil,
-                    WaveProbe(k=k, theta=self.theta, phi=self.phi), self.blocks,
+                    scheme, stencil, WaveProbe(k=k, theta=theta, phi=phi), blocks
                 ).Q)
                 for k in ks
-            ])
+            ]), None
 
-        monkeypatch.setattr(temporal._SymbolSpectra, "on_grid", dense_on_grid)
+        monkeypatch.setattr(temporal, "factored_spectra", dense_spectra)
         dense = cfl_limit(sch, stencil, angles, RK44)
         assert factored.stable and dense.stable
         assert abs(factored.tau_limit - dense.tau_limit) < 1e-12 * dense.tau_limit
@@ -272,3 +308,30 @@ class TestFullyDiscrete:
         fd = fully_discrete_sweep(sch, stencil, RK44, 1e-4, 0.3, 0.0, khat)
         rel = np.abs(fd.omega_physical - semi.omega_physical) / np.abs(semi.omega_physical)
         assert rel.max() < 1e-6
+
+    def test_sweep_matches_dense_update_eigenvalues(self):
+        sch = scheme(3, 1.0, 2)
+        stencil = StretchedStencil.stretched((1.1, 0.9))
+        theta, khat = np.radians(20), np.linspace(0.05, 2.8, 24)
+        fd = fully_discrete_sweep(sch, stencil, RK44, 0.18, theta, 0.0, khat)
+        omega, kappa = dense_fully_discrete_sweep(sch, stencil, RK44, 0.18, theta, khat)
+        assert np.abs(fd.omega_physical - omega).max() < 1e-10 * np.abs(omega).max()
+        assert np.abs(fd.kappa / kappa - 1.0).max() < 1e-8
+
+    def test_sweep_overflow_reported(self):
+        with pytest.raises(OverflowError):
+            fully_discrete_sweep(scheme(2), StretchedStencil.uniform(1), RK44, 1e200)
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda sch, stencil, k_hat: dispersion_sweep(sch, stencil, k_hat=k_hat),
+        lambda sch, stencil, k_hat: fully_discrete_sweep(sch, stencil, RK44, 0.1, k_hat=k_hat),
+    ],
+    ids=["dispersion", "fully_discrete"],
+)
+@pytest.mark.parametrize("k_hat", [[], [2.0, 1.0], [1.0, 1.0], [0.0, 1.0], [-0.5, 1.0]])
+def test_sweeps_reject_bad_k_hat_grids(sweep, k_hat):
+    with pytest.raises(ValueError):
+        sweep(scheme(2), StretchedStencil.uniform(1), np.array(k_hat))
