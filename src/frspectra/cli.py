@@ -56,11 +56,10 @@ class _Parser(argparse.ArgumentParser):
 def parse_range(text: str, integer: bool = False):
     """Parse ``v`` or ``start:stop:step`` (inclusive when step divides)."""
     parts = text.split(":")
-    cast = int if integer else float
     try:
         if len(parts) == 1:
-            return [cast(float(parts[0]))] if integer else [float(parts[0])]
-        if len(parts) == 3:
+            values = [float(parts[0])]
+        elif len(parts) == 3:
             start, stop, step = (float(v) for v in parts)
             if step <= 0:
                 raise ValueError("step must be > 0")
@@ -68,10 +67,13 @@ def parse_range(text: str, integer: bool = False):
             if n < 0:
                 raise ValueError("empty range")
             values = [start + i * step for i in range(n + 1)]
-            return [cast(round(v)) if integer else v for v in values]
+        else:
+            raise ValueError("expected 'v' or 'start:stop:step'")
+        if integer and not all(v.is_integer() for v in values):
+            raise ValueError("integer values required")
     except ValueError as exc:
         raise UserInputError(f"bad range {text!r}: {exc}") from exc
-    raise UserInputError(f"bad range {text!r}: expected 'v' or 'start:stop:step'")
+    return [int(v) for v in values] if integer else values
 
 
 def _families(text: str):

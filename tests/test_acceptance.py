@@ -128,8 +128,11 @@ def test_criterion_5a_cfl_minimum_at_diagonal():
 
 
 def test_criterion_5b_quasi_1d_cfl_below_1d():
-    # kept as stated; see module docstring for why equality is the true
-    # outcome for this operator
+    """Kept as stated; equality is the true outcome for this operator.
+
+    Proof: at theta = 0, a_y = 0, so Q = -a_x I (x) S_x (xi index fastest),
+    which has the 1D spectrum; the 2D and 1D CFL limits therefore coincide.
+    """
     results = {}
     for p in (3, 4):
         family = fr.CorrectionFamily.huynh_g2(p)

@@ -56,6 +56,59 @@ def dense_physical_eigenvector(sch, stencil, theta, phi, k):
     return complex(res.modes[idx]), res.eigvecs[:, idx]
 
 
+def elementwise_rhs(problem, values):
+    """The element-wise right-hand side: interface fluxes re-derived per call."""
+    ops, alpha = problem.ops, problem.scheme.alpha
+    inv_jac = tuple(2.0 / w for w in problem.grid.spacings)
+    if problem.grid.d == 1:
+        a = problem.velocity[0]
+        f = a * values
+        f_left = f @ ops.lL
+        f_right = f @ ops.lR
+        west = alpha * np.roll(f_right, 1) + (1.0 - alpha) * f_left
+        east = np.roll(west, -1)
+        div = f @ ops.D.T
+        div += np.multiply.outer(west - f_left, ops.hL)
+        div += np.multiply.outer(east - f_right, ops.hR)
+        return -div * inv_jac[0][:, None]
+
+    a, b = problem.velocity
+    f = a * values
+    g = b * values
+    f_left = np.einsum("yxji,i->yxj", f, ops.lL)
+    f_right = np.einsum("yxji,i->yxj", f, ops.lR)
+    west = alpha * np.roll(f_right, 1, axis=1) + (1.0 - alpha) * f_left
+    east = np.roll(west, -1, axis=1)
+    div_x = np.einsum("im,yxjm->yxji", ops.D, f)
+    div_x += np.einsum("yxj,i->yxji", west - f_left, ops.hL)
+    div_x += np.einsum("yxj,i->yxji", east - f_right, ops.hR)
+
+    g_bottom = np.einsum("yxji,j->yxi", g, ops.lL)
+    g_top = np.einsum("yxji,j->yxi", g, ops.lR)
+    south = alpha * np.roll(g_top, 1, axis=0) + (1.0 - alpha) * g_bottom
+    north = np.roll(south, -1, axis=0)
+    div_y = np.einsum("jm,yxmi->yxji", ops.D, g)
+    div_y += np.einsum("yxi,j->yxji", south - g_bottom, ops.hL)
+    div_y += np.einsum("yxi,j->yxji", north - g_top, ops.hR)
+
+    return -(
+        div_x * inv_jac[0][None, :, None, None]
+        + div_y * inv_jac[1][:, None, None, None]
+    )
+
+
+NONUNIFORM_2D = PeriodicGrid.explicit(
+    np.array([1.0, 0.5, 2.0, 0.7, 1.1]), np.array([0.9, 1.4, 0.6, 1.0])
+)
+
+
+def random_state(grid, p, seed):
+    n = p + 1
+    shape = (grid.cells_per_dir[0], n) if grid.d == 1 else (*grid.cells_per_dir[::-1], n, n)
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
 class TestGrids:
     def test_uniform_extent(self):
         grid = PeriodicGrid.uniform((8,), 0.5)
@@ -81,7 +134,7 @@ class TestRhs:
         [
             PeriodicGrid.uniform((6,)),
             PeriodicGrid.mirrored_geometric(8, 1.2),
-            PeriodicGrid.explicit(np.array([1.0, 0.5, 2.0, 0.7, 1.1]), np.array([0.9, 1.4, 0.6, 1.0])),
+            NONUNIFORM_2D,
         ],
     )
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
@@ -96,6 +149,23 @@ class TestRhs:
         )
         values = np.full(shape, 2.7 + 0.0j)
         assert np.abs(problem.rhs(values)).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "grid,velocity",
+        [
+            (PeriodicGrid.mirrored_geometric(8, 1.2), (1.0,)),
+            (NONUNIFORM_2D, (np.cos(0.4), np.sin(0.4))),
+            (NONUNIFORM_2D, (1.0, 0.0)),
+        ],
+    )
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    @pytest.mark.parametrize("p", [0, 2, 4])
+    def test_matches_elementwise_rhs(self, grid, velocity, alpha, p):
+        kind = "dg" if p == 0 else "huynh"
+        problem = AdvectionProblem(grid, scheme(p, alpha, grid.d, kind), velocity)
+        values = random_state(grid, p, seed=p)
+        ref = elementwise_rhs(problem, values)
+        assert np.abs(problem.rhs(values) - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_p0_upwind_is_fv_stencil(self):
         grid = PeriodicGrid.uniform((8,), 0.5)
@@ -152,12 +222,16 @@ class TestStep:
         drift = np.abs(np.diff(energies)).max()
         assert drift < 1e-10 * energies[0]
 
-    @pytest.mark.parametrize("alpha", [0.5, 1.0])
-    def test_conservation_per_step(self, alpha):
-        sch = scheme(3, alpha)
-        problem = AdvectionProblem(PeriodicGrid.uniform((8,)), sch)
-        rng = np.random.default_rng(7)
-        state = FieldState(rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4)))
+    @pytest.mark.parametrize(
+        "alpha,grid",
+        [(a, g) for g in (PeriodicGrid.uniform((8,)), NONUNIFORM_2D) for a in (0.5, 1.0)],
+        ids=["0.5", "1.0", "2d-0.5", "2d-1.0"],
+    )
+    def test_conservation_per_step(self, alpha, grid):
+        sch = scheme(3, alpha, grid.d)
+        velocity = (1.0,) if grid.d == 1 else (np.cos(0.4), np.sin(0.4))
+        problem = AdvectionProblem(grid, sch, velocity)
+        state = FieldState(random_state(grid, 3, seed=7))
         total0 = problem.total_integral(state.values)
         for _ in range(50):
             state = problem.step(state, RK44, 5e-3)

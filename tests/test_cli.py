@@ -33,6 +33,9 @@ class TestRangeParsing:
         for text in ("a", "1:2", "1:2:0", "1:2:3:4", "2:1:1"):
             with pytest.raises(UserInputError):
                 parse_range(text)
+        for text in ("2:3:0.5", "2.7"):
+            with pytest.raises(UserInputError):
+                parse_range(text, integer=True)
 
 
 class TestSweepCombos:
