@@ -273,23 +273,6 @@ class AdvectionProblem:
         return self._cell_integrals(np.abs(values) ** 2)
 
 
-def rhs(state: FieldState, grid: PeriodicGrid, scheme: SchemeConfig, velocity=None) -> np.ndarray:
-    """One-shot right-hand-side evaluation (prefer AdvectionProblem in loops)."""
-    return AdvectionProblem(grid, scheme, velocity).rhs(state.values)
-
-
-def step(
-    state: FieldState,
-    grid: PeriodicGrid,
-    scheme: SchemeConfig,
-    rk: RkScheme,
-    tau: float,
-    velocity=None,
-) -> FieldState:
-    """One-shot RK step (prefer AdvectionProblem in loops)."""
-    return AdvectionProblem(grid, scheme, velocity).step(state, rk, tau)
-
-
 # -- plane-wave initial data ----------------------------------------------------
 
 

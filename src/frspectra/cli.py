@@ -17,8 +17,9 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
+from functools import cache
 from itertools import product
-from math import radians
+from math import isfinite, radians
 
 import numpy as np
 
@@ -35,12 +36,11 @@ from .spectrum import (
 )
 from .temporal import cfl_limit, fully_discrete_sweep, rk_from_name
 
-_KEY_COLUMNS = [
-    "p", "family", "iota", "alpha", "gx", "gy", "gz", "aspect", "theta", "phi", "khat",
-]
-_SPECTRUM_COLUMNS = _KEY_COLUMNS + ["re_omega_hat", "im_omega_hat", "kappa", "status"]
-_CFL_COLUMNS = _KEY_COLUMNS + [
-    "cfl_limit", "cfl_crossing", "tau_limit", "worst_k", "stable", "status",
+# Columns constant over a combo's rows, then the per-row columns of each command.
+_KEY_COLUMNS = ["p", "family", "iota", "alpha", "gx", "gy", "gz", "aspect", "theta", "phi"]
+_SPECTRUM_COLUMNS = ["khat", "re_omega_hat", "im_omega_hat", "kappa", "status"]
+_CFL_COLUMNS = [
+    "khat", "cfl_limit", "cfl_crossing", "tau_limit", "worst_k", "stable", "status",
 ]
 
 
@@ -54,13 +54,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_range(text: str, integer: bool = False):
-    """Parse ``v`` or ``start:stop:step`` (inclusive when step divides)."""
+    """Parse finite ``v`` or ``start:stop:step`` (inclusive when step divides)."""
     parts = text.split(":")
     try:
+        numbers = [float(v) for v in parts]
+        if not all(isfinite(v) for v in numbers):
+            raise ValueError("values must be finite")
         if len(parts) == 1:
-            values = [float(parts[0])]
+            values = numbers
         elif len(parts) == 3:
-            start, stop, step = (float(v) for v in parts)
+            start, stop, step = numbers
             if step <= 0:
                 raise ValueError("step must be > 0")
             n = int(np.floor((stop - start) / step + 1e-9))
@@ -71,7 +74,7 @@ def parse_range(text: str, integer: bool = False):
             raise ValueError("expected 'v' or 'start:stop:step'")
         if integer and not all(v.is_integer() for v in values):
             raise ValueError("integer values required")
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # overflow: a range too long to count
         raise UserInputError(f"bad range {text!r}: {exc}") from exc
     return [int(v) for v in values] if integer else values
 
@@ -94,9 +97,7 @@ def _families(text: str):
 def _format_csv_value(v):
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, (int, np.integer)):  # bool included
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return "%.17e" % float(v)
@@ -108,16 +109,20 @@ def _sanitize_json(v):
         return float(v) if np.isfinite(v) else None
     if isinstance(v, (int, np.integer)):
         return int(v)
-    if isinstance(v, bool):
-        return v
     return v
 
 
-def _emit(rows, columns, args, spec_echo):
+def _emit(groups, row_columns, args, spec_echo):
+    """Write ``(key, rows)`` groups: one combo's key fields and its row dicts."""
+    columns = _KEY_COLUMNS + row_columns
     if args.format == "csv":
         lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_format_csv_value(row.get(c)) for c in columns))
+        for key, rows in groups:
+            prefix = "".join(_format_csv_value(key[c]) + "," for c in _KEY_COLUMNS)
+            lines.extend(
+                prefix + ",".join(_format_csv_value(row.get(c)) for c in row_columns)
+                for row in rows
+            )
         text = "\n".join(lines) + "\n"
     else:
         doc = {
@@ -130,7 +135,12 @@ def _emit(rows, columns, args, spec_echo):
                 "spec": spec_echo,
             },
             "columns": columns,
-            "rows": [[_sanitize_json(row.get(c)) for c in columns] for row in rows],
+            "rows": [
+                [_sanitize_json(key[c]) for c in _KEY_COLUMNS]
+                + [_sanitize_json(row.get(c)) for c in row_columns]
+                for key, rows in groups
+                for row in rows
+            ],
         }
         text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     if args.output in (None, "-"):
@@ -221,27 +231,13 @@ def _resolved_iota(c):
         return c["iota"]  # unresolvable (error rows): echo the input
 
 
-def _key_fields(c, khat=None):
-    return {
-        "p": c["p"],
-        "family": c["family"],
-        "iota": _resolved_iota(c),
-        "alpha": c["alpha"],
-        "gx": c["gx"],
-        "gy": c["gy"],
-        "gz": c["gz"],
-        "aspect": c["dy"] / c["dx"],
-        "theta": c["theta"],
-        "phi": c["phi"],
-        "khat": khat,
-    }
+def _key_fields(c):
+    """The combo with the resolved iota and the aspect ratio: every key column."""
+    return {**c, "iota": _resolved_iota(c), "aspect": c["dy"] / c["dx"]}
 
 
-def _error_rows(c, exc, khat_grid=None):
-    marker = f"error:{type(exc).__name__}"
-    if khat_grid is None:
-        return [{**_key_fields(c), "status": marker}]
-    return [{**_key_fields(c, kh), "status": marker} for kh in khat_grid]
+def _error_rows(exc, khat_grid=(None,)):
+    return [{"khat": kh, "status": f"error:{type(exc).__name__}"} for kh in khat_grid]
 
 
 _ROW_ERRORS = (EigensolverError, ModeAmbiguityError, OverflowError, ValueError)
@@ -253,6 +249,8 @@ def _run_spectrum_command(args, fully_discrete=False):
         np.array(parse_range(args.khat)) if args.khat else default_k_hat_grid()
     )
     rk = rk_from_name(args.rk) if fully_discrete else None
+    if fully_discrete and not (isfinite(args.tau) and args.tau > 0):
+        raise UserInputError(f"--tau: must be finite and > 0, got {args.tau}")
 
     def worker(c):
         try:
@@ -269,7 +267,7 @@ def _run_spectrum_command(args, fully_discrete=False):
             omega_hat = sweep.omega_hat_physical
             return [
                 {
-                    **_key_fields(c, sweep.k_hat[i]),
+                    "khat": sweep.k_hat[i],
                     "re_omega_hat": omega_hat[i].real,
                     "im_omega_hat": omega_hat[i].imag,
                     "kappa": sweep.kappa[i],
@@ -278,11 +276,9 @@ def _run_spectrum_command(args, fully_discrete=False):
                 for i in range(sweep.k_hat.size)
             ]
         except _ROW_ERRORS as exc:
-            return _error_rows(c, exc, khat_grid)
+            return _error_rows(exc, khat_grid)
 
-    rows = _map_combos(worker, combos, args.threads)
-    _emit(rows, _SPECTRUM_COLUMNS, args, _spec_echo(args))
-    return 2 if any(r["status"] != "ok" for r in rows) else 0
+    return _run_combos(worker, combos, _SPECTRUM_COLUMNS, args)
 
 
 def _run_cfl(args):
@@ -297,7 +293,6 @@ def _run_cfl(args):
             )
             return [
                 {
-                    **_key_fields(c),
                     "cfl_limit": res.cfl_limit,
                     "cfl_crossing": res.cfl_crossing,
                     "tau_limit": res.tau_limit,
@@ -307,20 +302,21 @@ def _run_cfl(args):
                 }
             ]
         except _ROW_ERRORS as exc:
-            return _error_rows(c, exc)
+            return _error_rows(exc)
 
-    rows = _map_combos(worker, combos, args.threads)
-    _emit(rows, _CFL_COLUMNS, args, _spec_echo(args))
-    return 2 if any(r["status"] != "ok" for r in rows) else 0
+    return _run_combos(worker, combos, _CFL_COLUMNS, args)
 
 
-def _map_combos(worker, combos, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+def _run_combos(worker, combos, row_columns, args):
+    """Emit every combo's rows, in combo order; exit code 2 if any row failed."""
+    if args.threads > 1:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
             nested = list(pool.map(worker, combos))
     else:
         nested = [worker(c) for c in combos]
-    return [row for rows in nested for row in rows]
+    groups = list(zip(map(_key_fields, combos), nested))
+    _emit(groups, row_columns, args, _spec_echo(args))
+    return 2 if any(r["status"] != "ok" for rows in nested for r in rows) else 0
 
 
 def _run_verify(args):
@@ -371,7 +367,9 @@ def _run_mesh(args):
     return 0
 
 
+@cache
 def build_parser() -> _Parser:
+    """The parser, built once per process on first use (parsing leaves it unchanged)."""
     parser = _Parser(prog="frspectra", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -418,9 +416,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UserInputError as exc:
         print(f"frspectra: {exc}", file=sys.stderr)

@@ -100,12 +100,6 @@ class StretchedStencil:
         delta = tuple(float(dx) for dx in np.atleast_1d(delta))
         return cls(len(gamma), delta, gamma)
 
-    def upstream(self, m: int) -> float:
-        return self.delta[m] / self.gamma[m]
-
-    def downstream(self, m: int) -> float:
-        return self.delta[m] * self.gamma[m]
-
 
 @dataclass(frozen=True)
 class WaveProbe:
@@ -204,48 +198,63 @@ class SemiDiscreteSymbol:
     scheme: SchemeConfig
 
 
-def direction_symbols(
+def direction_symbol_batch(
     scheme: SchemeConfig,
     stencil: StretchedStencil,
-    probe: WaveProbe,
+    theta: float,
+    phi: float,
+    ks: np.ndarray,
     blocks: FrBlocks,
-) -> tuple[np.ndarray, ...]:
-    """The d one-dimensional (p+1)x(p+1) symbols Q_m for one (k, theta, phi).
+) -> np.ndarray:
+    """The d one-dimensional (p+1)x(p+1) symbols Q_m at every wavenumber.
 
     Per direction m with velocity component a_m and central spacing
     delta_m,
 
-        Q_m = -a_m * [ (2/d_up) C_minus e^{-i k a_m d_up}
-                     + (2/delta_m) C_zero
-                     + (2/d_dn) C_plus e^{+i k a_m delta_m} ]
+        Q_m(k) = -a_m * [ (2/d_up) C_minus e^{-i k a_m d_up}
+                        + (2/delta_m) C_zero
+                        + (2/d_dn) C_plus e^{+i k a_m delta_m} ]
 
     with d_up = delta_m/gamma_m the upstream width and d_dn =
     gamma_m*delta_m the downstream width. Upstream and downstream blocks
     carry their own cells' metric factors. A direction with a_m = 0 gives
     an exactly zero Q_m.
+
+    One broadcast expression forms every k and direction, shape (n_k, d,
+    p+1, p+1), with the same operations per entry as a single k, so each
+    row is bit-identical to a one-k batch. :class:`WaveProbe`'s checks apply.
     """
     if scheme.d != stencil.d or scheme.d != blocks.d:
         raise ValueError(
             f"dimension mismatch: scheme d={scheme.d}, stencil d={stencil.d}, "
             f"blocks d={blocks.d}"
         )
-    vel = probe.velocity(scheme.d)
-    k = probe.k
-    out = []
-    for m in range(scheme.d):
-        d_up = stencil.upstream(m)
-        d_c = stencil.delta[m]
-        d_dn = stencil.downstream(m)
-        a_m = vel[m]
-        q_m = -a_m * (
-            (2.0 / d_up) * blocks.c_minus * np.exp(-1j * k * a_m * d_up)
-            + (2.0 / d_c) * blocks.c_zero
-            + (2.0 / d_dn) * blocks.c_plus * np.exp(1j * k * a_m * d_c)
-        )
-        if not np.isfinite(q_m).all():
-            raise ValueError("symbol assembly produced non-finite entries")
-        out.append(q_m)
-    return tuple(out)
+    ks = np.asarray(ks, dtype=float)
+    if not np.isfinite(ks).all():
+        raise ValueError(f"wavenumbers must be finite, got {ks[~np.isfinite(ks)]}")
+    k = ks[:, None, None, None]  # axes: k, direction, then the (p+1)x(p+1) block
+    a = direction_cosines(theta, phi, scheme.d)[:, None, None]
+    d_c, gamma = np.array(stencil.delta)[:, None, None], np.array(stencil.gamma)[:, None, None]
+    d_up, d_dn = d_c / gamma, d_c * gamma
+    q = -a * (
+        (2.0 / d_up) * blocks.c_minus * np.exp(-1j * k * a * d_up)
+        + (2.0 / d_c) * blocks.c_zero
+        + (2.0 / d_dn) * blocks.c_plus * np.exp(1j * k * a * d_c)
+    )
+    if not np.isfinite(q).all():
+        raise ValueError("symbol assembly produced non-finite entries")
+    return q
+
+
+def direction_symbols(
+    scheme: SchemeConfig,
+    stencil: StretchedStencil,
+    probe: WaveProbe,
+    blocks: FrBlocks,
+) -> tuple[np.ndarray, ...]:
+    """The d symbols Q_m for one probe: one row of :func:`direction_symbol_batch`."""
+    q = direction_symbol_batch(scheme, stencil, probe.theta, probe.phi, [probe.k], blocks)
+    return tuple(q[0])
 
 
 def assemble_symbol(

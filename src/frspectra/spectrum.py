@@ -24,12 +24,13 @@ from .operator import (
     WaveProbe,
     build_blocks,
     direction_cosines,
-    direction_symbols,
+    direction_symbol_batch,
     operators_for,
 )
 
 KAPPA_ILL_CONDITIONED = 1e8
 DEGENERACY_TOL = 1e-12
+_EPS = np.finfo(float).eps
 
 
 class EigensolverError(RuntimeError):
@@ -196,14 +197,22 @@ def _match_to_previous(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
     one makes no swap. Between swaps nothing changes, so each step jumps
     to the first improving pair after the last swap, found over the whole
     matrix.
+
+    Row-wise nearest columns that are all distinct are that answer: greedy
+    gives each row i its first minimum own_i, and no swap follows, since
+    dist[i, perm[j]] >= own_i, dist[j, perm[i]] >= own_j and rounded addition
+    is monotone, so no swapped cost falls below own_i + own_j - 1e-15.
     """
     n = prev.size
     dist = np.abs(prev[:, None] - cur[None, :])
-    nearest = dist.argmin(axis=1).tolist()
+    nearest = dist.argmin(axis=1)
+    columns = nearest.tolist()
+    if len(set(columns)) == n:
+        return nearest
     perm = np.full(n, -1)
     used = np.zeros(n, dtype=bool)
     for i in np.argsort(dist.min(axis=1)).tolist():
-        j = nearest[i]  # the first minimum stays first among unused columns
+        j = columns[i]  # the first minimum stays first among unused columns
         if used[j]:
             j = int(np.argmin(np.where(used, np.inf, dist[i])))
         perm[i] = j
@@ -237,8 +246,8 @@ def track_branches(mode_sets: Sequence[np.ndarray]) -> np.ndarray:
     tracked = np.empty((len(mode_sets), mode_sets[0].size), dtype=complex)
     tracked[0] = mode_sets[0]
     for i in range(1, len(mode_sets)):
-        perm = _match_to_previous(tracked[i - 1], np.asarray(mode_sets[i]))
-        tracked[i] = np.asarray(mode_sets[i])[perm]
+        cur = np.asarray(mode_sets[i])
+        tracked[i] = cur[_match_to_previous(tracked[i - 1], cur)]
     return tracked
 
 
@@ -326,19 +335,17 @@ def factored_spectra(
     eigenvalue and contributes exact zeros and the identity basis
     (kappa_m = 1).
 
+    One :func:`~frspectra.operator.direction_symbol_batch` call and one
+    batched eigensolve serve every k, so the cost is mostly per call.
+
     Returns the eigenvalues, shape (n_k, (p+1)^d) in the order of the
     lifted basis (xi index fastest), and kappa(W) per k when
     ``with_kappa`` is set, else None. The dense :func:`analyze` of
     :func:`~frspectra.operator.assemble_symbol` is the reference.
     """
     vel = direction_cosines(theta, phi, scheme.d)
-    active = [m for m in range(scheme.d) if abs(vel[m]) > np.finfo(float).eps]
-    q = np.array(
-        [
-            direction_symbols(scheme, stencil, WaveProbe(k=k, theta=theta, phi=phi), blocks)
-            for k in ks
-        ]
-    )[:, active]
+    active = np.flatnonzero(np.abs(vel) > _EPS)
+    q = direction_symbol_batch(scheme, stencil, theta, phi, ks, blocks)[:, active]
     try:
         if with_kappa:
             lam_1d, vecs = np.linalg.eig(q)

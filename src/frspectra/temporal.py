@@ -164,8 +164,10 @@ def cfl_limit(
 
     The spectrum of R is the stability polynomial applied to tau times the
     eigenvalues of Q, taken from per-direction 1D eigensolves
-    (:func:`~frspectra.spectrum.factored_spectra`) and cached per k, since
-    the refinement revisits many k points.
+    (:func:`~frspectra.spectrum.factored_spectra`): one batched call for
+    the whole k grid, then one single-k call for each wavenumber the
+    golden-section refinement visits. Only those eigenvalues are cached
+    per k, since the refinement revisits many k points at other tau.
     """
     theta, phi = probe_angles if isinstance(probe_angles, tuple) else (probe_angles, 0.0)
     blocks = build_blocks(scheme, operators_for(scheme))

@@ -1,9 +1,14 @@
 """CLI contract tests: determinism, schema, exit codes, recomputability."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import frspectra
 from frspectra.cli import _sweep_combos, build_parser, main, parse_range
 from frspectra.basis import CorrectionFamily
 from frspectra.operator import SchemeConfig, StretchedStencil
@@ -30,12 +35,75 @@ class TestRangeParsing:
     def test_bad_ranges(self):
         from frspectra.cli import UserInputError
 
-        for text in ("a", "1:2", "1:2:0", "1:2:3:4", "2:1:1"):
+        for text in (
+            "a", "1:2", "1:2:0", "1:2:3:4", "2:1:1",
+            "nan", "inf", "-inf", "0:inf:1", "nan:1:0.5", "0:1:inf", "0:1e308:1e-308",
+        ):
             with pytest.raises(UserInputError):
                 parse_range(text)
         for text in ("2:3:0.5", "2.7"):
             with pytest.raises(UserInputError):
                 parse_range(text, integer=True)
+
+
+class TestUserErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dispersion", "--khat", "nan"],
+            ["dispersion", "--alpha", "inf"],
+            ["dispersion", "--gx", "nan"],
+            ["fully-discrete", "--tau", "-1"],
+            ["fully-discrete", "--tau", "nan"],
+            ["fully-discrete", "--tau", "inf"],
+            ["verify", "--khat", "nan"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_non_finite_or_non_positive_input_exits_1(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "frspectra:" in captured.err
+
+
+class TestParserReuse:
+    COMMANDS = [
+        ["fully-discrete", "--d", "2", "--p", "2", "--theta", "30", "--tau", "0.18",
+         "--khat", "0.5:1.5:0.5"],
+        ["cfl", "--d", "2", "--p", "2", "--theta", "30"],
+        ["dispersion", "--d", "2", "--p", "2", "--theta", "30", "--khat", "0.5:1.5:0.5"],
+    ]
+
+    @staticmethod
+    def comparable(argv, out):
+        if "json" not in argv:
+            return out
+        doc = json.loads(out)
+        del doc["metadata"]["created"]
+        return doc
+
+    def test_back_to_back_commands_match_lone_runs(self, capsys):
+        # each command alone in a fresh process, then all in this one: a leaked
+        # default or --tau would change the rows or the JSON spec echo
+        src = str(Path(frspectra.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        runs = [argv + fmt for argv in self.COMMANDS for fmt in ([], ["--format", "json"])]
+        alone = [
+            subprocess.run(
+                [sys.executable, "-m", "frspectra.cli", *argv],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            ).stdout
+            for argv in runs
+        ]
+        build_parser.cache_clear()
+        together = []
+        for argv in runs:
+            assert main(argv) == 0
+            together.append(capsys.readouterr().out)
+        assert build_parser.cache_info().misses == 1
+        for argv, lone, shared in zip(runs, alone, together):
+            assert self.comparable(argv, shared) == self.comparable(argv, lone)
 
 
 class TestSweepCombos:

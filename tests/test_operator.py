@@ -6,13 +6,19 @@ from hypothesis import strategies as st
 
 from frspectra.basis import CorrectionFamily
 from frspectra.operator import (
+    FrBlocks,
     SchemeConfig,
     StretchedStencil,
     WaveProbe,
+    assemble_symbol,
     build_blocks,
+    direction_symbol_batch,
+    direction_symbols,
+    lift_to_dimension,
     operators_for,
     symbol_for,
 )
+from frspectra.spectrum import nyquist_wavenumber
 
 
 def scheme(p, alpha, d=1, kind="huynh"):
@@ -192,3 +198,73 @@ class TestSymbol:
                 found = True
                 break
         assert found
+
+
+def scalar_direction_symbols(scheme, stencil, probe, blocks):
+    """Per-probe, per-direction loop: the oracle for direction_symbol_batch."""
+    vel = probe.velocity(scheme.d)
+    k = probe.k
+    out = []
+    for m in range(scheme.d):
+        d_c = stencil.delta[m]
+        d_up = d_c / stencil.gamma[m]
+        d_dn = d_c * stencil.gamma[m]
+        a_m = vel[m]
+        out.append(
+            -a_m * (
+                (2.0 / d_up) * blocks.c_minus * np.exp(-1j * k * a_m * d_up)
+                + (2.0 / d_c) * blocks.c_zero
+                + (2.0 / d_dn) * blocks.c_plus * np.exp(1j * k * a_m * d_c)
+            )
+        )
+    return out
+
+
+class TestSymbolBatch:
+    GAMMA = (1.1, 0.9, 1.05)
+    ANGLES = {1: (0.0, 0.0), 2: (0.6, 0.0), 3: (0.5, 0.4)}
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_batch_equals_scalar_loop_bit_for_bit(self, d, alpha):
+        sch = scheme(3, alpha, d)
+        stencil = StretchedStencil.stretched(self.GAMMA[:d], (1.0, 0.8, 1.3)[:d])
+        blocks = build_blocks(sch, operators_for(sch))
+        theta, phi = self.ANGLES[d]
+        k_nq = nyquist_wavenumber(theta, phi, stencil, sch.p)
+        ks = np.array([0.0, -1.7, 1e-4, 0.9, k_nq * (1 - 1e-12), k_nq, -k_nq])
+        batch = direction_symbol_batch(sch, stencil, theta, phi, ks, blocks)
+        assert batch.shape == (ks.size, d, sch.p + 1, sch.p + 1)
+        for k, row in zip(ks, batch):
+            probe = WaveProbe(k=k, theta=theta, phi=phi)
+            ref = scalar_direction_symbols(sch, stencil, probe, blocks)
+            assert np.array_equal(row, ref)
+            assert np.array_equal(direction_symbols(sch, stencil, probe, blocks), ref)
+            dense = sum(lift_to_dimension(q_m, m, d) for m, q_m in enumerate(ref))
+            assert np.array_equal(assemble_symbol(sch, stencil, probe, blocks).Q, dense)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_wavenumber_in_batch_rejected(self, bad):
+        sch = scheme(2, 1.0, 2)
+        blocks = build_blocks(sch, operators_for(sch))
+        with pytest.raises(ValueError, match="finite"):
+            direction_symbol_batch(
+                sch, StretchedStencil.uniform(2), 0.3, 0.0, np.array([0.5, bad, 1.0]), blocks
+            )
+
+    def test_non_finite_entries_rejected(self):
+        sch = scheme(2, 1.0, 2)
+        blocks = build_blocks(sch, operators_for(sch))
+        broken = FrBlocks(2, blocks.c_minus, np.full_like(blocks.c_zero, np.inf), blocks.c_plus)
+        with pytest.raises(ValueError, match="non-finite entries"), np.errstate(invalid="ignore"):
+            direction_symbol_batch(
+                sch, StretchedStencil.uniform(2), 0.3, 0.0, np.array([1.0]), broken
+            )
+
+    def test_batch_keeps_probe_angle_checks(self):
+        sch = scheme(2, 1.0, 2)
+        blocks = build_blocks(sch, operators_for(sch))
+        stencil = StretchedStencil.uniform(2)
+        for theta, phi in [(2.0, 0.0), (-0.1, 0.0), (0.3, 0.2)]:
+            with pytest.raises(ValueError):
+                direction_symbol_batch(sch, stencil, theta, phi, np.array([1.0]), blocks)
