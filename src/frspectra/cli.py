@@ -94,6 +94,18 @@ def _families(text: str):
     return out
 
 
+def _rk_scheme(name: str):
+    try:
+        return rk_from_name(name)
+    except ValueError as exc:
+        raise UserInputError(f"--rk: {exc}") from exc
+
+
+def _check_angles(flag, degrees):
+    if any(not 0.0 <= t <= 90.0 for t in degrees):
+        raise UserInputError(f"{flag}: angles must lie in [0, 90] degrees")
+
+
 def _format_csv_value(v):
     if v is None:
         return ""
@@ -198,10 +210,8 @@ def _sweep_combos(args):
         gzs, dzs = [1.0], [1.0]
     if d < 2:
         gys, dys = [1.0], [1.0]
-    if any(not 0.0 <= t <= 90.0 for t in thetas):
-        raise UserInputError("--theta: angles must lie in [0, 90] degrees")
-    if any(not 0.0 <= t <= 90.0 for t in phis):
-        raise UserInputError("--phi: angles must lie in [0, 90] degrees")
+    _check_angles("--theta", thetas)
+    _check_angles("--phi", phis)
     if OSFR in fams and args.iota is None:
         raise UserInputError("--iota is required with --family osfr")
     fam_iotas = [(fam, iota) for fam in fams for iota in (iotas if fam == OSFR else [None])]
@@ -248,7 +258,7 @@ def _run_spectrum_command(args, fully_discrete=False):
     khat_grid = (
         np.array(parse_range(args.khat)) if args.khat else default_k_hat_grid()
     )
-    rk = rk_from_name(args.rk) if fully_discrete else None
+    rk = _rk_scheme(args.rk) if fully_discrete else None
     if fully_discrete and not (isfinite(args.tau) and args.tau > 0):
         raise UserInputError(f"--tau: must be finite and > 0, got {args.tau}")
 
@@ -283,7 +293,7 @@ def _run_spectrum_command(args, fully_discrete=False):
 
 def _run_cfl(args):
     combos = _sweep_combos(args)
-    rk = rk_from_name(args.rk)
+    rk = _rk_scheme(args.rk)
 
     def worker(c):
         try:
@@ -323,15 +333,22 @@ def _run_verify(args):
     fam = _families(args.family)
     if len(fam) != 1:
         raise UserInputError("--family: verify takes a single family")
+    theta = parse_range(args.theta)[0]
+    _check_angles("--theta", [theta])
+    if args.d == 1 and theta != 0.0:
+        raise UserInputError(f"--theta: must be 0 in 1D, got {theta}")
+    if not (isfinite(args.tol) and args.tol > 0):
+        raise UserInputError(f"--tol: must be finite and > 0, got {args.tol}")
+    rk = _rk_scheme(args.rk)
     try:
         check = check_decay_rate(
             p=parse_range(args.p, integer=True)[0],
             family_kind=fam[0],
             alpha=parse_range(args.alpha)[0],
             d=args.d,
-            theta=radians(parse_range(args.theta)[0]),
+            theta=radians(theta),
             k_hat=parse_range(args.khat)[0],
-            rk=rk_from_name(args.rk),
+            rk=rk,
             tol=args.tol,
             iota=parse_range(args.iota)[0] if args.iota else None,
         )
@@ -354,6 +371,8 @@ def _run_mesh(args):
         raise UserInputError("--dims: give one value or an inclusive 3-value range")
     try:
         mesh = generate(dims, args.extent, args.jitter, args.seed)
+    except ValueError as exc:  # input rejected by the generator's checks
+        raise UserInputError(str(exc)) from exc
     except MeshGenerationError as exc:
         print(f"mesh generation failed: {exc}", file=sys.stderr)
         return 2

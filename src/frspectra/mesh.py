@@ -24,7 +24,7 @@ the quality audit vectorizes over elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import isfinite, pi, sqrt
 
 import numpy as np
 
@@ -180,8 +180,8 @@ def generate(dims, extent=(1.0, 1.0, 1.0), jitter_factor: float = 0.0, seed: int
     if any(n < 2 for n in dims):
         raise ValueError(f"need at least 2 elements per direction, got {dims}")
     extent = tuple(float(e) for e in np.broadcast_to(extent, 3))
-    if any(e <= 0 for e in extent):
-        raise ValueError(f"extent must be positive per direction, got {extent}")
+    if not all(isfinite(e) and e > 0 for e in extent):
+        raise ValueError(f"extent must be finite and > 0 per direction, got {extent}")
     if not 0.0 <= jitter_factor < 1.0:
         raise ValueError(
             f"jitter factor must lie in [0, 1), got {jitter_factor} "

@@ -162,6 +162,14 @@ def cfl_limit(
     plus golden-section refinement around the running maximum. The
     bisection converges to relative width ``rel_tol``.
 
+    A step at tau first evaluates the whole grid, and refines only when
+    the grid maximum stays within 1 + ``RHO_TOL``. That is exact: the
+    refinement replaces the grid maximum only by a larger value, so it
+    can never turn "exceeds" into "does not". When the bracket doubles tau
+    at least once, its lower end is the previous, already non-exceeding
+    tau (doubling is exact), so it is not tested again. The reported
+    ``worst_k`` always comes from a refined search at the final upper end.
+
     The spectrum of R is the stability polynomial applied to tau times the
     eigenvalues of Q, taken from per-direction 1D eigensolves
     (:func:`~frspectra.spectrum.factored_spectra`): one batched call for
@@ -193,8 +201,10 @@ def cfl_limit(
         worst = float(ks[int(np.argmax(lam_grid.real.max(axis=1)))])
         return CflResult(0.0, 0.0, worst, stable=False, theta=theta, phi=phi)
 
-    def sup_rho(tau: float) -> tuple[float, float]:
-        rho_grid = np.abs(rk.stability(tau * lam_grid)).max(axis=1)
+    def grid_rho(tau: float) -> np.ndarray:
+        return np.abs(rk.stability(tau * lam_grid)).max(axis=1)
+
+    def sup_rho(tau: float, rho_grid: np.ndarray) -> tuple[float, float]:
         j = int(np.argmax(rho_grid))
         best_k, best_rho = float(ks[j]), float(rho_grid[j])
         lo = ks[j - 1] if j > 0 else ks[0] * 0.5
@@ -205,29 +215,34 @@ def cfl_limit(
         return best_rho, best_k
 
     def exceeds(tau: float) -> bool:
-        return sup_rho(tau)[0] > 1.0 + RHO_TOL
+        rho_grid = grid_rho(tau)
+        if rho_grid.max() > 1.0 + RHO_TOL:
+            return True  # refinement only ever raises the grid maximum
+        return sup_rho(tau, rho_grid)[0] > 1.0 + RHO_TOL
 
-    tau_hi = 1.0 / lam_scale
+    tau_lo, tau_hi = 0.0, 1.0 / lam_scale
     for _ in range(200):
         if exceeds(tau_hi):
             break
-        tau_hi *= 2.0
+        tau_lo, tau_hi = tau_hi, tau_hi * 2.0
     else:
         raise RuntimeError("failed to bracket the stability boundary from above")
-    tau_lo = tau_hi / 2.0
-    while exceeds(tau_lo):
-        tau_lo /= 2.0
-        if tau_lo < 1e-300:
-            # unstable for every positive step despite a left-half-plane
-            # spectrum; report as a flagged zero limit
-            return CflResult(0.0, 0.0, sup_rho(tau_hi)[1], stable=False, theta=theta, phi=phi)
+    if tau_lo == 0.0:  # the first step already exceeds: halve down to a stable one
+        tau_lo = tau_hi / 2.0
+        while exceeds(tau_lo):
+            tau_lo /= 2.0
+            if tau_lo < 1e-300:
+                # unstable for every positive step despite a left-half-plane
+                # spectrum; report as a flagged zero limit
+                worst_k = sup_rho(tau_hi, grid_rho(tau_hi))[1]
+                return CflResult(0.0, 0.0, worst_k, stable=False, theta=theta, phi=phi)
     while (tau_hi - tau_lo) > rel_tol * tau_hi:
         mid = 0.5 * (tau_lo + tau_hi)
         if exceeds(mid):
             tau_hi = mid
         else:
             tau_lo = mid
-    _, worst_k = sup_rho(tau_hi)
+    _, worst_k = sup_rho(tau_hi, grid_rho(tau_hi))
     return CflResult(
         cfl_limit=tau_lo * cfl_per_tau,
         tau_limit=tau_lo,

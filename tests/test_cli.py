@@ -66,6 +66,42 @@ class TestUserErrors:
         assert captured.out == ""
         assert "frspectra:" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cfl", "--d", "1", "--rk", "foo"],
+            ["fully-discrete", "--d", "1", "--tau", "0.1", "--rk", "foo"],
+            ["verify", "--rk", "foo"],
+            ["verify", "--tol", "-1"],
+            ["verify", "--tol", "0"],
+            ["verify", "--tol", "nan"],
+            ["verify", "--tol", "inf"],
+            ["verify", "--d", "2", "--theta", "120"],
+            ["verify", "--d", "2", "--theta", "-5"],
+            ["verify", "--d", "1", "--theta", "30"],
+            ["mesh", "--dims", "0"],
+            ["mesh", "--extent", "-1"],
+            ["mesh", "--extent", "nan"],
+            ["mesh", "--extent", "inf"],
+            ["mesh", "--jitter", "-0.5"],
+            ["mesh", "--jitter", "nan"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_bad_scheme_or_parameter_exits_1(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "frspectra:" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_rk_name_is_case_insensitive(self, capsys):
+        argv = ["cfl", "--d", "1", "--p", "1"]
+        assert main(argv + ["--rk", "RK44"]) == 0
+        upper = capsys.readouterr().out
+        assert main(argv + ["--rk", "rk44"]) == 0
+        assert upper == capsys.readouterr().out
+
 
 class TestParserReuse:
     COMMANDS = [

@@ -135,6 +135,9 @@ class TestGenerate:
             generate((4, 4, 4), 1.0, 1.0, 0)
         with pytest.raises(ValueError):
             generate((4, 4, 4), -1.0, 0.1, 0)
+        for extent in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                generate((4, 4, 4), extent, 0.1, 0)
 
     def test_anisotropic_extent(self):
         mesh = generate((4, 2, 2), (2.0, 1.0, 1.0), 0.0, 0)

@@ -1,4 +1,6 @@
 """Update operators, CFL limits, fully-discrete spectra."""
+from functools import cache
+
 import numpy as np
 import pytest
 
@@ -9,19 +11,26 @@ from frspectra.operator import (
     StretchedStencil,
     WaveProbe,
     assemble_symbol,
+    build_blocks,
+    operators_for,
     symbol_for,
 )
 from frspectra.spectrum import (
     _anchor_ladder,
     dispersion_sweep,
+    factored_spectra,
     normalization_factor,
+    nyquist_wavenumber,
     physical_mode_select,
     track_branches,
 )
 from frspectra.temporal import (
     EULER,
+    RHO_TOL,
     RK33,
     RK44,
+    CflResult,
+    _golden_max,
     build_update,
     cfl_limit,
     fully_discrete_spectrum,
@@ -51,6 +60,95 @@ def dense_fully_discrete_sweep(sch, stencil, rk, tau, theta, k_hat):
     omega = ks[:, None] - args / tau + 1j * np.log(np.abs(tracked_amp)) / tau
     physical = physical_mode_select(omega, ks)
     return omega[lead.size:, physical], np.array(kappas[lead.size:])
+
+
+def reference_cfl_limit(scheme, stencil, probe_angles, rk, nk=257, rel_tol=1e-4):
+    """The CFL search with a refined supremum at every bisection step.
+
+    Kept verbatim as the oracle for :func:`~frspectra.temporal.cfl_limit`,
+    which refines only when the k grid cannot decide a step.
+    """
+    theta, phi = probe_angles if isinstance(probe_angles, tuple) else (probe_angles, 0.0)
+    blocks = build_blocks(scheme, operators_for(scheme))
+    k_nq = nyquist_wavenumber(theta, phi, stencil, scheme.p)
+    ks = np.linspace(0.0, k_nq, nk + 1)[1:]
+    lam_grid = factored_spectra(scheme, stencil, theta, phi, ks, blocks)[0]
+
+    @cache
+    def eigenvalues(k: float) -> np.ndarray:
+        return factored_spectra(scheme, stencil, theta, phi, np.array([k]), blocks)[0][0]
+
+    def rho(tau: float, k: float) -> float:
+        return float(np.abs(rk.stability(tau * eigenvalues(k))).max())
+
+    vel = WaveProbe(k=1.0, theta=theta, phi=phi).velocity(scheme.d)
+    ratios = [vel[m] / stencil.delta[m] for m in range(scheme.d)]
+    cfl_per_tau = float(sum(ratios))
+    crossing_per_tau = float(max(ratios))
+
+    lam_scale = float(np.abs(lam_grid).max())
+    re_max = float(lam_grid.real.max())
+    if re_max > RHO_TOL * max(1.0, lam_scale):
+        worst = float(ks[int(np.argmax(lam_grid.real.max(axis=1)))])
+        return CflResult(0.0, 0.0, worst, stable=False, theta=theta, phi=phi)
+
+    def sup_rho(tau: float) -> tuple[float, float]:
+        rho_grid = np.abs(rk.stability(tau * lam_grid)).max(axis=1)
+        j = int(np.argmax(rho_grid))
+        best_k, best_rho = float(ks[j]), float(rho_grid[j])
+        lo = ks[j - 1] if j > 0 else ks[0] * 0.5
+        hi = ks[j + 1] if j + 1 < ks.size else k_nq
+        k_ref, rho_ref = _golden_max(lambda k: rho(tau, k), lo, hi)
+        if rho_ref > best_rho:
+            best_k, best_rho = k_ref, rho_ref
+        return best_rho, best_k
+
+    def exceeds(tau: float) -> bool:
+        return sup_rho(tau)[0] > 1.0 + RHO_TOL
+
+    tau_hi = 1.0 / lam_scale
+    for _ in range(200):
+        if exceeds(tau_hi):
+            break
+        tau_hi *= 2.0
+    else:
+        raise RuntimeError("failed to bracket the stability boundary from above")
+    tau_lo = tau_hi / 2.0
+    while exceeds(tau_lo):
+        tau_lo /= 2.0
+        if tau_lo < 1e-300:
+            # unstable for every positive step despite a left-half-plane
+            # spectrum; report as a flagged zero limit
+            return CflResult(0.0, 0.0, sup_rho(tau_hi)[1], stable=False, theta=theta, phi=phi)
+    while (tau_hi - tau_lo) > rel_tol * tau_hi:
+        mid = 0.5 * (tau_lo + tau_hi)
+        if exceeds(mid):
+            tau_hi = mid
+        else:
+            tau_lo = mid
+    _, worst_k = sup_rho(tau_hi)
+    return CflResult(
+        cfl_limit=tau_lo * cfl_per_tau,
+        tau_limit=tau_lo,
+        worst_k=worst_k,
+        stable=True,
+        cfl_crossing=tau_lo * crossing_per_tau,
+        theta=theta,
+        phi=phi,
+    )
+
+
+class RecordingRk:
+    """An RK scheme that logs the spectral-radius maximum of each k-grid evaluation."""
+
+    def __init__(self, rk, events):
+        self.rk, self.events = rk, events
+
+    def stability(self, z):
+        out = self.rk.stability(z)
+        if np.ndim(z) == 2:  # the whole k grid at one tau
+            self.events.append(("grid", float(np.abs(out).max()), z.tobytes()))
+        return out
 
 
 class TestRkSchemes:
@@ -239,6 +337,75 @@ class TestCflLimit:
         argmin = min(vals, key=vals.get)
         assert abs(argmin - 45) <= 5
         assert abs(vals[0] - vals[90]) < 2e-3 * vals[0]
+
+
+class TestCflShortCircuit:
+    """``cfl_limit`` refines only when the k grid cannot decide a step."""
+
+    @pytest.mark.parametrize("gamma", [(1.0, 1.0), (0.9, 0.95)], ids=["uniform", "stretched"])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    @pytest.mark.parametrize("rk", [EULER, RK33, RK44], ids=lambda rk: rk.name)
+    def test_equals_reference(self, rk, p, alpha, gamma):
+        args = (scheme(p, alpha, 2), StretchedStencil(2, (1.0, 0.5), gamma), (0.5, 0.0), rk)
+        assert cfl_limit(*args) == reference_cfl_limit(*args)
+
+    def test_expanding_grid_equals_reference(self):
+        args = (scheme(2, 1.0, 2), StretchedStencil(2, (1.0, 0.5), (1.2, 1.0)), (0.5, 0.0), RK44)
+        res = cfl_limit(*args)
+        assert not res.stable
+        assert res == reference_cfl_limit(*args)
+
+    def test_3d_equals_reference(self):
+        args = (scheme(2, 1.0, 3), StretchedStencil.stretched((0.95, 1.0, 0.9)), (0.5, 0.4), RK44)
+        res = cfl_limit(*args)
+        assert res.stable and res.phi == 0.4
+        assert res == reference_cfl_limit(*args)
+
+    def test_halving_bracket_equals_reference(self):
+        # Euler with central fluxes is stable only within the roundoff
+        # allowance, so the first trial step 1/max|lambda| already exceeds
+        events = []
+        sch, stencil = scheme(2, 0.5, 2), StretchedStencil.uniform(2)
+        res = cfl_limit(sch, stencil, (0.5, 0.0), RecordingRk(EULER, events))
+        assert events[0][0] == "grid" and events[0][1] > 1.0 + RHO_TOL
+        assert res.stable
+        assert res == reference_cfl_limit(sch, stencil, (0.5, 0.0), EULER)
+
+    def test_refines_only_undecided_steps(self, monkeypatch):
+        args = (scheme(4, 1.0, 2), StretchedStencil.stretched((0.9, 0.95)), (0.5, 0.0))
+        events, solves = [], {"cfl_limit": 0, "reference": 0}
+
+        def counting(key, solve):
+            def spy(*a, **kw):
+                solves[key] += a[4].size == 1  # single-k eigensolves
+                return solve(*a, **kw)
+            return spy
+
+        def golden(*a, **kw):
+            events.append(("golden",))
+            return _golden_max(*a, **kw)
+
+        monkeypatch.setattr(temporal, "factored_spectra", counting("cfl_limit", factored_spectra))
+        monkeypatch.setattr(temporal, "_golden_max", golden)
+        res = cfl_limit(*args, RecordingRk(RK44, events))
+        monkeypatch.setitem(globals(), "factored_spectra", counting("reference", factored_spectra))
+        assert res == reference_cfl_limit(*args, RK44)
+
+        grid_at = [i for i, e in enumerate(events) if e[0] == "grid"]
+        refined = [i + 1 < len(events) and events[i + 1][0] == "golden" for i in grid_at]
+        within = [events[i][1] <= 1.0 + RHO_TOL for i in grid_at]
+        # every refinement follows a grid evaluation at its own tau
+        assert sum(e[0] == "golden" for e in events) == sum(refined)
+        # each bisection step refines iff its grid stays within the bound,
+        # and the final worst_k search always refines
+        assert refined[:-1] == within[:-1]
+        assert refined[-1]
+        assert 0 < sum(within[:-1]) < len(grid_at) - 1
+        # no step tests a tau twice (the bracket's lower end is not re-tested)
+        steps = [events[i][2] for i in grid_at[:-1]]
+        assert len(set(steps)) == len(steps)
+        assert 0 < solves["cfl_limit"] < solves["reference"]
 
 
 class TestFullyDiscrete:
