@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import cos, factorial, pi, sin
+from math import factorial, pi
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .spectrum import (
     analyze,
     factored_spectra,
     normalization_factor,
+    physical_candidates,
     tracked_frequencies,
 )
 from .temporal import RK44, RkScheme
@@ -78,12 +79,10 @@ class PeriodicGrid:
                 raise ValueError("cell widths must be positive")
 
     @classmethod
-    def uniform(cls, cells, delta=1.0, d: int | None = None) -> "PeriodicGrid":
+    def uniform(cls, cells, delta=1.0) -> "PeriodicGrid":
         cells = np.atleast_1d(cells)
         delta = np.broadcast_to(np.atleast_1d(delta).astype(float), cells.shape)
-        if d is None:
-            d = cells.size
-        return cls(d, tuple(np.full(int(c), dx) for c, dx in zip(cells, delta)))
+        return cls(cells.size, tuple(np.full(int(c), dx) for c, dx in zip(cells, delta)))
 
     @classmethod
     def mirrored_geometric(cls, cells: int, gamma: float, delta0: float = 1.0) -> "PeriodicGrid":
@@ -120,8 +119,9 @@ class PeriodicGrid:
 class FieldState:
     """Nodal values with the current time.
 
-    1D values have shape (cells, p+1); 2D values have shape
-    (cells_y, cells_x, p+1, p+1) with the xi (x) node index last.
+    Values have d cell axes, then d node axes (p+1 each), both in reverse
+    direction order: 1D (cells, p+1), 2D (cells_y, cells_x, p+1, p+1) with
+    the xi (x) node index last.
     """
 
     values: np.ndarray
@@ -163,12 +163,13 @@ class AdvectionProblem:
         return self.grid.origins(m)[:, None] + 0.5 * (self.points.nodes + 1.0) * w[:, None]
 
     def sample(self, fn) -> np.ndarray:
-        """Sample ``fn`` at all solution points (1D: fn(x); 2D: fn(x, y))."""
-        if self.grid.d == 1:
-            return np.asarray(fn(self.node_coordinates(0)))
-        x = self.node_coordinates(0)  # (ncx, n)
-        y = self.node_coordinates(1)  # (ncy, n)
-        return np.asarray(fn(x[None, :, None, :], y[:, None, :, None]))
+        """Sample ``fn(x, y, ...)`` at all solution points, in the FieldState
+        layout: coordinate m has length 1 off its own cell and node axes."""
+        coords = (  # order[2:] lists the axes other than direction m's own two
+            np.expand_dims(self.node_coordinates(m), order[2:])
+            for m, (_, order, _) in enumerate(self._axis_ops)
+        )
+        return np.asarray(fn(*coords))
 
     # -- semi-discrete right-hand side ---------------------------------------
 
@@ -301,9 +302,9 @@ def physical_eigenvector(
     target wavenumber, the one point that needs the eigenvector. Central
     schemes at oblique incidence can carry a second branch osculating the
     physical dispersion at k -> 0 (a pair of counter-signed secondary modes
-    whose intercepts cancel); such ties are broken by the plane-wave
-    projection weight beta at the target, which is what physically
-    distinguishes the resolved wave.
+    whose intercepts cancel); such ties (:func:`~frspectra.spectrum.physical_candidates`)
+    are broken by the plane-wave projection weight beta at the target,
+    which is what physically distinguishes the resolved wave.
     """
     factor = normalization_factor(theta, phi, stencil, scheme.p)
     k_hat_target = k * factor
@@ -322,12 +323,7 @@ def physical_eigenvector(
     ks = grid / factor
     blocks = build_blocks(scheme, operators_for(scheme))
     tracked = tracked_frequencies(factored_spectra(scheme, stencil, theta, phi, ks, blocks)[0])
-    scores = np.abs(tracked[0] / ks[0] - 1.0)
-    order = np.argsort(scores)
-    cutoff = max(10.0 * scores[order[0]], 1e-6)
-    candidates = [int(j) for j in order if scores[j] < 0.1 and scores[j] <= cutoff]
-    if not candidates:
-        candidates = [int(order[0])]
+    candidates = physical_candidates(np.abs(tracked[0] / ks[0] - 1.0))
 
     res = analyze(assemble_symbol(scheme, stencil, WaveProbe(k=k, theta=theta, phi=phi), blocks))
     cols = [int(np.argmin(np.abs(res.modes - tracked[-1, j]))) for j in candidates]
@@ -363,28 +359,23 @@ def commensurate_wave(
 ) -> tuple[float, tuple[float, ...]]:
     """Snap (k, cell widths) so the inclined wave is periodic on the box.
 
-    The x-wavenumber is made commensurate by rounding to an integer mode
-    count; in 2D the y spacing is then chosen so the y-component is exact
-    as well, keeping the incidence angle exact instead of approximating
-    it. Returns the adjusted wavenumber and per-direction widths.
+    Over the directions the wave moves in (a_m != 0), each rounds its mode
+    count k a_m cells_m delta_x / (2 pi) to an integer >= 1. The first
+    fixes k on cells of width ``delta_x``; each later one gets the width
+    that makes its component exact, so the incidence angle stays exact.
+    Returns k and the per-direction widths as Python floats.
     """
-    cells = np.atleast_1d(cells).astype(int)
-    a, b = cos(theta), sin(theta)
-    if d == 1:
-        length = cells[0] * delta_x
-        m = max(1, round(k_target * length / (2 * pi)))
-        return 2 * pi * m / length, (delta_x,)
-    if b == 0.0:
-        k, (dx,) = commensurate_wave(1, 0.0, k_target, cells[:1], delta_x)
-        return k, (dx, delta_x)
-    if a == 0.0:
-        k, (dy,) = commensurate_wave(1, 0.0, k_target, cells[1:], delta_x)
-        return k, (delta_x, dy)
-    mx = max(1, round(k_target * a * cells[0] * delta_x / (2 * pi)))
-    k = 2 * pi * mx / (a * cells[0] * delta_x)
-    my = max(1, round(k * b * cells[1] / (2 * pi)))
-    delta_y = 2 * pi * my / (k * b * cells[1])
-    return k, (delta_x, delta_y)
+    cells = np.atleast_1d(cells)
+    vel = direction_cosines(theta, 0.0, d)
+    k, widths = float(k_target), [float(delta_x)] * d
+    for i, m in enumerate(np.flatnonzero(vel)):
+        a, n = float(vel[m]), int(cells[m])
+        count = max(1, round(k * a * n * delta_x / (2 * pi)))
+        if i == 0:
+            k = 2 * pi * count / (a * n * delta_x)
+        else:
+            widths[m] = 2 * pi * count / (k * a * n)
+    return k, tuple(widths)
 
 
 @dataclass
@@ -478,34 +469,19 @@ def check_decay_rate(
 def dump_state(problem: AdvectionProblem, state: FieldState, path) -> None:
     """Write one record per cell per node: cell index, coordinates, value.
 
-    Columnar text; the header documents the layout. Cell indices are
-    flattened row-major in 2D (iy * cells_x + ix).
+    Columnar text; the header documents the layout, one ``node_x``,
+    ``node_y``, ... column per direction. Records and cell indices run
+    row-major over the :class:`FieldState` axes (cell iy * cells_x + ix in 2D).
     """
     d = problem.grid.d
+    coords = problem.sample(lambda *xs: np.broadcast_arrays(*xs)).reshape(d, -1).T
+    per_cell = (problem.scheme.p + 1) ** d
+    names = " ".join(f"node_{axis}" for axis in "xyz"[:d])
     with open(path, "w") as fh:
         fh.write("# frspectra state dump v1\n")
         fh.write(f"# d {d}\n")
         fh.write(f"# time {state.time!r}\n")
-        if d == 1:
-            fh.write("# columns: cell node_x re_value im_value\n")
-            coords = problem.node_coordinates(0)
-            for c in range(coords.shape[0]):
-                for s in range(coords.shape[1]):
-                    v = complex(state.values[c, s])
-                    fh.write(
-                        f"{c} {float(coords[c, s])!r} {v.real!r} {v.imag!r}\n"
-                    )
-        else:
-            fh.write("# columns: cell node_x node_y re_value im_value\n")
-            x = problem.node_coordinates(0)
-            y = problem.node_coordinates(1)
-            ncx = x.shape[0]
-            for cy in range(y.shape[0]):
-                for cx in range(ncx):
-                    for j in range(y.shape[1]):
-                        for i in range(x.shape[1]):
-                            v = complex(state.values[cy, cx, j, i])
-                            fh.write(
-                                f"{cy * ncx + cx} {float(x[cx, i])!r} "
-                                f"{float(y[cy, j])!r} {v.real!r} {v.imag!r}\n"
-                            )
+        fh.write(f"# columns: cell {names} re_value im_value\n")
+        for i, (xs, v) in enumerate(zip(coords.tolist(), state.values.ravel().tolist())):
+            fields = "".join(f"{x!r} " for x in xs)
+            fh.write(f"{i // per_cell} {fields}{v.real!r} {v.imag!r}\n")

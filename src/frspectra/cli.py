@@ -329,28 +329,37 @@ def _run_combos(worker, combos, row_columns, args):
     return 2 if any(r["status"] != "ok" for rows in nested for r in rows) else 0
 
 
+def _single(flag, text, integer=False):
+    """The one value of a flag that takes no range."""
+    if ":" in text:
+        raise UserInputError(f"{flag}: takes a single value, got the range {text!r}")
+    return parse_range(text, integer)[0]
+
+
 def _run_verify(args):
     fam = _families(args.family)
     if len(fam) != 1:
         raise UserInputError("--family: verify takes a single family")
-    theta = parse_range(args.theta)[0]
+    p = _single("--p", args.p, integer=True)
+    alpha = _single("--alpha", args.alpha)
+    theta = _single("--theta", args.theta)
+    k_hat = _single("--khat", args.khat)
+    iota = _single("--iota", args.iota) if args.iota else None
     _check_angles("--theta", [theta])
     if args.d == 1 and theta != 0.0:
         raise UserInputError(f"--theta: must be 0 in 1D, got {theta}")
+    if not k_hat > 0:
+        raise UserInputError(f"--khat: must be > 0, got {k_hat}")
     if not (isfinite(args.tol) and args.tol > 0):
         raise UserInputError(f"--tol: must be finite and > 0, got {args.tol}")
     rk = _rk_scheme(args.rk)
+    try:  # the scheme checks of check_decay_rate, run here so they stay user errors
+        SchemeConfig(p, make_family(fam[0], p, iota), alpha, args.d)
+    except ValueError as exc:
+        raise UserInputError(str(exc)) from exc
     try:
         check = check_decay_rate(
-            p=parse_range(args.p, integer=True)[0],
-            family_kind=fam[0],
-            alpha=parse_range(args.alpha)[0],
-            d=args.d,
-            theta=radians(theta),
-            k_hat=parse_range(args.khat)[0],
-            rk=rk,
-            tol=args.tol,
-            iota=parse_range(args.iota)[0] if args.iota else None,
+            p, fam[0], alpha, args.d, radians(theta), k_hat, rk, tol=args.tol, iota=iota
         )
     except _ROW_ERRORS as exc:
         print(f"verify failed to run: {exc}", file=sys.stderr)

@@ -31,6 +31,8 @@ from .basis import (
     make_points,
 )
 
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
@@ -123,22 +125,18 @@ class WaveProbe:
             raise ValueError("phi must lie in [0, pi/2]")
 
     def velocity(self, d: int) -> np.ndarray:
-        """Unit advection velocity for the given dimensionality."""
-        if d == 1:
-            if self.theta != 0.0:
-                raise ValueError("theta = 0 is mandatory in 1D")
-            return np.ones(1)
-        if d == 2:
-            if self.phi != 0.0:
-                raise ValueError("phi is only meaningful in 3D")
-            return np.array([cos(self.theta), sin(self.theta)])
-        return np.array(
-            [
-                cos(self.phi) * cos(self.theta),
-                cos(self.phi) * sin(self.theta),
-                sin(self.phi),
-            ]
-        )
+        """Unit velocity [cos phi cos theta, cos phi sin theta, sin phi][:d].
+
+        d < 3 requires phi = 0 (1D also theta = 0). |a_m| <= machine epsilon,
+        such as cos(pi/2), is set to exactly 0: the wave does not move in m.
+        """
+        if d < 3 and self.phi != 0.0:
+            raise ValueError("phi is only meaningful in 3D")
+        if d == 1 and self.theta != 0.0:
+            raise ValueError("theta = 0 is mandatory in 1D")
+        cos_phi = cos(self.phi)
+        a = (cos_phi * cos(self.theta), cos_phi * sin(self.theta), sin(self.phi))[:d]
+        return np.array([a_m if abs(a_m) > _EPS else 0.0 for a_m in a])
 
 
 def direction_cosines(theta: float, phi: float, d: int) -> np.ndarray:

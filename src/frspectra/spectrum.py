@@ -30,7 +30,6 @@ from .operator import (
 
 KAPPA_ILL_CONDITIONED = 1e8
 DEGENERACY_TOL = 1e-12
-_EPS = np.finfo(float).eps
 
 
 class EigensolverError(RuntimeError):
@@ -251,24 +250,29 @@ def track_branches(mode_sets: Sequence[np.ndarray]) -> np.ndarray:
     return tracked
 
 
+def physical_candidates(scores: np.ndarray) -> list[int]:
+    """The best branch by ``scores`` (|omega/k - 1| at the smallest k), then
+    the near-ties: scores < 0.1 and < max(10 * best, 1e-6), ascending."""
+    best, *rest = np.argsort(scores).tolist()
+    cutoff = min(0.1, max(10.0 * scores[best], 1e-6))
+    return [best] + [j for j in rest if scores[j] < cutoff]
+
+
 def physical_mode_select(tracked: np.ndarray, k_values: np.ndarray) -> int:
     """Index of the physical branch in a branch-tracked mode array.
 
     The physical branch passes through the origin with unit slope, so it
     is the one with omega/k closest to 1 at the smallest k of the sweep.
-    A near-tie between genuinely distinct branches is reported rather
-    than silently resolved; exact multiplicity copies (grid-aligned
-    multi-dimensional sweeps repeat the 1D branch) collapse to the lowest
-    index.
+    A near-tie (:func:`physical_candidates`) between genuinely distinct
+    branches is reported rather than silently resolved; exact multiplicity
+    copies (grid-aligned multi-dimensional sweeps repeat the 1D branch)
+    collapse to the lowest index.
     """
     k0 = k_values[0]
     scores = np.abs(tracked[0] / k0 - 1.0)
-    order = np.argsort(scores)
-    best = int(order[0])
+    best, *ties = physical_candidates(scores)
     scale = max(1.0, float(np.abs(tracked).max()))
-    for j in order[1:]:
-        if not (scores[j] < 0.1 and scores[j] < max(10.0 * scores[best], 1e-6)):
-            break
+    for j in ties:
         if np.abs(tracked[:, j] - tracked[:, best]).max() > 1e-9 * scale:
             raise ModeAmbiguityError(
                 f"two distinct branches match the physical criterion at k = {k0}: "
@@ -330,10 +334,10 @@ def factored_spectra(
     Kronecker products of theirs (Horn & Johnson, Topics in Matrix
     Analysis, 4.4). The unit-column eigenvector matrix W is then the
     Kronecker product of the 1D ones, and kappa(W) = prod_m kappa(W_m).
-    Only directions with |a_m| above machine epsilon are solved; any other
-    direction (such as a_x = cos(pi/2)) adds less than round-off to every
-    eigenvalue and contributes exact zeros and the identity basis
-    (kappa_m = 1).
+    Only directions the wave moves in (a_m != 0; :class:`WaveProbe` sets
+    |a_m| at or below machine epsilon, such as cos(pi/2), to exactly 0) are
+    solved; any other direction has Q_m = 0 and contributes exact zeros and
+    the identity basis (kappa_m = 1).
 
     One :func:`~frspectra.operator.direction_symbol_batch` call and one
     batched eigensolve serve every k, so the cost is mostly per call.
@@ -344,7 +348,7 @@ def factored_spectra(
     :func:`~frspectra.operator.assemble_symbol` is the reference.
     """
     vel = direction_cosines(theta, phi, scheme.d)
-    active = np.flatnonzero(np.abs(vel) > _EPS)
+    active = np.flatnonzero(vel)
     q = direction_symbol_batch(scheme, stencil, theta, phi, ks, blocks)[:, active]
     try:
         if with_kappa:

@@ -128,6 +128,19 @@ class TestGrids:
             PeriodicGrid.uniform((3,))
 
 
+class TestSample:
+    def test_broadcast_layout(self):
+        problem = AdvectionProblem(NONUNIFORM_2D, scheme(2, 1.0, 2), (1.0, 0.0))
+        x, y = problem.node_coordinates(0), problem.node_coordinates(1)
+        got = problem.sample(lambda x, y: x + 10.0 * y)
+        assert got.shape == (4, 5, 3, 3)
+        assert np.array_equal(got, x[None, :, None, :] + 10.0 * y[:, None, :, None])
+
+    def test_1d_is_node_coordinates(self):
+        problem = AdvectionProblem(PeriodicGrid.mirrored_geometric(6, 1.2), scheme(2))
+        assert np.array_equal(problem.sample(lambda x: x), problem.node_coordinates(0))
+
+
 class TestRhs:
     @pytest.mark.parametrize(
         "grid",
@@ -313,6 +326,23 @@ class TestRateChecks:
         assert abs(mx - round(mx)) < 1e-12
         assert abs(my - round(my)) < 1e-12
 
+    def test_commensurate_wave_scales_with_delta_x(self):
+        theta = np.radians(30)
+        k, delta = commensurate_wave(2, theta, 30.0, (8, 8), delta_x=0.1)
+        assert delta[0] == 0.1
+        assert abs(delta[1] / delta[0] - 1.0) < 0.2
+        for a, width in zip((np.cos(theta), np.sin(theta)), delta):
+            modes = k * a * 8 * width / (2 * np.pi)
+            assert abs(modes - round(modes)) < 1e-12
+        assert type(k) is float and all(type(w) is float for w in delta)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_commensurate_wave_grid_aligned_is_1d(self, d):
+        # the wave moves along x at theta = 0 and along y at theta = 90 degrees
+        k_1d, (w_1d,) = commensurate_wave(1, 0.0, 3.0, (8,), 0.5)
+        assert commensurate_wave(d, 0.0, 3.0, (8,) * d, 0.5) == (k_1d, (w_1d,) * d)
+        assert commensurate_wave(d, np.pi / 2, 3.0, (8,) * d, 0.5) == (k_1d, (w_1d,) * d)
+
 
 class TestOrderOfAccuracy:
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -345,6 +375,23 @@ class TestDump:
         assert rows.shape == (4 * 2, 4)  # cell, x, re, im
         values = rows[:, 2] + 1j * rows[:, 3]
         assert np.abs(values - state.values.ravel()).max() < 1e-15
+
+    def test_dump_2d_records(self, tmp_path):
+        sch = scheme(1, 1.0, 2)
+        problem = AdvectionProblem(NONUNIFORM_2D, sch, (np.cos(0.4), np.sin(0.4)))
+        state = FieldState(random_state(NONUNIFORM_2D, 1, seed=5))
+        path = tmp_path / "state2d.txt"
+        dump_state(problem, state, path)
+        rows = np.loadtxt(path)
+        x, y = problem.node_coordinates(0), problem.node_coordinates(1)
+        ncy, ncx = state.values.shape[:2]
+        expected = [
+            (cy * ncx + cx, x[cx, i], y[cy, j], state.values[cy, cx, j, i])
+            for cy in range(ncy) for cx in range(ncx) for j in range(2) for i in range(2)
+        ]
+        assert rows.shape == (len(expected), 5)
+        for row, (cell, xi, yj, v) in zip(rows, expected):
+            assert row.tolist() == [cell, xi, yj, v.real, v.imag]
 
     def test_dump_2d_header(self, tmp_path):
         sch = scheme(1, 1.0, 2)

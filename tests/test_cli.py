@@ -85,6 +85,16 @@ class TestUserErrors:
             ["mesh", "--extent", "inf"],
             ["mesh", "--jitter", "-0.5"],
             ["mesh", "--jitter", "nan"],
+            ["verify", "--p", "0"],
+            ["verify", "--alpha", "2"],
+            ["verify", "--family", "osfr"],
+            ["verify", "--p", "2:3:1"],
+            ["verify", "--khat", "0.5:1:0.5"],
+            ["verify", "--alpha", "0.5:1:0.5"],
+            ["verify", "--d", "2", "--theta", "0:30:30"],
+            ["verify", "--family", "osfr", "--iota", "0.1:0.2:0.1"],
+            ["verify", "--khat", "0"],
+            ["verify", "--khat", "-1"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -101,6 +111,29 @@ class TestUserErrors:
         upper = capsys.readouterr().out
         assert main(argv + ["--rk", "rk44"]) == 0
         assert upper == capsys.readouterr().out
+
+
+class TestVerify:
+    @staticmethod
+    def lines(argv, capsys):
+        assert main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        return [line for line in out if line.startswith(("wavenumber", "predicted"))]
+
+    def test_grid_aligned_angles_reduce_to_1d(self, capsys):
+        # cos(pi/2) = 6.1e-17 is a direction the wave does not move in, as
+        # sin(0) = 0 is: both angles must run the 1D problem
+        at_0 = self.lines(["verify", "--d", "2", "--theta", "0"], capsys)
+        at_90 = self.lines(["verify", "--d", "2", "--theta", "90"], capsys)
+        assert at_90 == at_0
+        assert at_90 == [
+            "wavenumber: k = 3.14159 (khat = 1.0472)",
+            "predicted rate 2*Im(omega): -5.800481066466e-01",
+        ]
+
+    def test_config_line_holds_plain_floats(self, capsys):
+        assert main(["verify", "--d", "2", "--theta", "45", "--p", "3", "--alpha", "0.5"]) == 0
+        assert "np.float64" not in capsys.readouterr().out
 
 
 class TestParserReuse:

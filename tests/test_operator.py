@@ -59,6 +59,21 @@ class TestConfigValidation:
             WaveProbe(k=1.0, theta=2.0)
         with pytest.raises(ValueError):
             WaveProbe(k=1.0, theta=0.3).velocity(1)
+        for d in (1, 2):
+            with pytest.raises(ValueError):
+                WaveProbe(1.0, 0.0, 0.3).velocity(d)
+
+    def test_velocity_snaps_round_off_to_zero(self):
+        # cos(pi/2) = 6.1e-17: the wave does not move in x, exactly as at theta = 0 in y
+        half_pi = np.pi / 2
+        assert WaveProbe(1.0, half_pi).velocity(2).tolist() == [0.0, 1.0]
+        assert WaveProbe(1.0, 0.0).velocity(2).tolist() == [1.0, 0.0]
+        assert WaveProbe(1.0, half_pi, half_pi).velocity(3).tolist() == [0.0, 0.0, 1.0]
+        assert WaveProbe(1.0, 0.3, half_pi).velocity(3).tolist() == [0.0, 0.0, 1.0]
+        assert WaveProbe(1.0, half_pi, 0.3).velocity(3)[0] == 0.0
+        # components above machine epsilon are kept as computed
+        tiny = 1e-15
+        assert WaveProbe(1.0, tiny).velocity(2).tolist() == [np.cos(tiny), np.sin(tiny)]
 
     def test_velocity_unit_magnitude(self):
         for d, th, ph in [(1, 0.0, 0.0), (2, 0.7, 0.0), (3, 0.4, 1.1)]:
