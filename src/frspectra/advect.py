@@ -20,7 +20,7 @@ One writer per state; independent runs parallelize at the case level.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from math import factorial, pi
 
@@ -31,19 +31,11 @@ from .operator import (
     SchemeConfig,
     StretchedStencil,
     WaveProbe,
-    assemble_symbol,
-    build_blocks,
     direction_cosines,
     operators_for,
+    symbol_for,
 )
-from .spectrum import (
-    _anchor_ladder,
-    analyze,
-    factored_spectra,
-    normalization_factor,
-    physical_candidates,
-    tracked_frequencies,
-)
+from .spectrum import analyze, dispersion_sweep, normalization_factor
 from .temporal import RK44, RkScheme
 
 BLOWUP_THRESHOLD = 1e10
@@ -293,42 +285,39 @@ def physical_eigenvector(
     phi: float,
     k: float,
 ) -> tuple[complex, np.ndarray]:
-    """Physical-mode frequency and eigenvector at one wavenumber.
+    """Physical-mode frequency and unit eigenvector of Q at one wavenumber.
 
-    Branch identity is established by a tracked sweep from the small-k
-    limit up to the target, with eigenvalues from per-direction 1D
-    eigensolves (:func:`~frspectra.spectrum.factored_spectra`), then
-    matched to the dense :func:`~frspectra.spectrum.analyze` at the exact
-    target wavenumber, the one point that needs the eigenvector. Central
-    schemes at oblique incidence can carry a second branch osculating the
-    physical dispersion at k -> 0 (a pair of counter-signed secondary modes
-    whose intercepts cancel); such ties (:func:`~frspectra.spectrum.physical_candidates`)
-    are broken by the plane-wave projection weight beta at the target,
-    which is what physically distinguishes the resolved wave.
+    Q is the Kronecker sum of Q_m(k) = a_m S_m(k a_m), with S_m the 1D
+    symbol of direction m's cells. So the physical mode is omega = sum_m
+    a_m omega_m(k a_m), and its eigenvector is the Kronecker product of the
+    1D ones (xi index fastest); a direction with a_m = 0 contributes the
+    constant vector. In 1D the branch is the physical one of
+    :func:`~frspectra.spectrum.dispersion_sweep` on a grid geometric through
+    the low decades and linear near the target (small matching steps where
+    branches can cross), matched to the dense :func:`~frspectra.spectrum.analyze`
+    at the exact target, the one point that needs the eigenvector.
     """
+    if scheme.d > 1:
+        n = scheme.p + 1
+        omega, vec = 0j, np.ones(1)
+        for m, a in enumerate(direction_cosines(theta, phi, scheme.d)):
+            if a == 0.0:
+                omega_m, vec_m = 0j, np.full(n, n**-0.5)
+            else:
+                line = StretchedStencil(1, stencil.delta[m : m + 1], stencil.gamma[m : m + 1])
+                omega_m, vec_m = physical_eigenvector(replace(scheme, d=1), line, 0.0, 0.0, k * a)
+            omega += a * omega_m
+            vec = np.kron(vec_m, vec)
+        return complex(omega), vec
     factor = normalization_factor(theta, phi, stencil, scheme.p)
-    k_hat_target = k * factor
-    # geometric through the low decades, linear near the target so matching
-    # steps stay small where branches can cross
-    lo = min(1e-3, 0.1 * k_hat_target)
-    grid = np.unique(
-        np.concatenate(
-            [
-                _anchor_ladder(lo),
-                np.geomspace(lo, 0.5 * k_hat_target, 24, endpoint=False),
-                np.linspace(0.5 * k_hat_target, k_hat_target, 24),
-            ]
-        )
+    k_hat = k * factor
+    lo = min(1e-3, 0.1 * k_hat)
+    grid = np.concatenate(
+        [np.geomspace(lo, 0.5 * k_hat, 24, endpoint=False), np.linspace(0.5 * k_hat, k_hat, 24)]
     )
-    ks = grid / factor
-    blocks = build_blocks(scheme, operators_for(scheme))
-    tracked = tracked_frequencies(factored_spectra(scheme, stencil, theta, phi, ks, blocks)[0])
-    candidates = physical_candidates(np.abs(tracked[0] / ks[0] - 1.0))
-
-    res = analyze(assemble_symbol(scheme, stencil, WaveProbe(k=k, theta=theta, phi=phi), blocks))
-    cols = [int(np.argmin(np.abs(res.modes - tracked[-1, j]))) for j in candidates]
-    weights = np.abs(res.beta[cols])
-    idx = cols[int(np.argmax(weights))]
+    tracked = dispersion_sweep(scheme, stencil, theta, phi, grid).omega_physical[-1]
+    res = analyze(symbol_for(scheme, stencil, WaveProbe(k=k, theta=theta, phi=phi)))
+    idx = int(np.argmin(np.abs(res.modes - tracked)))
     return complex(res.modes[idx]), res.eigvecs[:, idx]
 
 
@@ -337,10 +326,13 @@ def eigenmode_state(
 ) -> tuple[FieldState, complex]:
     """Initial data projected exactly onto the physical mode.
 
-    Requires a uniform grid per direction so the Bloch eigenvector applies
-    unchanged in every cell; wavenumber components must be commensurate
-    with the periodic extents for the mode to be an exact eigenvector of
-    the update (see :func:`commensurate_wave`).
+    The cell values are the Kronecker product of the 1D physical
+    eigenvectors of :func:`physical_eigenvector` times the Bloch phase of
+    each cell, so a direction the wave does not move in carries exactly
+    constant values. Requires a uniform grid per direction so the Bloch
+    eigenvector applies unchanged in every cell; wavenumber components
+    must be commensurate with the periodic extents for the mode to be an
+    exact eigenvector of the update (see :func:`commensurate_wave`).
     """
     widths = [np.unique(w) for w in problem.grid.spacings]
     if any(w.size != 1 for w in widths):

@@ -258,6 +258,8 @@ def _run_spectrum_command(args, fully_discrete=False):
     khat_grid = (
         np.array(parse_range(args.khat)) if args.khat else default_k_hat_grid()
     )
+    if khat_grid[0] <= 0:  # ranges ascend
+        raise UserInputError(f"--khat: values must be > 0, got {args.khat!r}")
     rk = _rk_scheme(args.rk) if fully_discrete else None
     if fully_discrete and not (isfinite(args.tau) and args.tau > 0):
         raise UserInputError(f"--tau: must be finite and > 0, got {args.tau}")
@@ -348,8 +350,8 @@ def _run_verify(args):
     _check_angles("--theta", [theta])
     if args.d == 1 and theta != 0.0:
         raise UserInputError(f"--theta: must be 0 in 1D, got {theta}")
-    if not k_hat > 0:
-        raise UserInputError(f"--khat: must be > 0, got {k_hat}")
+    if not 0 < k_hat <= np.pi:  # above pi the wave aliases onto a lower k_hat
+        raise UserInputError(f"--khat: must lie in (0, pi], got {k_hat}")
     if not (isfinite(args.tol) and args.tol > 0):
         raise UserInputError(f"--tol: must be finite and > 0, got {args.tol}")
     rk = _rk_scheme(args.rk)

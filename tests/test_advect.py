@@ -56,6 +56,28 @@ def dense_physical_eigenvector(sch, stencil, theta, phi, k):
     return complex(res.modes[idx]), res.eigvecs[:, idx]
 
 
+def dense_mode(sch, stencil, theta, phi, k):
+    """The dense symbol at k with its analysis."""
+    sym = symbol_for(sch, stencil, WaveProbe(k=k, theta=theta, phi=phi))
+    return sym.Q, analyze(sym)
+
+
+def eigen_residual(q, omega, vec):
+    """||Q v - lambda v|| with lambda = -i omega, for unit-norm v."""
+    assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
+    return np.linalg.norm(q @ vec + 1j * omega * vec)
+
+
+def sum_of_1d_dense_modes(sch, stencil, theta, k):
+    """sum_m a_m omega_m(k a_m), each 1D mode from dense tracking in 1D."""
+    line = SchemeConfig(sch.p, sch.family, sch.alpha, 1)
+    total = 0j
+    for m, a in enumerate((np.cos(theta), np.sin(theta))):
+        sub = StretchedStencil(1, stencil.delta[m : m + 1], stencil.gamma[m : m + 1])
+        total += a * dense_physical_eigenvector(line, sub, 0.0, 0.0, k * a)[0]
+    return total
+
+
 def elementwise_rhs(problem, values):
     """The element-wise right-hand side: interface fluxes re-derived per call."""
     ops, alpha = problem.ops, problem.scheme.alpha
@@ -212,6 +234,15 @@ class TestRhs:
         got = problem.rhs(state.values)
         assert np.abs(got - (-1j * omega) * state.values).max() < 1e-8
 
+    def test_grid_aligned_2d_eigenmode_is_constant_along_y(self):
+        k, delta = commensurate_wave(2, 0.0, 3.0, (8, 8))
+        grid = PeriodicGrid.uniform((8, 8), delta)
+        state, omega = eigenmode_state(AdvectionProblem(grid, scheme(3, 1.0, 2), (1.0, 0.0)), k)
+        values = state.values  # axes: cell y, cell x, node y, node x
+        assert np.array_equal(values, np.broadcast_to(values[:1, :, :1, :], values.shape))
+        line = AdvectionProblem(PeriodicGrid.uniform((8,), delta[0]), scheme(3))
+        assert omega == eigenmode_state(line, k)[1]
+
     def test_2d_eigenmode_rhs(self):
         p = 2
         theta = np.radians(30)
@@ -314,9 +345,68 @@ class TestRateChecks:
         theta = np.radians(30)
         k = k_hat / normalization_factor(theta, 0.0, stencil, 3)
         omega, vec = physical_eigenvector(sch, stencil, theta, 0.0, k)
-        dense_omega, dense_vec = dense_physical_eigenvector(sch, stencil, theta, 0.0, k)
+        if alpha == 1.0 or k_hat == 0.3:
+            dense_omega, dense_vec = dense_physical_eigenvector(sch, stencil, theta, 0.0, k)
+        elif k_hat == 1.0:
+            # dense (p+1)^2-mode tracking hops branches here (Re omega 2.568 at
+            # k = 4.619); the physical mode carries the largest plane-wave weight
+            _, res = dense_mode(sch, stencil, theta, 0.0, k)
+            idx = int(np.argmax(np.abs(res.beta)))
+            dense_omega, dense_vec = res.modes[idx], res.eigvecs[:, idx]
+        else:
+            # no dense rule decides k_hat = 2.2: the mode must be an exact
+            # eigenpair of Q and the sum of the 1D physical modes
+            q, _ = dense_mode(sch, stencil, theta, 0.0, k)
+            assert eigen_residual(q, omega, vec) <= 1e-12
+            assert abs(omega - sum_of_1d_dense_modes(sch, stencil, theta, k)) < 1e-12
+            return
         assert abs(omega - dense_omega) < 1e-12
         assert abs(abs(np.vdot(dense_vec, vec)) - 1.0) < 1e-12
+
+    def test_decay_rate_follows_sum_of_1d_modes(self):
+        # a plane-wave-weight tie-break over dense modes gave rate -5.163111136102
+        check = check_decay_rate(5, "huynh-g2", 1.0, 2, np.radians(35), 1.5)
+        assert check.passed
+        assert abs(check.predicted / -6.488780685168e-01 - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_low_k_mode_has_largest_plane_wave_weight(self, p):
+        stencil = StretchedStencil.uniform(2)
+        for alpha in (0.5, 1.0):
+            sch = scheme(p, alpha, 2)
+            for theta in np.radians(np.arange(5, 90, 10)):
+                k = 0.3 / normalization_factor(theta, 0.0, stencil, p)
+                omega, vec = physical_eigenvector(sch, stencil, theta, 0.0, k)
+                q, res = dense_mode(sch, stencil, theta, 0.0, k)
+                assert abs(omega - res.modes[int(np.argmax(np.abs(res.beta)))]) < 1e-12
+                assert eigen_residual(q, omega, vec) <= 1e-12
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_diagonal_mode_is_twice_the_1d_mode(self, p):
+        # uniform grid at 45 degrees: Q = a (S(ka) (x) I + I (x) S(ka)), a = 1/sqrt(2)
+        stencil, theta, a = StretchedStencil.uniform(2), np.pi / 4, np.sqrt(0.5)
+        for alpha in (0.5, 1.0):
+            sch = scheme(p, alpha, 2)
+            for k_hat in (0.3, 1.0, 1.3, 2.0):
+                k = k_hat / normalization_factor(theta, 0.0, stencil, p)
+                omega, vec = physical_eigenvector(sch, stencil, theta, 0.0, k)
+                line = dense_physical_eigenvector(
+                    scheme(p, alpha), StretchedStencil.uniform(1), 0.0, 0.0, k * a
+                )[0]
+                assert abs(omega - 2 * a * line) <= 1e-12 * abs(omega)
+                q, _ = dense_mode(sch, stencil, theta, 0.0, k)
+                assert eigen_residual(q, omega, vec) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_stretched_3d_mode_is_an_eigenpair(self, alpha):
+        stencil = StretchedStencil(3, (1.0, 0.7, 1.3), (1.1, 0.9, 1.0))
+        sch = scheme(3, alpha, 3)
+        theta, phi = np.radians(30), np.radians(20)
+        for k_hat in (0.3, 1.0, 2.0):
+            k = k_hat / normalization_factor(theta, phi, stencil, 3)
+            omega, vec = physical_eigenvector(sch, stencil, theta, phi, k)
+            q, _ = dense_mode(sch, stencil, theta, phi, k)
+            assert eigen_residual(q, omega, vec) <= 1e-12
 
     def test_commensurate_wave_is_exact(self):
         k, delta = commensurate_wave(2, np.radians(30), 3.0, (8, 8))

@@ -95,6 +95,11 @@ class TestUserErrors:
             ["verify", "--family", "osfr", "--iota", "0.1:0.2:0.1"],
             ["verify", "--khat", "0"],
             ["verify", "--khat", "-1"],
+            ["verify", "--khat", "20"],
+            ["verify", "--khat", "3.2"],
+            ["dispersion", "--d", "1", "--khat", "0:1:0.5"],
+            ["condition", "--d", "1", "--khat", "-1"],
+            ["fully-discrete", "--d", "1", "--tau", "0.1", "--khat", "0"],
         ],
         ids=lambda argv: " ".join(argv),
     )
