@@ -16,13 +16,20 @@ The semi-discrete operator is the Kronecker sum L = L_1 (+) ... (+) L_d of
 dense per-direction line operators, assembled once per problem by applying
 that recipe to unit vectors (see :meth:`AdvectionProblem.rhs`).
 
+Time marching keeps the state on the solution-point grid: an array of
+shape (N_{d-1}, ..., N_0) with N_m = cells_m*(p+1) and index c*(p+1)+n
+along axis m, behind a leading plane axis that holds the real and
+imaginary parts (one plane for a real state). There L_m acts along one
+axis as one matrix product. :class:`FieldState` keeps its (cells..., nodes...)
+layout; the public methods convert at the boundary only.
+
 One writer per state; independent runs parallelize at the case level.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from math import factorial, pi
+from math import factorial, isfinite, pi, sqrt
 
 import numpy as np
 
@@ -138,14 +145,22 @@ class AdvectionProblem:
         self.velocity = velocity
         self.points = make_points(scheme.p, scheme.rule)
         self.ops = operators_for(scheme)
-        # cell axes run (..., y, x), hence the reversed direction order
-        self._cell_measure = reduce(np.multiply.outer, [0.5 * w for w in grid.spacings[::-1]])
-        # per direction: L_m, an axis order putting its cell and node axes first, its inverse
-        self._axis_ops = []
-        for m in range(grid.d):
-            axes = (grid.d - 1 - m, 2 * grid.d - 1 - m)
-            order = axes + tuple(i for i in range(2 * grid.d) if i not in axes)
-            self._axis_ops.append((self._axis_operator(m), order, tuple(np.argsort(order))))
+        d, n = grid.d, scheme.p + 1
+        # FieldState axes (plane, cells..., nodes...) -> (plane, c_{d-1}, n_{d-1}, ..., c_0, n_0)
+        self._order = (0, *(1 + np.arange(2 * d).reshape(2, d).T.ravel()).tolist())
+        self._inverse = tuple(np.argsort(self._order).tolist())
+        self._split = tuple(s for c in grid.cells_per_dir[::-1] for s in (c, n))
+        self._shape = tuple(c * n for c in grid.cells_per_dir[::-1])  # (N_{d-1}, ..., N_0)
+        # direction 0 is x @ L_0^T; direction m >= 1 is L_m @ x over (rest, N_m, N_{m-1}...N_0)
+        self._l0t = np.ascontiguousarray(self._axis_operator(0).T)
+        self._line_ops = [
+            (self._axis_operator(m), int(np.prod(self._shape[d - m :]))) for m in range(1, d)
+        ]
+        # per-node quadrature weight: the outer product of 0.5 * w_c * weight_n per direction
+        self._weights = reduce(
+            np.multiply.outer,
+            [np.outer(0.5 * w, self.points.weights).ravel() for w in grid.spacings[::-1]],
+        )
 
     # -- geometry -----------------------------------------------------------
 
@@ -157,11 +172,32 @@ class AdvectionProblem:
     def sample(self, fn) -> np.ndarray:
         """Sample ``fn(x, y, ...)`` at all solution points, in the FieldState
         layout: coordinate m has length 1 off its own cell and node axes."""
-        coords = (  # order[2:] lists the axes other than direction m's own two
-            np.expand_dims(self.node_coordinates(m), order[2:])
-            for m, (_, order, _) in enumerate(self._axis_ops)
+        d = self.grid.d
+        coords = (  # direction m owns the two axes i with i % d == d - 1 - m
+            np.expand_dims(
+                self.node_coordinates(m), [i for i in range(2 * d) if i % d != d - 1 - m]
+            )
+            for m in range(d)
         )
         return np.asarray(fn(*coords))
+
+    # -- layout ---------------------------------------------------------------
+
+    def _to_grid(self, values: np.ndarray) -> np.ndarray:
+        """FieldState values -> (planes, N_{d-1}, ..., N_0) float64 planes."""
+        values = np.asarray(values)
+        planes = np.stack((values.real, values.imag)) if np.iscomplexobj(values) else values[None]
+        planes = np.asarray(planes, dtype=np.float64).transpose(self._order)
+        return planes.reshape(len(planes), *self._shape)
+
+    def _from_grid(self, x: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`_to_grid`: one plane gives a real array, two a complex one."""
+        planes = x.reshape(len(x), *self._split).transpose(self._inverse)
+        if len(planes) == 1:
+            return planes[0].copy()
+        values = np.empty(planes.shape[1:], complex)
+        values.real, values.imag = planes
+        return values
 
     # -- semi-discrete right-hand side ---------------------------------------
 
@@ -184,77 +220,98 @@ class AdvectionProblem:
         columns = -div * (2.0 / w)[:, None]
         return np.ascontiguousarray(columns.reshape(size, size).T)
 
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """L x on the solution-point grid, one matrix product per direction."""
+        out = x.reshape(-1, self._l0t.shape[0]) @ self._l0t
+        for op, post in self._line_ops:
+            out += (op @ x.reshape(-1, op.shape[0], post)).reshape(out.shape)
+        return out.reshape(x.shape)
+
     def rhs(self, values: np.ndarray) -> np.ndarray:
         """d(values)/dt = L values with L = L_1 (+) ... (+) L_d (Kronecker sum).
 
-        Direction m is one product: L_m left-multiplies its grid lines. That
-        costs O((cells_m*(p+1))^2) per line against O(cells_m*(p+1)^2)
-        element-wise, which pays at the at most 32 cells per direction that
-        callers use. On a 2-core x86 machine: 2D 32x32 cells, p = 4, 1.3 ms
-        per call against 7.3 ms; 1D, p = 4, breaks even between 64 and 128
-        cells, and 256 cells take 1.8 ms against 0.09 ms.
+        On the solution-point grid direction m is one matrix product along
+        axis N_m: ``x @ L_0^T`` for direction 0 and ``L_m @ x`` over the
+        trailing axes for m >= 1, with no transposes. That costs
+        O(N_m^2) per grid line against O(cells_m*(p+1)^2) element-wise, which
+        pays at the at most 32 cells per direction that callers use but not
+        on long 1D lines. ``values`` and the result are in the FieldState
+        layout, converted once each way; a real state gives a real result.
         """
-        dtype = np.result_type(values, np.float64)
-        out = np.zeros(values.shape, dtype)
-        for op, order, inverse in self._axis_ops:
-            front = values.transpose(order)
-            lines = np.ascontiguousarray(front.reshape(op.shape[0], -1), dtype=dtype)
-            # the real L_m acts on the real and imaginary parts in one product
-            moved = (op @ lines.view(np.float64)).view(dtype)
-            out += moved.reshape(front.shape).transpose(inverse)
-        return out
+        return self._from_grid(self._apply(self._to_grid(values)))
 
     # -- time marching --------------------------------------------------------
 
-    def step(self, state: FieldState, rk: RkScheme, tau: float) -> FieldState:
-        """One explicit RK step using the scheme's stability polynomial.
+    def _rk_step(self, x: np.ndarray, rk: RkScheme, tau: float) -> np.ndarray:
+        """R(tau L) x on the solution-point grid, R in Horner form.
 
-        For a linear right-hand side the staged update equals the matrix
-        polynomial sum_m c_m (tau L)^m applied to the state, which is how
-        it is evaluated here.
+        For a linear right-hand side the staged update equals the stability
+        polynomial sum_j c_j (tau L)^j applied to the state. Horner's
+        ``acc = c_s x; acc = tau L(acc) + c_j x`` costs s operator
+        applications and s in-place axpys, and never writes to ``x``.
         """
-        if tau <= 0:
-            raise ValueError(f"time step must be > 0, got {tau}")
-        term = state.values
-        acc = rk.coeffs[0] * state.values
-        for c in rk.coeffs[1:]:
-            term = tau * self.rhs(term)
-            acc = acc + c * term
-        return FieldState(values=acc, time=state.time + tau)
+        acc = rk.coeffs[-1] * x
+        for c in rk.coeffs[-2::-1]:
+            acc = self._apply(acc)
+            acc *= tau
+            acc += c * x
+        return acc
 
-    def _march(self, state: FieldState, rk: RkScheme, tau: float, nsteps: int):
-        """Yield the state after each of nsteps steps; raise on blow-up."""
+    def step(self, state: FieldState, rk: RkScheme, tau: float) -> FieldState:
+        """One explicit RK step using the scheme's stability polynomial
+        (see :meth:`_rk_step`); converts the state once each way."""
+        _check_step(tau)
+        values = self._from_grid(self._rk_step(self._to_grid(state.values), rk, tau))
+        return FieldState(values=values, time=state.time + tau)
+
+    def _march(
+        self, state: FieldState, rk: RkScheme, tau: float, nsteps: int
+    ) -> tuple[FieldState, np.ndarray]:
+        """March nsteps steps; return the final state and the energy before
+        the first step and after each one.
+
+        The state is converted to the solution-point grid once at entry and
+        back once at exit. Each step forms |z|^2 once and takes from it both
+        the peak magnitude, which raises :class:`DivergenceError` when it
+        exceeds ``BLOWUP_THRESHOLD`` or is not finite, and the energy. On a
+        shared 2-vCPU Xeon an RK44 step at p = 4 takes about 0.1 ms on 8x8
+        cells and about 21 us on 8 cells in 1D.
+        """
+        _check_step(tau)
+        if nsteps < 0:
+            raise ValueError(f"number of steps must be >= 0, got {nsteps}")
+        x = self._to_grid(state.values)
+        weights = self._weights.ravel()
+        energies = np.empty(nsteps + 1)
+        energies[0] = weights @ np.square(x).sum(axis=0).ravel()
+        time = state.time
         for i in range(nsteps):
-            state = self.step(state, rk, tau)
-            peak = float(np.abs(state.values).max())
-            if peak > BLOWUP_THRESHOLD:
+            x = self._rk_step(x, rk, tau)
+            squared = np.square(x).sum(axis=0).ravel()
+            peak = sqrt(squared.max())
+            if not peak <= BLOWUP_THRESHOLD:
                 raise DivergenceError(i + 1, peak)
-            yield state
+            energies[i + 1] = weights @ squared
+            time += tau
+        return FieldState(self._from_grid(x), time), energies
 
     def advance(self, state: FieldState, rk: RkScheme, tau: float, nsteps: int) -> FieldState:
-        for state in self._march(state, rk, tau, nsteps):
-            pass
-        return state
+        return self._march(state, rk, tau, nsteps)[0]
 
     def energy_history(
         self, state: FieldState, rk: RkScheme, tau: float, nsteps: int
     ) -> tuple[FieldState, np.ndarray]:
-        energies = [self.l2_energy(state.values)]
-        for state in self._march(state, rk, tau, nsteps):
-            energies.append(self.l2_energy(state.values))
-        return state, np.array(energies)
+        return self._march(state, rk, tau, nsteps)
 
     # -- quadrature functionals ------------------------------------------------
 
-    def _cell_integrals(self, values: np.ndarray) -> np.ndarray:
-        """Quadrature of values over each cell, shape = the cell axes."""
-        per_cell = values
-        for _ in range(self.grid.d):
-            per_cell = per_cell @ self.points.weights
-        return self._cell_measure * per_cell
+    def _cell_sums(self, y: np.ndarray) -> np.ndarray:
+        """Quadrature of grid array y, shape (N_{d-1}, ..., N_0), over each cell."""
+        per_node = (self._weights * y).reshape(self._split)
+        return per_node.sum(axis=tuple(range(1, per_node.ndim, 2)))
 
     def total_integral(self, values: np.ndarray) -> complex:
-        return complex(self._cell_integrals(values).sum())
+        return complex(*(self._cell_sums(plane).sum() for plane in self._to_grid(values)))
 
     def l2_energy(self, values: np.ndarray) -> float:
         return float(self.energy_by_cell(values).sum())
@@ -263,7 +320,12 @@ class AdvectionProblem:
         return np.sqrt(self.l2_energy(values - self.sample(exact_fn)))
 
     def energy_by_cell(self, values: np.ndarray) -> np.ndarray:
-        return self._cell_integrals(np.abs(values) ** 2)
+        return self._cell_sums(np.square(self._to_grid(values)).sum(axis=0))
+
+
+def _check_step(tau: float) -> None:
+    if not (isfinite(tau) and tau > 0):
+        raise ValueError(f"time step must be finite and > 0, got {tau}")
 
 
 # -- plane-wave initial data ----------------------------------------------------
@@ -408,6 +470,8 @@ def check_decay_rate(
     schemes (predicted rate 0) are judged against the natural frequency
     scale of the mode.
     """
+    if nsteps < 1:  # the fit needs at least two energies
+        raise ValueError(f"number of steps must be >= 1, got {nsteps}")
     family = make_family(family_kind, p, iota)
     scheme = SchemeConfig(p, family, alpha, d)
     provisional = StretchedStencil.uniform(d)

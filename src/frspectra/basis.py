@@ -12,6 +12,7 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import factorial, isfinite
 
 import numpy as np
@@ -44,11 +45,13 @@ class PointSet:
     weights: np.ndarray
 
 
+@cache
 def make_points(p: int, rule: str = GAUSS_LEGENDRE) -> PointSet:
     """Build a point set of order ``p`` for the requested quadrature rule.
 
     Gauss-Legendre nodes are interior; Gauss-Lobatto includes both
-    endpoints and therefore needs p >= 1.
+    endpoints and therefore needs p >= 1. Cached: a repeated call returns
+    the same immutable point set (its arrays are read-only).
     """
     if p < 0:
         raise ValueError(f"polynomial order must be >= 0, got {p}")

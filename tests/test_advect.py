@@ -1,8 +1,12 @@
 """Time-domain solver tests: oracles against the eigenanalysis and hand stencils."""
+from functools import reduce
+
 import numpy as np
 import pytest
 
+from frspectra import advect
 from frspectra.advect import (
+    BLOWUP_THRESHOLD,
     AdvectionProblem,
     DivergenceError,
     FieldState,
@@ -117,6 +121,46 @@ def elementwise_rhs(problem, values):
         div_x * inv_jac[0][None, :, None, None]
         + div_y * inv_jac[1][:, None, None, None]
     )
+
+
+def reference_rhs(problem, values):
+    """The transposing right-hand side: L_m left-multiplies direction m's lines."""
+    d = problem.grid.d
+    dtype = np.result_type(values, np.float64)
+    out = np.zeros(values.shape, dtype)
+    for m in range(d):
+        op = problem._axis_operator(m)
+        axes = (d - 1 - m, 2 * d - 1 - m)
+        order = axes + tuple(i for i in range(2 * d) if i not in axes)
+        front = values.transpose(order)
+        lines = np.ascontiguousarray(front.reshape(op.shape[0], -1), dtype=dtype)
+        # the real L_m acts on the real and imaginary parts in one product
+        moved = (op @ lines.view(np.float64)).view(dtype)
+        out += moved.reshape(front.shape).transpose(np.argsort(order))
+    return out
+
+
+def reference_step(problem, values, rk, tau):
+    """One RK step as the matrix power sum sum_m c_m (tau L)^m values."""
+    term = values
+    acc = rk.coeffs[0] * values
+    for c in rk.coeffs[1:]:
+        term = tau * reference_rhs(problem, term)
+        acc = acc + c * term
+    return acc
+
+
+def reference_cell_integrals(problem, values):
+    """Per-cell quadrature: node weights along each node axis, then the cell measure."""
+    measure = reduce(np.multiply.outer, [0.5 * w for w in problem.grid.spacings[::-1]])
+    per_cell = values
+    for _ in range(problem.grid.d):
+        per_cell = per_cell @ problem.points.weights
+    return measure * per_cell
+
+
+def reference_energy(problem, values):
+    return reference_cell_integrals(problem, np.abs(values) ** 2).sum()
 
 
 NONUNIFORM_2D = PeriodicGrid.explicit(
@@ -317,6 +361,135 @@ class TestStep:
         expanding_ratio = e1[expanding].sum() / e0[expanding].sum()
         contracting_ratio = e1[~expanding].sum() / e0[~expanding].sum()
         assert expanding_ratio > 1.0 > contracting_ratio
+
+
+MARCH_GRIDS = [PeriodicGrid.uniform((8,)), PeriodicGrid.mirrored_geometric(8, 1.2), NONUNIFORM_2D]
+MARCH_IDS = ["uniform", "mirrored", "2d"]
+
+
+def march_problem(grid, p, alpha=1.0):
+    kind = "dg" if p == 0 else "huynh"
+    velocity = (1.0,) if grid.d == 1 else (np.cos(0.4), np.sin(0.4))
+    return AdvectionProblem(grid, scheme(p, alpha, grid.d, kind), velocity)
+
+
+class TestGridMarch:
+    """The solution-point-grid march against the transposing power-sum reference."""
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("grid", MARCH_GRIDS, ids=MARCH_IDS)
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    @pytest.mark.parametrize("p", [0, 2, 4])
+    def test_matches_reference_step(self, p, alpha, grid, real):
+        problem = march_problem(grid, p, alpha)
+        values = random_state(grid, p, seed=p)
+        if real:
+            values = values.real.copy()
+        state, tau = FieldState(values, time=0.5), 0.02
+        ref = reference_step(problem, values, RK44, tau)
+        got = problem.step(state, RK44, tau)
+        assert got.values.dtype == ref.dtype
+        assert np.abs(got.values - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert got.time == 0.5 + tau
+
+        ref, ref_energies = values, [reference_energy(problem, values)]
+        for _ in range(50):
+            ref = reference_step(problem, ref, RK44, tau)
+            ref_energies.append(reference_energy(problem, ref))
+        final, energies = problem.energy_history(state, RK44, tau, 50)
+        assert final.values.dtype == ref.dtype
+        assert np.abs(final.values - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.abs(energies / ref_energies - 1.0).max() <= 1e-12
+        assert np.array_equal(problem.advance(state, RK44, tau, 50).values, final.values)
+
+    @pytest.mark.parametrize("grid", MARCH_GRIDS, ids=MARCH_IDS)
+    def test_real_state_stays_real(self, grid):
+        problem = march_problem(grid, 3)
+        values = random_state(grid, 3, seed=4)
+        marches = [
+            lambda v: problem.rhs(v),
+            lambda v: problem.step(FieldState(v), RK44, 0.02).values,
+            lambda v: problem.advance(FieldState(v), RK44, 0.02, 5).values,
+        ]
+        for march in marches:
+            # L is real, so a real state marches as the real part of the complex one
+            got, whole = march(values.real.copy()), march(values)
+            assert got.dtype == np.float64
+            assert np.abs(got - whole.real).max() <= 1e-14 * np.abs(whole).max()
+
+    def test_divergence_step_matches_reference(self):
+        p, grid = 2, PeriodicGrid.uniform((32,))
+        problem = march_problem(grid, p)
+        tau = 1.1 * cfl_limit(scheme(p), StretchedStencil.uniform(1), 0.0, RK44).tau_limit
+        values = random_state(grid, p, seed=11)
+        ref = values
+        for expected in range(1, 10_001):
+            ref = reference_step(problem, ref, RK44, tau)
+            if np.abs(ref).max() > BLOWUP_THRESHOLD:
+                break
+        else:
+            pytest.fail("the reference march did not diverge")
+        with pytest.raises(DivergenceError) as info:
+            problem.advance(FieldState(values), RK44, tau, 10_000)
+        assert info.value.step_index == expected
+
+    @pytest.mark.parametrize("grid", MARCH_GRIDS, ids=MARCH_IDS)
+    def test_quadrature_matches_reference(self, grid):
+        problem = march_problem(grid, 3)
+        values = random_state(grid, 3, seed=2)
+        ref_cells = reference_cell_integrals(problem, np.abs(values) ** 2)
+        got_cells = problem.energy_by_cell(values)
+        assert got_cells.shape == ref_cells.shape
+        assert np.abs(got_cells - ref_cells).max() <= 1e-14 * ref_cells.max()
+        scale = reference_cell_integrals(problem, np.abs(values)).sum()
+        for v in (values, values.real.copy()):
+            ref_total = reference_cell_integrals(problem, v).sum()
+            assert abs(problem.total_integral(v) - ref_total) <= 1e-14 * scale
+
+
+class TestMarchInputs:
+    @pytest.fixture
+    def problem_and_state(self):
+        problem = march_problem(PeriodicGrid.uniform((8,)), 2)
+        return problem, plane_wave_state(problem, 2 * np.pi * 2 / 8)
+
+    @pytest.mark.parametrize("tau", [0.0, -1e-3, np.nan, np.inf])
+    def test_time_step_must_be_finite_and_positive(self, problem_and_state, tau):
+        problem, state = problem_and_state
+        with pytest.raises(ValueError, match="finite and > 0"):
+            problem.step(state, RK44, tau)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            problem.advance(state, RK44, tau, 5)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            problem.energy_history(state, RK44, tau, 3)
+
+    def test_step_count_must_not_be_negative(self, problem_and_state):
+        problem, state = problem_and_state
+        with pytest.raises(ValueError, match=">= 0"):
+            problem.advance(state, RK44, 1e-3, -3)
+        with pytest.raises(ValueError, match=">= 0"):
+            problem.energy_history(state, RK44, 1e-3, -3)
+        final, energies = problem.energy_history(state, RK44, 1e-3, 0)
+        assert np.array_equal(final.values, state.values) and final.time == state.time
+        assert energies.shape == (1,)
+
+    def test_non_finite_state_diverges_at_that_step(self, problem_and_state):
+        problem, state = problem_and_state
+        values = state.values.copy()
+        values[3, 1] = np.nan
+        for march in (problem.advance, problem.energy_history):
+            with pytest.raises(DivergenceError) as info:
+                march(FieldState(values), RK44, 1e-3, 5)
+            assert info.value.step_index == 1
+
+    def test_decay_check_needs_a_step_before_solving(self, monkeypatch):
+        def solve(*args):
+            raise AssertionError("solved before checking nsteps")
+
+        monkeypatch.setattr(advect, "make_family", solve)
+        for nsteps in (0, -1):
+            with pytest.raises(ValueError, match=">= 1"):
+                check_decay_rate(2, "huynh-g2", 1.0, 1, nsteps=nsteps)
 
 
 class TestRateChecks:

@@ -82,6 +82,15 @@ class TestPointSets:
         with pytest.raises(ValueError):
             make_points(2, "simpson")
 
+    def test_repeated_call_shares_one_read_only_set(self):
+        pts = make_points(3, GAUSS_LOBATTO)
+        assert make_points(3, GAUSS_LOBATTO) is pts
+        assert not pts.nodes.flags.writeable and not pts.weights.flags.writeable
+        for _ in range(2):  # a rejected input is not cached
+            for args in [(-1,), (0, GAUSS_LOBATTO), (2, "simpson")]:
+                with pytest.raises(ValueError):
+                    make_points(*args)
+
     @pytest.mark.parametrize("rule", [GAUSS_LEGENDRE, GAUSS_LOBATTO])
     @pytest.mark.parametrize("p", range(1, 9))
     def test_nodes_symmetric_increasing(self, p, rule):
