@@ -27,7 +27,7 @@ One writer per state; independent runs parallelize at the case level.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from math import factorial, isfinite, pi, sqrt
 
@@ -37,12 +37,12 @@ from .basis import make_family, make_points
 from .operator import (
     SchemeConfig,
     StretchedStencil,
-    WaveProbe,
+    build_blocks,
     direction_cosines,
+    direction_symbol_batch,
     operators_for,
-    symbol_for,
 )
-from .spectrum import analyze, dispersion_sweep, normalization_factor
+from .spectrum import _anchor_ladder, checked_eig, normalization_factor, physical_branch
 from .temporal import RK44, RkScheme
 
 BLOWUP_THRESHOLD = 1e10
@@ -347,40 +347,35 @@ def physical_eigenvector(
     phi: float,
     k: float,
 ) -> tuple[complex, np.ndarray]:
-    """Physical-mode frequency and unit eigenvector of Q at one wavenumber.
+    """Physical-mode frequency and unit eigenvector of Q at one wavenumber k > 0.
 
-    Q is the Kronecker sum of Q_m(k) = a_m S_m(k a_m), with S_m the 1D
-    symbol of direction m's cells. So the physical mode is omega = sum_m
-    a_m omega_m(k a_m), and its eigenvector is the Kronecker product of the
-    1D ones (xi index fastest); a direction with a_m = 0 contributes the
-    constant vector. In 1D the branch is the physical one of
-    :func:`~frspectra.spectrum.dispersion_sweep` on a grid geometric through
-    the low decades and linear near the target (small matching steps where
-    branches can cross), matched to the dense :func:`~frspectra.spectrum.analyze`
-    at the exact target, the one point that needs the eigenvector.
+    Q is the Kronecker sum of Q_m(k) = a_m S_m(k a_m), so omega = sum_m a_m
+    omega_m(k a_m) and the eigenvector is the Kronecker product (xi fastest) of
+    the 1D ones, constant where a_m = 0. A moving direction takes one batched
+    eigensolve of Q_m on the anchor ladder, 24 geometric and 24 linear points
+    up to k_hat_m = k a_m delta_m / (gamma_m (p+1)), whose last row is k, and
+    keeps that row's eigenpair nearest :func:`~frspectra.spectrum.physical_branch`.
     """
-    if scheme.d > 1:
-        n = scheme.p + 1
-        omega, vec = 0j, np.ones(1)
-        for m, a in enumerate(direction_cosines(theta, phi, scheme.d)):
-            if a == 0.0:
-                omega_m, vec_m = 0j, np.full(n, n**-0.5)
-            else:
-                line = StretchedStencil(1, stencil.delta[m : m + 1], stencil.gamma[m : m + 1])
-                omega_m, vec_m = physical_eigenvector(replace(scheme, d=1), line, 0.0, 0.0, k * a)
-            omega += a * omega_m
-            vec = np.kron(vec_m, vec)
-        return complex(omega), vec
-    factor = normalization_factor(theta, phi, stencil, scheme.p)
-    k_hat = k * factor
-    lo = min(1e-3, 0.1 * k_hat)
-    grid = np.concatenate(
-        [np.geomspace(lo, 0.5 * k_hat, 24, endpoint=False), np.linspace(0.5 * k_hat, k_hat, 24)]
-    )
-    tracked = dispersion_sweep(scheme, stencil, theta, phi, grid).omega_physical[-1]
-    res = analyze(symbol_for(scheme, stencil, WaveProbe(k=k, theta=theta, phi=phi)))
-    idx = int(np.argmin(np.abs(res.modes - tracked)))
-    return complex(res.modes[idx]), res.eigvecs[:, idx]
+    if not (isfinite(k) and k > 0):
+        raise ValueError(f"wavenumber must be finite and > 0, got {k}")
+    n = scheme.p + 1
+    blocks = build_blocks(scheme, operators_for(scheme))
+    omega, vec = 0j, np.ones(1)
+    for m, a in enumerate(direction_cosines(theta, phi, scheme.d)):
+        if a == 0.0:
+            vec = np.kron(np.full(n, n**-0.5), vec)
+            continue
+        k_hat = k * a * (stencil.delta[m] / (stencil.gamma[m] * n))
+        lo = min(1e-3, 0.1 * k_hat)
+        geometric = np.geomspace(lo, 0.5 * k_hat, 24, endpoint=False)
+        grid = np.concatenate([_anchor_ladder(lo), geometric, np.linspace(0.5 * k_hat, k_hat, 24)])
+        ks = k * (grid / k_hat)
+        q = direction_symbol_batch(scheme, stencil, theta, phi, ks, blocks)[:, m]
+        lam, vecs = checked_eig(q)
+        idx = int(np.argmin(np.abs(1j * (lam[-1] / a) - physical_branch(lam, ks, a)[-1])))
+        omega += 1j * lam[-1, idx]
+        vec = np.kron(vecs[-1, :, idx], vec)
+    return complex(omega), vec
 
 
 def eigenmode_state(
@@ -388,14 +383,15 @@ def eigenmode_state(
 ) -> tuple[FieldState, complex]:
     """Initial data projected exactly onto the physical mode.
 
-    The cell values are the Kronecker product of the 1D physical
-    eigenvectors of :func:`physical_eigenvector` times the Bloch phase of
-    each cell, so a direction the wave does not move in carries exactly
-    constant values. Requires a uniform grid per direction so the Bloch
-    eigenvector applies unchanged in every cell; wavenumber components
-    must be commensurate with the periodic extents for the mode to be an
-    exact eigenvector of the update (see :func:`commensurate_wave`).
+    The cell values are the Kronecker product of the 1D physical eigenvectors
+    of :func:`physical_eigenvector` times the Bloch phase of each cell, so a
+    direction the wave does not move in carries exactly constant values. The
+    state is an exact eigenvector of the update only on a uniform grid per
+    direction, with ``problem.velocity`` the direction of the angles and
+    wavenumber components commensurate with the box (:func:`commensurate_wave`).
     """
+    if not np.allclose(problem.velocity, direction_cosines(theta, phi, problem.grid.d), 0, 1e-12):
+        raise ValueError(f"velocity {problem.velocity} is not the unit direction of the angles")
     widths = [np.unique(w) for w in problem.grid.spacings]
     if any(w.size != 1 for w in widths):
         raise ValueError("eigenmode initial data requires a uniform grid")

@@ -128,13 +128,20 @@ class SpectrumResult:
         return self.modes[self.physical_index]
 
 
-def _eig_sorted(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def checked_eig(q: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """Batched ``np.linalg.eig`` (``eigvals`` and None without ``vectors``); a
+    LAPACK failure or a non-finite result raises :class:`EigensolverError`."""
     try:
-        lam, vecs = np.linalg.eig(q)
+        lam, vecs = np.linalg.eig(q) if vectors else (np.linalg.eigvals(q), None)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigendecomposition failed: {exc}") from exc
-    if not (np.isfinite(lam).all() and np.isfinite(vecs).all()):
+    if not (np.isfinite(lam).all() and (vecs is None or np.isfinite(vecs).all())):
         raise EigensolverError("eigendecomposition returned non-finite values")
+    return lam, vecs
+
+
+def _eig_sorted(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    lam, vecs = checked_eig(q)
     omega = 1j * lam
     order = np.lexsort((omega.imag, omega.real))
     return omega[order], vecs[:, order]
@@ -350,15 +357,7 @@ def factored_spectra(
     vel = direction_cosines(theta, phi, scheme.d)
     active = np.flatnonzero(vel)
     q = direction_symbol_batch(scheme, stencil, theta, phi, ks, blocks)[:, active]
-    try:
-        if with_kappa:
-            lam_1d, vecs = np.linalg.eig(q)
-        else:
-            lam_1d = np.linalg.eigvals(q)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigendecomposition failed: {exc}") from exc
-    if not (np.isfinite(lam_1d).all() and (not with_kappa or np.isfinite(vecs).all())):
-        raise EigensolverError("eigendecomposition returned non-finite values")
+    lam_1d, vecs = checked_eig(q, vectors=with_kappa)
     n_k, n, d = len(ks), scheme.p + 1, scheme.d
     lam = np.zeros((n_k,) + (n,) * d, dtype=complex)
     for col, m in enumerate(active):
@@ -384,6 +383,14 @@ def tracked_frequencies(lam: np.ndarray) -> np.ndarray:
     omega = 1j * lam
     order = np.lexsort((omega.imag, omega.real), axis=-1)
     return track_branches(np.take_along_axis(omega, order, axis=-1))
+
+
+def physical_branch(lam: np.ndarray, ks: np.ndarray, a: float) -> np.ndarray:
+    """Physical branch omega_m(k a) of S_m along an ascending k sweep, given the
+    eigenvalues ``lam`` (n_k, p+1) of Q_m(k) = a S_m(k a), a != 0: the tracked
+    frequencies i*lam/a with omega / (k a) closest to 1 at the smallest k."""
+    tracked = tracked_frequencies(lam / a)
+    return tracked[:, physical_mode_select(tracked, ks * a)]
 
 
 def factored_sweep(

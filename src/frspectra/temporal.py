@@ -32,7 +32,7 @@ from .spectrum import (
     KAPPA_ILL_CONDITIONED,
     ModeSweep,
     SpectrumResult,
-    EigensolverError,
+    checked_eig,
     factored_sweep,
     factored_spectra,
     normalize_wavenumber,
@@ -272,10 +272,7 @@ def fully_discrete_spectrum(
     unstable regime is deliberately probed.
     """
     update = build_update(symbol, rk, tau)
-    try:
-        r_eigs, vecs = np.linalg.eig(update.R)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigendecomposition failed: {exc}") from exc
+    r_eigs, vecs = checked_eig(update.R)
     k = symbol.probe.k
     lam = np.exp(1j * k * tau) * r_eigs
     omega = np.empty_like(lam)

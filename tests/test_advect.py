@@ -19,7 +19,13 @@ from frspectra.advect import (
     plane_wave_state,
 )
 from frspectra.basis import CorrectionFamily
-from frspectra.operator import SchemeConfig, StretchedStencil, WaveProbe, symbol_for
+from frspectra.operator import (
+    SchemeConfig,
+    StretchedStencil,
+    WaveProbe,
+    direction_cosines,
+    symbol_for,
+)
 from frspectra.spectrum import _anchor_ladder, analyze, normalization_factor, track_branches
 from frspectra.temporal import RK44, cfl_limit
 
@@ -298,6 +304,22 @@ class TestRhs:
         got = problem.rhs(state.values)
         assert np.abs(got - (-1j * omega) * state.values).max() < 1e-8
 
+    @pytest.mark.parametrize(
+        "d,theta,velocity",
+        [
+            (2, np.radians(30), (1.0, 0.0)),
+            (2, np.radians(30), (2 * np.cos(np.radians(30)), 2 * np.sin(np.radians(30)))),
+            (1, 0.0, (2.0,)),
+        ],
+    )
+    def test_eigenmode_needs_the_velocity_of_its_angles(self, d, theta, velocity):
+        # the mode comes from theta, the Bloch phases from the velocity: these
+        # cases gave max|L u + i omega u| / max|u| of 14.4, 33.2 and 28.4
+        k, delta = commensurate_wave(d, theta, 3.0, (8,) * d)
+        problem = AdvectionProblem(PeriodicGrid.uniform((8,) * d, delta), scheme(3, 1.0, d), velocity)
+        with pytest.raises(ValueError, match="unit direction"):
+            eigenmode_state(problem, k, theta)
+
 
 class TestStep:
     def test_central_preserves_l2_energy(self):
@@ -569,6 +591,27 @@ class TestRateChecks:
                 assert abs(omega - 2 * a * line) <= 1e-12 * abs(omega)
                 q, _ = dense_mode(sch, stencil, theta, 0.0, k)
                 assert eigen_residual(q, omega, vec) <= 1e-12
+
+    def test_anchor_ladder_keeps_the_1d_branches(self):
+        # each direction tracks from the anchor ladder; without it Im omega
+        # read 0.1808658 here instead of the sum of the 1D modes, 0.1803684
+        stencil = StretchedStencil(3, (0.5, 2.0, 1.0), (1.5, 0.8, 1.2))
+        theta = phi = np.radians(89)
+        k = 0.01 / normalization_factor(theta, phi, stencil, 1)
+        omega, _ = physical_eigenvector(scheme(1, 0.5, 3), stencil, theta, phi, k)
+        expected = 0j
+        for m, a in enumerate(direction_cosines(theta, phi, 3)):
+            line = StretchedStencil(1, stencil.delta[m : m + 1], stencil.gamma[m : m + 1])
+            expected += a * dense_physical_eigenvector(scheme(1, 0.5), line, 0.0, 0.0, k * a)[0]
+        assert abs(omega - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("k", [0.0, -1.0, np.nan, np.inf])
+    def test_wavenumber_must_be_finite_and_positive(self, d, k):
+        sch = scheme(3, 1.0, d)
+        theta = np.radians(30) if d == 2 else 0.0
+        with pytest.raises(ValueError, match="wavenumber must be finite and > 0"):
+            physical_eigenvector(sch, StretchedStencil.uniform(d), theta, 0.0, k)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_stretched_3d_mode_is_an_eigenpair(self, alpha):
