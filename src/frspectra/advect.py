@@ -35,11 +35,11 @@ import numpy as np
 
 from .basis import make_family, make_points
 from .operator import (
+    DirectionSymbols,
     SchemeConfig,
     StretchedStencil,
     build_blocks,
     direction_cosines,
-    direction_symbol_batch,
     operators_for,
 )
 from .spectrum import _anchor_ladder, checked_eig, normalization_factor, physical_branch
@@ -355,27 +355,27 @@ def physical_eigenvector(
     eigensolve of Q_m on the anchor ladder, 24 geometric and 24 linear points
     up to k_hat_m = k a_m delta_m / (gamma_m (p+1)), whose last row is k, and
     keeps that row's eigenpair nearest :func:`~frspectra.spectrum.physical_branch`.
+    The direction symbols are built once per call.
     """
     if not (isfinite(k) and k > 0):
         raise ValueError(f"wavenumber must be finite and > 0, got {k}")
     n = scheme.p + 1
-    blocks = build_blocks(scheme, operators_for(scheme))
-    omega, vec = 0j, np.ones(1)
-    for m, a in enumerate(direction_cosines(theta, phi, scheme.d)):
-        if a == 0.0:
-            vec = np.kron(np.full(n, n**-0.5), vec)
-            continue
+    symbols = DirectionSymbols(
+        scheme, stencil, theta, phi, build_blocks(scheme, operators_for(scheme))
+    )
+    omega, parts = 0j, [np.full(n, n**-0.5)] * scheme.d
+    for col, m in enumerate(symbols.active):
+        a = symbols.velocity[m]
         k_hat = k * a * (stencil.delta[m] / (stencil.gamma[m] * n))
         lo = min(1e-3, 0.1 * k_hat)
         geometric = np.geomspace(lo, 0.5 * k_hat, 24, endpoint=False)
         grid = np.concatenate([_anchor_ladder(lo), geometric, np.linspace(0.5 * k_hat, k_hat, 24)])
         ks = k * (grid / k_hat)
-        q = direction_symbol_batch(scheme, stencil, theta, phi, ks, blocks)[:, m]
-        lam, vecs = checked_eig(q)
+        lam, vecs = checked_eig(symbols.evaluate(ks)[:, col])
         idx = int(np.argmin(np.abs(1j * (lam[-1] / a) - physical_branch(lam, ks, a)[-1])))
         omega += 1j * lam[-1, idx]
-        vec = np.kron(vecs[-1, :, idx], vec)
-    return complex(omega), vec
+        parts[m] = vecs[-1, :, idx]
+    return complex(omega), reduce(lambda vec, part: np.kron(part, vec), parts, np.ones(1))
 
 
 def eigenmode_state(

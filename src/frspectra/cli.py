@@ -193,13 +193,24 @@ def _add_sweep_flags(sub, with_khat=True):
     sub.add_argument("-o", "--output", default=None)
 
 
+def _positive_range(args, name):
+    """The values of ``--name``, every one of which must be > 0."""
+    values = parse_range(getattr(args, name))
+    if min(values) <= 0:
+        raise UserInputError(f"--{name}: values must be > 0, got {getattr(args, name)!r}")
+    return values
+
+
 def _sweep_combos(args):
     ps = parse_range(args.p, integer=True)
+    if min(ps) < 1:
+        raise UserInputError(f"--p: orders must be >= 1, got {args.p!r}")
     fams = _families(args.family)
     iotas = parse_range(args.iota) if args.iota is not None else [None]
     alphas = parse_range(args.alpha)
-    gxs, gys, gzs = (parse_range(g) for g in (args.gx, args.gy, args.gz))
-    dxs, dys, dzs = (parse_range(v) for v in (args.dx, args.dy, args.dz))
+    gxs, gys, gzs, dxs, dys, dzs = (
+        _positive_range(args, name) for name in ("gx", "gy", "gz", "dx", "dy", "dz")
+    )
     thetas = parse_range(args.theta)
     phis = parse_range(args.phi)
     d = args.d

@@ -196,15 +196,8 @@ class SemiDiscreteSymbol:
     scheme: SchemeConfig
 
 
-def direction_symbol_batch(
-    scheme: SchemeConfig,
-    stencil: StretchedStencil,
-    theta: float,
-    phi: float,
-    ks: np.ndarray,
-    blocks: FrBlocks,
-) -> np.ndarray:
-    """The d one-dimensional (p+1)x(p+1) symbols Q_m at every wavenumber.
+class DirectionSymbols:
+    """The per-direction symbols Q_m of one configuration, ready for any k.
 
     Per direction m with velocity component a_m and central spacing
     delta_m,
@@ -215,32 +208,83 @@ def direction_symbol_batch(
 
     with d_up = delta_m/gamma_m the upstream width and d_dn =
     gamma_m*delta_m the downstream width. Upstream and downstream blocks
-    carry their own cells' metric factors. A direction with a_m = 0 gives
-    an exactly zero Q_m.
+    carry their own cells' metric factors.
 
-    One broadcast expression forms every k and direction, shape (n_k, d,
-    p+1, p+1), with the same operations per entry as a single k, so each
-    row is bit-identical to a one-k batch. :class:`WaveProbe`'s checks apply.
+    Building one runs every check that does not depend on k (dimensions,
+    and the angles through :class:`WaveProbe`), finds the directions the
+    wave moves in (``active``: a_m != 0, with |a_m| at or below machine
+    epsilon set to exactly 0) and forms their metric-scaled blocks once.
+    :meth:`evaluate` then costs one broadcast expression at any k. Scaling
+    the blocks first keeps the operation order of the formula above, so
+    each entry is bit-identical to the unfactored expression.
     """
-    if scheme.d != stencil.d or scheme.d != blocks.d:
-        raise ValueError(
-            f"dimension mismatch: scheme d={scheme.d}, stencil d={stencil.d}, "
-            f"blocks d={blocks.d}"
+
+    def __init__(
+        self,
+        scheme: SchemeConfig,
+        stencil: StretchedStencil,
+        theta: float,
+        phi: float,
+        blocks: FrBlocks,
+    ):
+        if scheme.d != stencil.d or scheme.d != blocks.d:
+            raise ValueError(
+                f"dimension mismatch: scheme d={scheme.d}, stencil d={stencil.d}, "
+                f"blocks d={blocks.d}"
+            )
+        self.scheme, self.stencil, self.theta, self.phi = scheme, stencil, theta, phi
+        self.blocks = blocks
+        self.velocity = direction_cosines(theta, phi, scheme.d)
+        self.active = np.flatnonzero(self.velocity)
+        # axes: direction, then the (p+1)x(p+1) block
+        self._a = self.velocity[self.active][:, None, None]
+        d_c = np.array(stencil.delta)[self.active][:, None, None]
+        gamma = np.array(stencil.gamma)[self.active][:, None, None]
+        self._d_up, self._d_c = d_c / gamma, d_c
+        self._c_minus = (2.0 / self._d_up) * blocks.c_minus
+        self._c_zero = (2.0 / d_c) * blocks.c_zero
+        self._c_plus = (2.0 / (d_c * gamma)) * blocks.c_plus
+
+    def evaluate(self, ks: np.ndarray) -> np.ndarray:
+        """Q_m(k) of the active directions, shape (n_k, len(active), p+1, p+1).
+
+        A non-finite k or a non-finite entry raises ``ValueError``.
+        """
+        ks = np.asarray(ks, dtype=float)
+        if not np.isfinite(ks).all():
+            raise ValueError(f"wavenumbers must be finite, got {ks[~np.isfinite(ks)]}")
+        k, a = ks[:, None, None, None], self._a
+        q = -a * (
+            self._c_minus * np.exp(-1j * k * a * self._d_up)
+            + self._c_zero
+            + self._c_plus * np.exp(1j * k * a * self._d_c)
         )
-    ks = np.asarray(ks, dtype=float)
-    if not np.isfinite(ks).all():
-        raise ValueError(f"wavenumbers must be finite, got {ks[~np.isfinite(ks)]}")
-    k = ks[:, None, None, None]  # axes: k, direction, then the (p+1)x(p+1) block
-    a = direction_cosines(theta, phi, scheme.d)[:, None, None]
-    d_c, gamma = np.array(stencil.delta)[:, None, None], np.array(stencil.gamma)[:, None, None]
-    d_up, d_dn = d_c / gamma, d_c * gamma
-    q = -a * (
-        (2.0 / d_up) * blocks.c_minus * np.exp(-1j * k * a * d_up)
-        + (2.0 / d_c) * blocks.c_zero
-        + (2.0 / d_dn) * blocks.c_plus * np.exp(1j * k * a * d_c)
-    )
-    if not np.isfinite(q).all():
-        raise ValueError("symbol assembly produced non-finite entries")
+        if not np.isfinite(q).all():
+            raise ValueError("symbol assembly produced non-finite entries")
+        return q
+
+
+def direction_symbol_batch(
+    scheme: SchemeConfig,
+    stencil: StretchedStencil,
+    theta: float,
+    phi: float,
+    ks: np.ndarray,
+    blocks: FrBlocks,
+) -> np.ndarray:
+    """The d one-dimensional (p+1)x(p+1) symbols Q_m at every wavenumber.
+
+    Builds :class:`DirectionSymbols` and evaluates it once, so the formula
+    and the checks are those of that class; a direction with a_m = 0 gives
+    an exactly zero Q_m. Shape (n_k, d, p+1, p+1); each row is
+    bit-identical to a one-k batch. Paths that evaluate one configuration
+    at many separate k (the CFL search) build the setup once instead.
+    """
+    symbols = DirectionSymbols(scheme, stencil, theta, phi, blocks)
+    q_active = symbols.evaluate(ks)
+    n = blocks.c_zero.shape[0]
+    q = np.zeros((q_active.shape[0], scheme.d, n, n), dtype=complex)
+    q[:, symbols.active] = q_active
     return q
 
 

@@ -17,14 +17,13 @@ import numpy as np
 
 from .basis import make_points
 from .operator import (
-    FrBlocks,
+    DirectionSymbols,
     SchemeConfig,
     SemiDiscreteSymbol,
     StretchedStencil,
     WaveProbe,
     build_blocks,
     direction_cosines,
-    direction_symbol_batch,
     operators_for,
 )
 
@@ -326,12 +325,8 @@ class ModeSweep:
 
 
 def factored_spectra(
-    scheme: SchemeConfig,
-    stencil: StretchedStencil,
-    theta: float,
-    phi: float,
+    symbols: DirectionSymbols,
     ks: np.ndarray,
-    blocks: FrBlocks,
     with_kappa: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigenvalues of Q(k) at each k from per-direction 1D eigensolves.
@@ -341,26 +336,24 @@ def factored_spectra(
     Kronecker products of theirs (Horn & Johnson, Topics in Matrix
     Analysis, 4.4). The unit-column eigenvector matrix W is then the
     Kronecker product of the 1D ones, and kappa(W) = prod_m kappa(W_m).
-    Only directions the wave moves in (a_m != 0; :class:`WaveProbe` sets
-    |a_m| at or below machine epsilon, such as cos(pi/2), to exactly 0) are
-    solved; any other direction has Q_m = 0 and contributes exact zeros and
-    the identity basis (kappa_m = 1).
+    Only directions the wave moves in (``symbols.active``) are solved; any
+    other direction has Q_m = 0 and contributes exact zeros and the
+    identity basis (kappa_m = 1).
 
-    One :func:`~frspectra.operator.direction_symbol_batch` call and one
-    batched eigensolve serve every k, so the cost is mostly per call.
+    ``symbols`` is the configuration's
+    :class:`~frspectra.operator.DirectionSymbols`, built once by the
+    caller, so a call costs one evaluation of its formula at ``ks`` and one
+    batched eigensolve for every k, whether there are many or one.
 
     Returns the eigenvalues, shape (n_k, (p+1)^d) in the order of the
     lifted basis (xi index fastest), and kappa(W) per k when
     ``with_kappa`` is set, else None. The dense :func:`analyze` of
     :func:`~frspectra.operator.assemble_symbol` is the reference.
     """
-    vel = direction_cosines(theta, phi, scheme.d)
-    active = np.flatnonzero(vel)
-    q = direction_symbol_batch(scheme, stencil, theta, phi, ks, blocks)[:, active]
-    lam_1d, vecs = checked_eig(q, vectors=with_kappa)
-    n_k, n, d = len(ks), scheme.p + 1, scheme.d
+    lam_1d, vecs = checked_eig(symbols.evaluate(ks), vectors=with_kappa)
+    n_k, n, d = len(ks), symbols.scheme.p + 1, symbols.scheme.d
     lam = np.zeros((n_k,) + (n,) * d, dtype=complex)
-    for col, m in enumerate(active):
+    for col, m in enumerate(symbols.active):
         shape = [n_k] + [1] * d
         shape[d - m] = n  # the xi direction (m = 0) is the last axis
         lam = lam + lam_1d[:, col].reshape(shape)
@@ -418,7 +411,8 @@ def factored_sweep(
     ks = np.concatenate((lead, k_hat)) / factor
     n_lead = lead.size
     blocks = build_blocks(scheme, operators_for(scheme))
-    lam, kappa = factored_spectra(scheme, stencil, theta, phi, ks, blocks, with_kappa=True)
+    symbols = DirectionSymbols(scheme, stencil, theta, phi, blocks)
+    lam, kappa = factored_spectra(symbols, ks, with_kappa=True)
     modes = frequencies(ks, lam)
     physical = physical_mode_select(modes, ks)
     return ModeSweep(

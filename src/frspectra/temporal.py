@@ -16,15 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
 from .operator import (
+    DirectionSymbols,
     SchemeConfig,
     SemiDiscreteSymbol,
     StretchedStencil,
-    WaveProbe,
     build_blocks,
     operators_for,
 )
@@ -54,11 +54,13 @@ class RkScheme:
     def __post_init__(self):
         if not self.coeffs or self.coeffs[0] != 1.0:
             raise ValueError("stability polynomial must satisfy R(0) = 1")
+        if len(self.coeffs) < 2:
+            raise ValueError("an explicit RK scheme has at least one stage (degree >= 1)")
 
     def stability(self, z: np.ndarray) -> np.ndarray:
-        """Evaluate R(z) elementwise (Horner form)."""
-        z = np.asarray(z, dtype=complex)
-        out = np.full_like(z, self.coeffs[-1])
+        """Evaluate R(z) elementwise in Horner form, starting from c_s z + c_{s-1}
+        (no per-call array set-up; a complex z gives a complex result)."""
+        out = self.coeffs[-1]
         for c in self.coeffs[-2::-1]:
             out = out * z + c
         return out
@@ -105,14 +107,20 @@ def build_update(symbol: SemiDiscreteSymbol, rk: RkScheme, tau: float) -> Update
 class CflResult:
     """Outcome of a CFL-limit search.
 
-    ``cfl_limit`` is tau times the sum of velocity components over
-    spacings. For this scheme the stability-binding eigenvalue pair sits
-    at the aliased zero wavenumber, which every incidence angle reaches,
-    so this number is angle-independent; ``cfl_crossing`` (tau times the
-    largest per-direction velocity/spacing ratio, i.e. tau over the
-    wave's cell-crossing time) is the normalization in which the
-    geometric structure of the limit is visible, with its minimum at the
-    diagonal incidence atan(delta_y/delta_x).
+    ``tau_limit`` is the ray supremum: the largest step at which the
+    spectral radius stays within 1 + ``RHO_TOL`` for every sampled
+    wavenumber k (cos phi cos theta, cos phi sin theta, sin phi), k up to
+    the Nyquist limit of that incidence. ``cfl_limit`` is tau times the sum
+    of velocity components over spacings. That number depends weakly on
+    the angle; it is not angle-independent. On a uniform 2D grid, p = 4
+    with RK44 gives 0.189084 at 0 and 90 degrees, 0.189245 at 10, 0.189414
+    at 30 and 0.189654 at 40 and 50 degrees: the ray passes through the
+    binding point of the whole wavevector space only at special angles.
+    ``cfl_crossing`` (tau times the largest per-direction velocity/spacing
+    ratio, i.e. tau over the wave's cell-crossing time) is the
+    normalization in which the geometric structure of the limit is
+    visible, with its minimum at the diagonal incidence
+    atan(delta_y/delta_x).
 
     ``stable`` is False when the semi-discrete spectrum already has
     eigenvalues in the right half plane (e.g. expanding grids), in which
@@ -158,9 +166,10 @@ def cfl_limit(
     """Largest stable CFL number at fixed incidence angles.
 
     Bisects on tau the supremum over sampled k in (0, k_nyquist] of the
-    spectral radius of R(tau, k); the k grid is uniform with nk points
-    plus golden-section refinement around the running maximum. The
-    bisection converges to relative width ``rel_tol``.
+    spectral radius of R(tau, k); the k grid is uniform with ``nk`` points
+    (an integer >= 1) plus golden-section refinement around the running
+    maximum. The bisection converges to relative width ``rel_tol``, which
+    must be finite and in (0, 1).
 
     A step at tau first evaluates the whole grid, and refines only when
     the grid maximum stays within 1 + ``RHO_TOL``. That is exact: the
@@ -168,30 +177,39 @@ def cfl_limit(
     can never turn "exceeds" into "does not". When the bracket doubles tau
     at least once, its lower end is the previous, already non-exceeding
     tau (doubling is exact), so it is not tested again. The reported
-    ``worst_k`` always comes from a refined search at the final upper end.
+    ``worst_k`` is the refined peak at the final upper end: the one that
+    step computed, or, when its grid alone decided it, one refinement of
+    the grid array it kept. No tau has its grid evaluated twice.
 
     The spectrum of R is the stability polynomial applied to tau times the
     eigenvalues of Q, taken from per-direction 1D eigensolves
-    (:func:`~frspectra.spectrum.factored_spectra`): one batched call for
-    the whole k grid, then one single-k call for each wavenumber the
-    golden-section refinement visits. Only those eigenvalues are cached
-    per k, since the refinement revisits many k points at other tau.
+    (:func:`~frspectra.spectrum.factored_spectra`). The direction symbols
+    are built once per search (:class:`~frspectra.operator.DirectionSymbols`),
+    so the whole k grid costs one batched call and each wavenumber the
+    golden-section refinement visits one formula evaluation and one
+    single-k ``eigvals`` call. Only those eigenvalues are cached per k,
+    since the refinement revisits many k points at other tau.
     """
+    if not (isfinite(rel_tol) and 0.0 < rel_tol < 1.0):
+        raise ValueError(f"rel_tol must be finite and in (0, 1), got {rel_tol}")
+    if isinstance(nk, bool) or not isinstance(nk, (int, np.integer)) or nk < 1:
+        raise ValueError(f"nk must be an integer >= 1, got {nk!r}")
     theta, phi = probe_angles if isinstance(probe_angles, tuple) else (probe_angles, 0.0)
-    blocks = build_blocks(scheme, operators_for(scheme))
+    symbols = DirectionSymbols(
+        scheme, stencil, theta, phi, build_blocks(scheme, operators_for(scheme))
+    )
     k_nq = nyquist_wavenumber(theta, phi, stencil, scheme.p)
     ks = np.linspace(0.0, k_nq, nk + 1)[1:]
-    lam_grid = factored_spectra(scheme, stencil, theta, phi, ks, blocks)[0]
+    lam_grid = factored_spectra(symbols, ks)[0]
 
     @cache
     def eigenvalues(k: float) -> np.ndarray:
-        return factored_spectra(scheme, stencil, theta, phi, np.array([k]), blocks)[0][0]
+        return factored_spectra(symbols, np.array([k]))[0][0]
 
     def rho(tau: float, k: float) -> float:
         return float(np.abs(rk.stability(tau * eigenvalues(k))).max())
 
-    vel = WaveProbe(k=1.0, theta=theta, phi=phi).velocity(scheme.d)
-    ratios = [vel[m] / stencil.delta[m] for m in range(scheme.d)]
+    ratios = [symbols.velocity[m] / stencil.delta[m] for m in range(scheme.d)]
     cfl_per_tau = float(sum(ratios))
     crossing_per_tau = float(max(ratios))
 
@@ -214,39 +232,48 @@ def cfl_limit(
             best_k, best_rho = k_ref, rho_ref
         return best_rho, best_k
 
-    def exceeds(tau: float) -> bool:
+    def exceeding(tau: float):
+        """None when tau is stable, else its grid array and its refined
+        (rho, k), the latter None when the grid alone decided."""
         rho_grid = grid_rho(tau)
         if rho_grid.max() > 1.0 + RHO_TOL:
-            return True  # refinement only ever raises the grid maximum
-        return sup_rho(tau, rho_grid)[0] > 1.0 + RHO_TOL
+            return rho_grid, None  # refinement only ever raises the grid maximum
+        sup = sup_rho(tau, rho_grid)
+        return (rho_grid, sup) if sup[0] > 1.0 + RHO_TOL else None
+
+    def worst_k(tau: float, evaluation) -> float:
+        rho_grid, sup = evaluation
+        return (sup if sup is not None else sup_rho(tau, rho_grid))[1]
 
     tau_lo, tau_hi = 0.0, 1.0 / lam_scale
     for _ in range(200):
-        if exceeds(tau_hi):
+        hi = exceeding(tau_hi)
+        if hi is not None:
             break
         tau_lo, tau_hi = tau_hi, tau_hi * 2.0
     else:
         raise RuntimeError("failed to bracket the stability boundary from above")
     if tau_lo == 0.0:  # the first step already exceeds: halve down to a stable one
         tau_lo = tau_hi / 2.0
-        while exceeds(tau_lo):
+        while exceeding(tau_lo) is not None:
             tau_lo /= 2.0
             if tau_lo < 1e-300:
                 # unstable for every positive step despite a left-half-plane
                 # spectrum; report as a flagged zero limit
-                worst_k = sup_rho(tau_hi, grid_rho(tau_hi))[1]
-                return CflResult(0.0, 0.0, worst_k, stable=False, theta=theta, phi=phi)
+                return CflResult(
+                    0.0, 0.0, worst_k(tau_hi, hi), stable=False, theta=theta, phi=phi
+                )
     while (tau_hi - tau_lo) > rel_tol * tau_hi:
         mid = 0.5 * (tau_lo + tau_hi)
-        if exceeds(mid):
-            tau_hi = mid
+        evaluation = exceeding(mid)
+        if evaluation is not None:
+            tau_hi, hi = mid, evaluation
         else:
             tau_lo = mid
-    _, worst_k = sup_rho(tau_hi, grid_rho(tau_hi))
     return CflResult(
         cfl_limit=tau_lo * cfl_per_tau,
         tau_limit=tau_lo,
-        worst_k=worst_k,
+        worst_k=worst_k(tau_hi, hi),
         stable=True,
         cfl_crossing=tau_lo * crossing_per_tau,
         theta=theta,

@@ -100,6 +100,23 @@ class TestUserErrors:
             ["dispersion", "--d", "1", "--khat", "0:1:0.5"],
             ["condition", "--d", "1", "--khat", "-1"],
             ["fully-discrete", "--d", "1", "--tau", "0.1", "--khat", "0"],
+            ["dispersion", "--dx", "0"],
+            ["dispersion", "--dy", "0"],
+            ["dispersion", "--d", "3", "--dz", "0"],
+            ["cfl", "--dx", "0"],
+            ["cfl", "--dy", "0"],
+            ["cfl", "--dz", "0"],
+            ["fully-discrete", "--tau", "0.1", "--dx", "0"],
+            ["fully-discrete", "--tau", "0.1", "--dy", "0"],
+            ["fully-discrete", "--tau", "0.1", "--dz", "0"],
+            ["dispersion", "--dx", "-1"],
+            ["cfl", "--dx", "-1:1:1"],
+            ["dispersion", "--gx", "0"],
+            ["cfl", "--gy", "-0.5"],
+            ["fully-discrete", "--tau", "0.1", "--d", "3", "--gz", "0"],
+            ["dispersion", "--p", "0"],
+            ["cfl", "--p", "0:2:1"],
+            ["fully-discrete", "--tau", "0.1", "--p", "-1"],
         ],
         ids=lambda argv: " ".join(argv),
     )

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from frspectra.basis import CorrectionFamily
 from frspectra.operator import (
+    DirectionSymbols,
     FrBlocks,
     SchemeConfig,
     StretchedStencil,
@@ -237,7 +238,8 @@ def scalar_direction_symbols(scheme, stencil, probe, blocks):
 
 class TestSymbolBatch:
     GAMMA = (1.1, 0.9, 1.05)
-    ANGLES = {1: (0.0, 0.0), 2: (0.6, 0.0), 3: (0.5, 0.4)}
+    # at theta = 90 degrees a_x = cos(pi/2) snaps to 0: x is not an active direction
+    ANGLES = {1: [(0.0, 0.0)], 2: [(0.6, 0.0), (np.pi / 2, 0.0)], 3: [(0.5, 0.4), (np.pi / 2, 0.4)]}
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -245,18 +247,24 @@ class TestSymbolBatch:
         sch = scheme(3, alpha, d)
         stencil = StretchedStencil.stretched(self.GAMMA[:d], (1.0, 0.8, 1.3)[:d])
         blocks = build_blocks(sch, operators_for(sch))
-        theta, phi = self.ANGLES[d]
-        k_nq = nyquist_wavenumber(theta, phi, stencil, sch.p)
-        ks = np.array([0.0, -1.7, 1e-4, 0.9, k_nq * (1 - 1e-12), k_nq, -k_nq])
-        batch = direction_symbol_batch(sch, stencil, theta, phi, ks, blocks)
-        assert batch.shape == (ks.size, d, sch.p + 1, sch.p + 1)
-        for k, row in zip(ks, batch):
-            probe = WaveProbe(k=k, theta=theta, phi=phi)
-            ref = scalar_direction_symbols(sch, stencil, probe, blocks)
-            assert np.array_equal(row, ref)
-            assert np.array_equal(direction_symbols(sch, stencil, probe, blocks), ref)
-            dense = sum(lift_to_dimension(q_m, m, d) for m, q_m in enumerate(ref))
-            assert np.array_equal(assemble_symbol(sch, stencil, probe, blocks).Q, dense)
+        for theta, phi in self.ANGLES[d]:
+            k_nq = nyquist_wavenumber(theta, phi, stencil, sch.p)
+            ks = np.array([0.0, -1.7, 1e-4, 0.9, k_nq * (1 - 1e-12), k_nq, -k_nq])
+            batch = direction_symbol_batch(sch, stencil, theta, phi, ks, blocks)
+            assert batch.shape == (ks.size, d, sch.p + 1, sch.p + 1)
+            symbols = DirectionSymbols(sch, stencil, theta, phi, blocks)  # built once
+            active = symbols.active.tolist()
+            assert active == [m for m in range(d) if not (theta == np.pi / 2 and m == 0)]
+            evaluated = symbols.evaluate(ks)
+            for k, row, row_active in zip(ks, batch, evaluated):
+                probe = WaveProbe(k=k, theta=theta, phi=phi)
+                ref = scalar_direction_symbols(sch, stencil, probe, blocks)
+                assert np.array_equal(row, ref)
+                assert np.array_equal(row_active, [ref[m] for m in active])
+                assert np.array_equal(symbols.evaluate([k])[0], row_active)
+                assert np.array_equal(direction_symbols(sch, stencil, probe, blocks), ref)
+                dense = sum(lift_to_dimension(q_m, m, d) for m, q_m in enumerate(ref))
+                assert np.array_equal(assemble_symbol(sch, stencil, probe, blocks).Q, dense)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_wavenumber_in_batch_rejected(self, bad):

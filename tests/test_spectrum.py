@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from frspectra.basis import CorrectionFamily
 from frspectra.operator import (
+    DirectionSymbols,
     SchemeConfig,
     StretchedStencil,
     WaveProbe,
@@ -435,7 +436,7 @@ class TestFactoredSpectra:
         stencil = self.stretched(d)
         blocks = build_blocks(sch, operators_for(sch))
         ks = np.array([0.3, 1.9, 4.2])
-        lam, _ = factored_spectra(sch, stencil, theta, phi, ks, blocks)
+        lam, _ = factored_spectra(DirectionSymbols(sch, stencil, theta, phi, blocks), ks)
         for k, factored in zip(ks, lam):
             probe = WaveProbe(k=k, theta=theta, phi=phi)
             dense = np.linalg.eigvals(assemble_symbol(sch, stencil, probe, blocks).Q)
@@ -450,7 +451,8 @@ class TestFactoredSpectra:
         theta, phi, k = 0.6, (0.4 if d == 3 else 0.0), 2.3
         dense = analyze(assemble_symbol(sch, stencil, WaveProbe(k=k, theta=theta, phi=phi), blocks))
         assert not dense.degenerate
-        _, kappa = factored_spectra(sch, stencil, theta, phi, np.array([k]), blocks, True)
+        symbols = DirectionSymbols(sch, stencil, theta, phi, blocks)
+        _, kappa = factored_spectra(symbols, np.array([k]), True)
         assert abs(kappa[0] - dense.kappa) < 1e-8 * dense.kappa
 
     @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import pytest
 from frspectra.basis import CorrectionFamily
 from frspectra import temporal
 from frspectra.operator import (
+    DirectionSymbols,
     SchemeConfig,
     StretchedStencil,
     WaveProbe,
@@ -70,13 +71,14 @@ def reference_cfl_limit(scheme, stencil, probe_angles, rk, nk=257, rel_tol=1e-4)
     """
     theta, phi = probe_angles if isinstance(probe_angles, tuple) else (probe_angles, 0.0)
     blocks = build_blocks(scheme, operators_for(scheme))
+    symbols = DirectionSymbols(scheme, stencil, theta, phi, blocks)
     k_nq = nyquist_wavenumber(theta, phi, stencil, scheme.p)
     ks = np.linspace(0.0, k_nq, nk + 1)[1:]
-    lam_grid = factored_spectra(scheme, stencil, theta, phi, ks, blocks)[0]
+    lam_grid = factored_spectra(symbols, ks)[0]
 
     @cache
     def eigenvalues(k: float) -> np.ndarray:
-        return factored_spectra(scheme, stencil, theta, phi, np.array([k]), blocks)[0][0]
+        return factored_spectra(symbols, np.array([k]))[0][0]
 
     def rho(tau: float, k: float) -> float:
         return float(np.abs(rk.stability(tau * eigenvalues(k))).max())
@@ -246,7 +248,7 @@ class TestCflLimit:
 
         def recording(*args):
             out = factored(*args)
-            calls.append((args[4], out[0]))
+            calls.append((args[1], out[0]))
             return out
 
         monkeypatch.setattr(temporal, "factored_spectra", recording)
@@ -270,10 +272,13 @@ class TestCflLimit:
         stencil = StretchedStencil.stretched(gamma)
         factored = cfl_limit(sch, stencil, angles, RK44)
 
-        def dense_spectra(scheme, stencil, theta, phi, ks, blocks, with_kappa=False):
+        def dense_spectra(symbols, ks, with_kappa=False):
+            scheme, stencil, theta, phi = (
+                symbols.scheme, symbols.stencil, symbols.theta, symbols.phi
+            )
             return np.array([
                 np.linalg.eigvals(assemble_symbol(
-                    scheme, stencil, WaveProbe(k=k, theta=theta, phi=phi), blocks
+                    scheme, stencil, WaveProbe(k=k, theta=theta, phi=phi), symbols.blocks
                 ).Q)
                 for k in ks
             ]), None
@@ -282,6 +287,54 @@ class TestCflLimit:
         dense = cfl_limit(sch, stencil, angles, RK44)
         assert factored.stable and dense.stable
         assert abs(factored.tau_limit - dense.tau_limit) < 1e-12 * dense.tau_limit
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"rel_tol": 0.0},  # looped forever
+            {"rel_tol": -1.0},  # looped forever
+            {"rel_tol": np.nan},  # skipped the bisection
+            {"rel_tol": np.inf},
+            {"rel_tol": 1.0},
+            {"nk": 0},  # failed inside numpy's reshape
+            {"nk": -3},
+            {"nk": 2.5},
+            {"nk": True},
+        ],
+        ids=repr,
+    )
+    def test_rejects_unusable_tolerance_or_grid(self, kwargs):
+        with pytest.raises(ValueError, match="rel_tol|nk"):
+            cfl_limit(scheme(2), StretchedStencil.uniform(1), 0.0, RK44, **kwargs)
+
+    def test_accepts_any_integer_grid_size(self):
+        sch, stencil = scheme(2), StretchedStencil.uniform(1)
+        assert cfl_limit(sch, stencil, 0.0, RK44, nk=np.int64(257)) == cfl_limit(
+            sch, stencil, 0.0, RK44
+        )
+        assert cfl_limit(sch, stencil, 0.0, RK44, nk=1).stable
+
+    def test_one_eigvals_call_per_distinct_probe_k(self, monkeypatch):
+        # the set-up is shared, but every wavenumber still gets its own solve
+        sizes, probed, eigvals = [], [], np.linalg.eigvals
+
+        def counting(q):
+            sizes.append(q.shape[0])
+            return eigvals(q)
+
+        def golden(f, a, b, **kw):
+            def recording(k):
+                probed.append(k)
+                return f(k)
+            return _golden_max(recording, a, b, **kw)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        monkeypatch.setattr(temporal, "_golden_max", golden)
+        res = cfl_limit(scheme(4, 1.0, 2), StretchedStencil.stretched((0.9, 0.95)), (0.5, 0.0), RK44)
+        assert res.stable
+        assert sizes[0] == 257  # the whole k grid in one call
+        assert sizes[1:] == [1] * len(set(probed))
+        assert len(probed) > len(set(probed)) > 0  # revisits come from the cache
 
     def test_expanding_grid_flagged_zero(self):
         res = cfl_limit(scheme(4), StretchedStencil.stretched((1.2,)), 0.0, RK44)
@@ -342,12 +395,18 @@ class TestCflLimit:
 class TestCflShortCircuit:
     """``cfl_limit`` refines only when the k grid cannot decide a step."""
 
-    @pytest.mark.parametrize("gamma", [(1.0, 1.0), (0.9, 0.95)], ids=["uniform", "stretched"])
+    @pytest.mark.parametrize(
+        "gamma",
+        [(1.0, 1.0), (0.9, 0.95), (0.95, 1.0, 0.9), (1.0, 1.0, 1.0)],
+        ids=["uniform", "stretched", "3d-stretched", "3d-uniform"],
+    )
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     @pytest.mark.parametrize("p", [1, 2, 4])
     @pytest.mark.parametrize("rk", [EULER, RK33, RK44], ids=lambda rk: rk.name)
     def test_equals_reference(self, rk, p, alpha, gamma):
-        args = (scheme(p, alpha, 2), StretchedStencil(2, (1.0, 0.5), gamma), (0.5, 0.0), rk)
+        d = len(gamma)
+        angles = (0.5, 0.0) if d == 2 else (0.5, 0.4)
+        args = (scheme(p, alpha, d), StretchedStencil(d, (1.0, 0.5, 0.8)[:d], gamma), angles, rk)
         assert cfl_limit(*args) == reference_cfl_limit(*args)
 
     def test_expanding_grid_equals_reference(self):
@@ -373,18 +432,28 @@ class TestCflShortCircuit:
         assert res == reference_cfl_limit(sch, stencil, (0.5, 0.0), EULER)
 
     def test_refines_only_undecided_steps(self, monkeypatch):
-        args = (scheme(4, 1.0, 2), StretchedStencil.stretched((0.9, 0.95)), (0.5, 0.0))
+        # the grid alone decides the final upper end, so worst_k refines once more
+        self.check_schedule(monkeypatch, 4)
+
+    def test_worst_k_reuses_the_final_refinement(self, monkeypatch):
+        # the final upper end was refined, so worst_k reuses that refinement
+        self.check_schedule(monkeypatch, 5)
+
+    @staticmethod
+    def check_schedule(monkeypatch, p):
+        args = (scheme(p, 1.0, 2), StretchedStencil.stretched((0.9, 0.95)), (0.5, 0.0))
         events, solves = [], {"cfl_limit": 0, "reference": 0}
 
         def counting(key, solve):
             def spy(*a, **kw):
-                solves[key] += a[4].size == 1  # single-k eigensolves
+                solves[key] += a[1].size == 1  # single-k eigensolves
                 return solve(*a, **kw)
             return spy
 
         def golden(*a, **kw):
-            events.append(("golden",))
-            return _golden_max(*a, **kw)
+            out = _golden_max(*a, **kw)
+            events.append(("golden", out[1]))
+            return out
 
         monkeypatch.setattr(temporal, "factored_spectra", counting("cfl_limit", factored_spectra))
         monkeypatch.setattr(temporal, "_golden_max", golden)
@@ -393,19 +462,32 @@ class TestCflShortCircuit:
         assert res == reference_cfl_limit(*args, RK44)
 
         grid_at = [i for i, e in enumerate(events) if e[0] == "grid"]
-        refined = [i + 1 < len(events) and events[i + 1][0] == "golden" for i in grid_at]
+        assert grid_at[0] == 0  # every refinement follows a grid evaluation
+        goldens = [
+            [e[1] for e in events[i:j] if e[0] == "golden"]
+            for i, j in zip(grid_at, grid_at[1:] + [len(events)])
+        ]
         within = [events[i][1] <= 1.0 + RHO_TOL for i in grid_at]
-        # every refinement follows a grid evaluation at its own tau
-        assert sum(e[0] == "golden" for e in events) == sum(refined)
+        exceeds = [not w or g[0] > 1.0 + RHO_TOL for w, g in zip(within, goldens)]
+        # the bracket never halves here, so the last exceeding step is the
+        # final upper end; worst_k refines there only if that step did not
+        assert not exceeds[0]
+        final_refined = within[max(i for i, e in enumerate(exceeds) if e)]
         # each bisection step refines iff its grid stays within the bound,
-        # and the final worst_k search always refines
-        assert refined[:-1] == within[:-1]
-        assert refined[-1]
-        assert 0 < sum(within[:-1]) < len(grid_at) - 1
-        # no step tests a tau twice (the bracket's lower end is not re-tested)
-        steps = [events[i][2] for i in grid_at[:-1]]
+        # and worst_k adds one refinement, after the last step, iff the
+        # final upper end was decided by its grid alone
+        expected = [int(w) for w in within]
+        expected[-1] += not final_refined
+        assert [len(g) for g in goldens] == expected
+        assert final_refined == (p == 5)
+        assert 0 < sum(within) < len(grid_at)
+        # no tau has its grid evaluated twice, the final upper end included
+        steps = [events[i][2] for i in grid_at]
         assert len(set(steps)) == len(steps)
-        assert 0 < solves["cfl_limit"] < solves["reference"]
+        if p == 4:
+            assert 0 < solves["cfl_limit"] < solves["reference"]
+        else:  # the reference's extra refinements revisit only cached wavenumbers
+            assert 0 < solves["cfl_limit"] == solves["reference"]
 
 
 class TestFullyDiscrete:
