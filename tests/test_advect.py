@@ -1,4 +1,5 @@
 """Time-domain solver tests: oracles against the eigenanalysis and hand stencils."""
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -27,7 +28,7 @@ from frspectra.operator import (
     symbol_for,
 )
 from frspectra.spectrum import _anchor_ladder, analyze, normalization_factor, track_branches
-from frspectra.temporal import RK44, cfl_limit
+from frspectra.temporal import EULER, RK33, RK44, cfl_limit
 
 
 def scheme(p, alpha=1.0, d=1, kind="huynh"):
@@ -403,26 +404,89 @@ class TestGridMarch:
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     @pytest.mark.parametrize("p", [0, 2, 4])
     def test_matches_reference_step(self, p, alpha, grid, real):
+        # every RK degree, looped inside so the test ids stay: the update's
+        # number of terms in powers of tau L_1 depends on the degree
         problem = march_problem(grid, p, alpha)
         values = random_state(grid, p, seed=p)
         if real:
             values = values.real.copy()
         state, tau = FieldState(values, time=0.5), 0.02
-        ref = reference_step(problem, values, RK44, tau)
-        got = problem.step(state, RK44, tau)
-        assert got.values.dtype == ref.dtype
-        assert np.abs(got.values - ref).max() <= 1e-13 * np.abs(ref).max()
-        assert got.time == 0.5 + tau
+        for rk in (EULER, RK33, RK44):
+            ref = reference_step(problem, values, rk, tau)
+            got = problem.step(state, rk, tau)
+            assert got.values.dtype == ref.dtype
+            assert np.abs(got.values - ref).max() <= 1e-13 * np.abs(ref).max(), rk.name
+            assert got.time == 0.5 + tau
 
-        ref, ref_energies = values, [reference_energy(problem, values)]
-        for _ in range(50):
-            ref = reference_step(problem, ref, RK44, tau)
-            ref_energies.append(reference_energy(problem, ref))
-        final, energies = problem.energy_history(state, RK44, tau, 50)
-        assert final.values.dtype == ref.dtype
-        assert np.abs(final.values - ref).max() <= 1e-13 * np.abs(ref).max()
-        assert np.abs(energies / ref_energies - 1.0).max() <= 1e-12
-        assert np.array_equal(problem.advance(state, RK44, tau, 50).values, final.values)
+            ref, ref_energies = values, [reference_energy(problem, values)]
+            for _ in range(50):
+                ref = reference_step(problem, ref, rk, tau)
+                ref_energies.append(reference_energy(problem, ref))
+            final, energies = problem.energy_history(state, rk, tau, 50)
+            assert final.values.dtype == ref.dtype
+            assert np.abs(final.values - ref).max() <= 1e-13 * np.abs(ref).max(), rk.name
+            assert np.abs(energies / ref_energies - 1.0).max() <= 1e-12, rk.name
+            assert np.array_equal(problem.advance(state, rk, tau, 50).values, final.values)
+
+    @pytest.mark.parametrize("grid", MARCH_GRIDS, ids=MARCH_IDS)
+    @pytest.mark.parametrize("rk", [EULER, RK33, RK44], ids=lambda rk: rk.name)
+    def test_update_is_dense_horner_polynomial(self, rk, grid):
+        # the expansion in powers of tau L_1 against R(tau L) in Horner form,
+        # L the dense Kronecker sum of the line operators, column by column
+        problem, tau = march_problem(grid, 3, 0.5), 0.02
+        ops = [problem._axis_operator(m) for m in range(grid.d)]
+        dense = reduce(
+            lambda acc, op: np.kron(op, np.eye(len(acc))) + np.kron(np.eye(len(op)), acc), ops
+        )
+        horner = rk.coeffs[-1] * np.eye(len(dense))
+        for c in rk.coeffs[-2::-1]:
+            horner = tau * dense @ horner + c * np.eye(len(dense))
+        units = np.eye(len(dense)).reshape(len(dense), *problem._shape)
+        update = problem._apply_update(units, problem._rk_update(rk, tau))
+        got = update.reshape(len(dense), -1).T
+        assert np.abs(got - horner).max() <= 1e-13 * np.abs(horner).max()
+
+    def test_march_builds_the_update_once(self, monkeypatch):
+        # one build per march and one application per step; a per-step
+        # rebuild or a return to staged operator applications fails here
+        calls = {"_rk_update": 0, "_apply_update": 0, "_apply": 0}
+
+        def counting(name):
+            method = getattr(AdvectionProblem, name)
+
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+
+            return spy
+
+        for name in calls:
+            monkeypatch.setattr(AdvectionProblem, name, counting(name))
+        problem = march_problem(NONUNIFORM_2D, 2)
+        state = FieldState(random_state(NONUNIFORM_2D, 2, seed=3))
+        marches = [(problem.advance, 7), (problem.energy_history, 5), (problem.advance, 0)]
+        for march, nsteps in marches:
+            calls.update(dict.fromkeys(calls, 0))
+            march(state, RK44, 0.02, nsteps)
+            assert calls == {"_rk_update": 1, "_apply_update": nsteps, "_apply": 0}
+        calls.update(dict.fromkeys(calls, 0))
+        problem.step(state, RK44, 0.02)
+        assert calls == {"_rk_update": 1, "_apply_update": 1, "_apply": 0}
+
+    @pytest.mark.parametrize("tau,scale", [(1e40, 1.0), (1e80, 1.0), (1e-3, 1e200)])
+    @pytest.mark.parametrize("grid", [PeriodicGrid.uniform((8,)), PeriodicGrid.uniform((8, 8))],
+                             ids=["1d", "2d"])
+    def test_overflow_diverges_at_step_1_without_warning(self, grid, tau, scale):
+        # tau = 1e80 overflows while the update is built, 1e40 in the first
+        # |z|^2 and a 1e200 state in the initial energy; each used to warn
+        problem = march_problem(grid, 2)
+        state = FieldState(scale * random_state(grid, 2, seed=5))
+        for march in (problem.advance, problem.energy_history):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DivergenceError) as info:
+                    march(state, RK44, tau, 3)
+            assert info.value.step_index == 1
 
     @pytest.mark.parametrize("grid", MARCH_GRIDS, ids=MARCH_IDS)
     def test_real_state_stays_real(self, grid):

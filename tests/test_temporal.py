@@ -31,6 +31,7 @@ from frspectra.temporal import (
     RK33,
     RK44,
     CflResult,
+    RkScheme,
     _golden_max,
     build_update,
     cfl_limit,
@@ -138,6 +139,18 @@ def reference_cfl_limit(scheme, stencil, probe_angles, rk, nk=257, rel_tol=1e-4)
         theta=theta,
         phi=phi,
     )
+
+
+def counting_stability(monkeypatch):
+    """Count ``RkScheme.stability`` calls from here on, in a one-element list."""
+    calls, stability = [0], RkScheme.stability
+
+    def spy(self, z):
+        calls[0] += 1
+        return stability(self, z)
+
+    monkeypatch.setattr(RkScheme, "stability", spy)
+    return calls
 
 
 class RecordingRk:
@@ -403,11 +416,31 @@ class TestCflShortCircuit:
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     @pytest.mark.parametrize("p", [1, 2, 4])
     @pytest.mark.parametrize("rk", [EULER, RK33, RK44], ids=lambda rk: rk.name)
-    def test_equals_reference(self, rk, p, alpha, gamma):
+    def test_equals_reference(self, rk, p, alpha, gamma, monkeypatch):
         d = len(gamma)
         angles = (0.5, 0.0) if d == 2 else (0.5, 0.4)
         args = (scheme(p, alpha, d), StretchedStencil(d, (1.0, 0.5, 0.8)[:d], gamma), angles, rk)
-        assert cfl_limit(*args) == reference_cfl_limit(*args)
+        calls = counting_stability(monkeypatch)
+        res = cfl_limit(*args)
+        if alpha == 0.5 and gamma != (1.0,) * d:
+            # central flux on these stretched stencils has Re lambda above
+            # RHO_TOL: the search returns the flagged result before any grid
+            assert not res.stable and calls == [0]
+        assert res == reference_cfl_limit(*args)
+
+    @pytest.mark.parametrize(
+        "delta,angles,expected",
+        [((1.0, 0.5), (0.5, 0.0), 0.310901), ((1.0, 0.7, 0.5), (0.5, 0.4), 0.315539)],
+        ids=["2d", "3d"],
+    )
+    def test_central_flux_reaches_the_bisection(self, delta, angles, expected, monkeypatch):
+        d = len(delta)
+        args = (scheme(3, 0.5, d), StretchedStencil(d, delta, (1.0,) * d), angles, RK44)
+        calls = counting_stability(monkeypatch)
+        res = cfl_limit(*args)
+        assert res.stable and calls == [272]
+        assert abs(res.cfl_limit - expected) < 5e-7
+        assert res == reference_cfl_limit(*args)
 
     def test_expanding_grid_equals_reference(self):
         args = (scheme(2, 1.0, 2), StretchedStencil(2, (1.0, 0.5), (1.2, 1.0)), (0.5, 0.0), RK44)
