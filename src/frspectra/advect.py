@@ -47,7 +47,6 @@ from .operator import (
     DirectionSymbols,
     SchemeConfig,
     StretchedStencil,
-    build_blocks,
     direction_cosines,
     operators_for,
 )
@@ -83,12 +82,14 @@ class PeriodicGrid:
         for w in self.spacings:
             if w.size < 4:
                 raise ValueError("at least 4 cells per direction required")
-            if np.any(w <= 0):
-                raise ValueError("cell widths must be positive")
+            if not np.all(np.isfinite(w) & (w > 0)):
+                raise ValueError(f"cell widths must be finite and > 0, got {w}")
 
     @classmethod
     def uniform(cls, cells, delta=1.0) -> "PeriodicGrid":
         cells = np.atleast_1d(cells)
+        if not all(float(c).is_integer() for c in cells):
+            raise ValueError(f"cell counts must be integers, got {cells}")
         delta = np.broadcast_to(np.atleast_1d(delta).astype(float), cells.shape)
         return cls(cells.size, tuple(np.full(int(c), dx) for c, dx in zip(cells, delta)))
 
@@ -147,6 +148,8 @@ class AdvectionProblem:
         velocity = tuple(float(v) for v in velocity)
         if len(velocity) != grid.d:
             raise ValueError("one velocity component per direction required")
+        if not all(isfinite(v) for v in velocity):
+            raise ValueError(f"velocity components must be finite, got {velocity}")
         if any(v < 0 for v in velocity):
             raise ValueError("upwinding assumes non-negative velocity components")
         self.grid = grid
@@ -398,9 +401,7 @@ def physical_eigenvector(
     if not (isfinite(k) and k > 0):
         raise ValueError(f"wavenumber must be finite and > 0, got {k}")
     n = scheme.p + 1
-    symbols = DirectionSymbols(
-        scheme, stencil, theta, phi, build_blocks(scheme, operators_for(scheme))
-    )
+    symbols = DirectionSymbols(scheme, stencil, theta, phi)
     omega, parts = 0j, [np.full(n, n**-0.5)] * scheme.d
     for col, m in enumerate(symbols.active):
         a = symbols.velocity[m]
@@ -506,6 +507,8 @@ def check_decay_rate(
     """
     if nsteps < 1:  # the fit needs at least two energies
         raise ValueError(f"number of steps must be >= 1, got {nsteps}")
+    if not (isfinite(k_hat) and 0 < k_hat <= pi):  # above pi the wave aliases
+        raise ValueError(f"k_hat must be finite and in (0, pi], got {k_hat}")
     family = make_family(family_kind, p, iota)
     scheme = SchemeConfig(p, family, alpha, d)
     provisional = StretchedStencil.uniform(d)

@@ -19,6 +19,7 @@ phi) may be assembled concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import cos, isfinite, sin
 
 import numpy as np
@@ -59,8 +60,17 @@ class SchemeConfig:
             )
 
 
+@cache
 def operators_for(scheme: SchemeConfig) -> BasisOperators:
-    return build_operators(make_points(scheme.p, scheme.rule), scheme.family)
+    """The scheme's 1D basis operators at its solution points.
+
+    Built once per scheme: a repeated call (or a value-equal scheme)
+    returns the same object, whose arrays are read-only.
+    """
+    ops = build_operators(make_points(scheme.p, scheme.rule), scheme.family)
+    for arr in vars(ops).values():
+        arr.setflags(write=False)
+    return ops
 
 
 @dataclass(frozen=True)
@@ -160,30 +170,32 @@ def lift_to_dimension(mat: np.ndarray, direction: int, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrBlocks:
-    """The three 1D interface-coupling blocks.
+    """The three 1D interface-coupling blocks of a scheme, (p+1)x(p+1) each.
 
     c_minus couples to the upstream neighbour, c_plus to the downstream
-    one, c_zero is the in-cell operator.
+    one, c_zero is the in-cell operator. They depend on the scheme alone:
+    :func:`build_blocks` forms them once per scheme.
     """
 
-    d: int
     c_minus: np.ndarray
     c_zero: np.ndarray
     c_plus: np.ndarray
 
 
-def build_blocks(scheme: SchemeConfig, ops: BasisOperators) -> FrBlocks:
-    """Form the three 1D coupling blocks."""
-    n = ops.D.shape[0]
-    if n != scheme.p + 1:
-        raise ValueError(
-            f"operator size {n} does not match scheme order p = {scheme.p}"
-        )
-    a = scheme.alpha
+@cache
+def build_blocks(scheme: SchemeConfig) -> FrBlocks:
+    """The scheme's three 1D coupling blocks, from :func:`operators_for`.
+
+    Built once per scheme: a repeated call (or a value-equal scheme)
+    returns the same object, whose arrays are read-only.
+    """
+    ops, a = operators_for(scheme), scheme.alpha
     c_minus = a * np.outer(ops.hL, ops.lR)
     c_plus = (1.0 - a) * np.outer(ops.hR, ops.lL)
     c_zero = ops.D - a * np.outer(ops.hL, ops.lL) - (1.0 - a) * np.outer(ops.hR, ops.lR)
-    return FrBlocks(scheme.d, c_minus, c_zero, c_plus)
+    for arr in (c_minus, c_zero, c_plus):
+        arr.setflags(write=False)
+    return FrBlocks(c_minus, c_zero, c_plus)
 
 
 @dataclass(frozen=True)
@@ -208,12 +220,14 @@ class DirectionSymbols:
 
     with d_up = delta_m/gamma_m the upstream width and d_dn =
     gamma_m*delta_m the downstream width. Upstream and downstream blocks
-    carry their own cells' metric factors.
+    carry their own cells' metric factors. The blocks C are the scheme's
+    own, from :func:`build_blocks` (built once per scheme).
 
-    Building one runs every check that does not depend on k (dimensions,
-    and the angles through :class:`WaveProbe`), finds the directions the
-    wave moves in (``active``: a_m != 0, with |a_m| at or below machine
-    epsilon set to exactly 0) and forms their metric-scaled blocks once.
+    Building one runs every check that does not depend on k (scheme and
+    stencil dimensions, and the angles through :class:`WaveProbe`), finds
+    the directions the wave moves in (``active``: a_m != 0, with |a_m| at
+    or below machine epsilon set to exactly 0) and forms their
+    metric-scaled blocks once.
     :meth:`evaluate` then costs one broadcast expression at any k. Scaling
     the blocks first keeps the operation order of the formula above, so
     each entry is bit-identical to the unfactored expression.
@@ -225,15 +239,13 @@ class DirectionSymbols:
         stencil: StretchedStencil,
         theta: float,
         phi: float,
-        blocks: FrBlocks,
     ):
-        if scheme.d != stencil.d or scheme.d != blocks.d:
+        if scheme.d != stencil.d:
             raise ValueError(
-                f"dimension mismatch: scheme d={scheme.d}, stencil d={stencil.d}, "
-                f"blocks d={blocks.d}"
+                f"dimension mismatch: scheme d={scheme.d}, stencil d={stencil.d}"
             )
         self.scheme, self.stencil, self.theta, self.phi = scheme, stencil, theta, phi
-        self.blocks = blocks
+        blocks = build_blocks(scheme)
         self.velocity = direction_cosines(theta, phi, scheme.d)
         self.active = np.flatnonzero(self.velocity)
         # axes: direction, then the (p+1)x(p+1) block
@@ -264,56 +276,38 @@ class DirectionSymbols:
         return q
 
 
-def direction_symbol_batch(
-    scheme: SchemeConfig,
-    stencil: StretchedStencil,
-    theta: float,
-    phi: float,
-    ks: np.ndarray,
-    blocks: FrBlocks,
-) -> np.ndarray:
-    """The d one-dimensional (p+1)x(p+1) symbols Q_m at every wavenumber.
-
-    Builds :class:`DirectionSymbols` and evaluates it once, so the formula
-    and the checks are those of that class; a direction with a_m = 0 gives
-    an exactly zero Q_m. Shape (n_k, d, p+1, p+1); each row is
-    bit-identical to a one-k batch. Paths that evaluate one configuration
-    at many separate k (the CFL search) build the setup once instead.
-    """
-    symbols = DirectionSymbols(scheme, stencil, theta, phi, blocks)
-    q_active = symbols.evaluate(ks)
-    n = blocks.c_zero.shape[0]
-    q = np.zeros((q_active.shape[0], scheme.d, n, n), dtype=complex)
-    q[:, symbols.active] = q_active
-    return q
-
-
 def direction_symbols(
     scheme: SchemeConfig,
     stencil: StretchedStencil,
     probe: WaveProbe,
-    blocks: FrBlocks,
 ) -> tuple[np.ndarray, ...]:
-    """The d symbols Q_m for one probe: one row of :func:`direction_symbol_batch`."""
-    q = direction_symbol_batch(scheme, stencil, probe.theta, probe.phi, [probe.k], blocks)
-    return tuple(q[0])
+    """The d symbols Q_m for one probe, from the scheme's own blocks.
+
+    One evaluation of :class:`DirectionSymbols`, with the same formula and
+    checks; a direction with a_m = 0 gives an exactly zero Q_m.
+    """
+    symbols = DirectionSymbols(scheme, stencil, probe.theta, probe.phi)
+    n = scheme.p + 1
+    q = np.zeros((scheme.d, n, n), dtype=complex)
+    q[symbols.active] = symbols.evaluate([probe.k])[0]
+    return tuple(q)
 
 
 def assemble_symbol(
     scheme: SchemeConfig,
     stencil: StretchedStencil,
     probe: WaveProbe,
-    blocks: FrBlocks,
 ) -> SemiDiscreteSymbol:
     """Assemble the dense Q for one (k, theta, phi) on the given stencil.
 
     Q is the Kronecker sum of the per-direction symbols of
     :func:`direction_symbols`, each tensor-lifted to act along its own
-    direction on the flattened (p+1)^d vector.
+    direction on the flattened (p+1)^d vector. The coupling blocks come
+    from the scheme (:func:`build_blocks`, built once per scheme).
     """
     q = sum(
         lift_to_dimension(q_m, m, scheme.d)
-        for m, q_m in enumerate(direction_symbols(scheme, stencil, probe, blocks))
+        for m, q_m in enumerate(direction_symbols(scheme, stencil, probe))
     )
     return SemiDiscreteSymbol(Q=q, probe=probe, stencil=stencil, scheme=scheme)
 
@@ -322,10 +316,7 @@ def symbol_for(
     scheme: SchemeConfig,
     stencil: StretchedStencil,
     probe: WaveProbe,
-    ops: BasisOperators | None = None,
-    blocks: FrBlocks | None = None,
 ) -> SemiDiscreteSymbol:
-    """Convenience wrapper building operators and blocks when not supplied."""
-    if blocks is None:
-        blocks = build_blocks(scheme, ops if ops is not None else operators_for(scheme))
-    return assemble_symbol(scheme, stencil, probe, blocks)
+    """The dense Q of one probe: :func:`assemble_symbol`, whose blocks are
+    the scheme's own (built once per scheme)."""
+    return assemble_symbol(scheme, stencil, probe)

@@ -22,9 +22,7 @@ from .operator import (
     SemiDiscreteSymbol,
     StretchedStencil,
     WaveProbe,
-    build_blocks,
     direction_cosines,
-    operators_for,
 )
 
 KAPPA_ILL_CONDITIONED = 1e8
@@ -410,8 +408,7 @@ def factored_sweep(
     lead = _anchor_ladder(k_hat[0])
     ks = np.concatenate((lead, k_hat)) / factor
     n_lead = lead.size
-    blocks = build_blocks(scheme, operators_for(scheme))
-    symbols = DirectionSymbols(scheme, stencil, theta, phi, blocks)
+    symbols = DirectionSymbols(scheme, stencil, theta, phi)
     lam, kappa = factored_spectra(symbols, ks, with_kappa=True)
     modes = frequencies(ks, lam)
     physical = physical_mode_select(modes, ks)

@@ -25,8 +25,6 @@ from .operator import (
     SchemeConfig,
     SemiDiscreteSymbol,
     StretchedStencil,
-    build_blocks,
-    operators_for,
 )
 from .spectrum import (
     KAPPA_ILL_CONDITIONED,
@@ -195,9 +193,7 @@ def cfl_limit(
     if isinstance(nk, bool) or not isinstance(nk, (int, np.integer)) or nk < 1:
         raise ValueError(f"nk must be an integer >= 1, got {nk!r}")
     theta, phi = probe_angles if isinstance(probe_angles, tuple) else (probe_angles, 0.0)
-    symbols = DirectionSymbols(
-        scheme, stencil, theta, phi, build_blocks(scheme, operators_for(scheme))
-    )
+    symbols = DirectionSymbols(scheme, stencil, theta, phi)
     k_nq = nyquist_wavenumber(theta, phi, stencil, scheme.p)
     ks = np.linspace(0.0, k_nq, nk + 1)[1:]
     lam_grid = factored_spectra(symbols, ks)[0]

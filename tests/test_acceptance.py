@@ -33,13 +33,12 @@ def eigen_sweep_worst(alpha, reducer):
         angles = [0.0] if d == 1 else np.linspace(0.0, np.pi / 2, 8)
         for p in range(1, 6):
             scheme = fr.SchemeConfig(p, fr.CorrectionFamily.huynh_g2(p), alpha, d)
-            blocks = fr.build_blocks(scheme, fr.operators_for(scheme))
             for theta in angles:
                 k_nq = nyquist_wavenumber(theta, 0.0, stencil, p)
                 for k in np.linspace(k_nq / 64, k_nq, 64):
                     probe = fr.WaveProbe(k=k, theta=theta)
                     lam = np.linalg.eigvals(
-                        fr.assemble_symbol(scheme, stencil, probe, blocks).Q
+                        fr.assemble_symbol(scheme, stencil, probe).Q
                     )
                     worst = max(worst, reducer(lam))
     return worst

@@ -187,6 +187,7 @@ class TestGrids:
         grid = PeriodicGrid.uniform((8,), 0.5)
         assert grid.extent == (4.0,)
         assert grid.cells_per_dir == (8,)
+        assert PeriodicGrid.uniform(8.0).cells_per_dir == (8,)  # an integral float is a count
 
     def test_mirrored_geometric_closes(self):
         grid = PeriodicGrid.mirrored_geometric(10, 1.3)
@@ -199,6 +200,29 @@ class TestGrids:
     def test_minimum_cells(self):
         with pytest.raises(ValueError):
             PeriodicGrid.uniform((3,))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PeriodicGrid.mirrored_geometric(8, np.nan),
+            lambda: PeriodicGrid.explicit([1.0, np.inf, 1.0, 1.0]),
+            lambda: PeriodicGrid.uniform([8, 8], [1.0, np.nan]),
+        ],
+        ids=["mirrored-nan-gamma", "explicit-inf-width", "uniform-nan-delta"],
+    )
+    def test_non_finite_widths_rejected(self, build):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            build()
+
+    @pytest.mark.parametrize("cells", [8.5, (8, 6.5), np.nan, np.inf])
+    def test_uniform_needs_integer_cell_counts(self, cells):
+        with pytest.raises(ValueError, match="integers"):
+            PeriodicGrid.uniform(cells)
+
+    @pytest.mark.parametrize("velocity", [(np.nan, 0.5), (1.0, np.inf)])
+    def test_velocity_must_be_finite(self, velocity):
+        with pytest.raises(ValueError, match="finite"):
+            AdvectionProblem(PeriodicGrid.uniform((8, 8)), scheme(2, d=2), velocity)
 
 
 class TestSample:
@@ -576,6 +600,15 @@ class TestMarchInputs:
         for nsteps in (0, -1):
             with pytest.raises(ValueError, match=">= 1"):
                 check_decay_rate(2, "huynh-g2", 1.0, 1, nsteps=nsteps)
+
+    @pytest.mark.parametrize("k_hat", [0.0, -1.0, np.nan, np.inf, np.pi * (1 + 1e-12), 50.0])
+    def test_decay_check_needs_k_hat_in_0_to_pi(self, monkeypatch, k_hat):
+        def solve(*args):
+            raise AssertionError("solved before checking k_hat")
+
+        monkeypatch.setattr(advect, "make_family", solve)
+        with pytest.raises(ValueError, match=r"k_hat must be finite and in \(0, pi\]"):
+            check_decay_rate(2, "huynh-g2", 1.0, 1, k_hat=k_hat)
 
 
 class TestRateChecks:

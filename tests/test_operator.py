@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 from frspectra.basis import CorrectionFamily
 from frspectra.operator import (
     DirectionSymbols,
-    FrBlocks,
     SchemeConfig,
     StretchedStencil,
     WaveProbe,
     assemble_symbol,
     build_blocks,
-    direction_symbol_batch,
     direction_symbols,
     lift_to_dimension,
     operators_for,
@@ -86,7 +84,7 @@ class TestBlocks:
     def test_outer_product_identities(self):
         sch = scheme(3, 0.7)
         ops = operators_for(sch)
-        blocks = build_blocks(sch, ops)
+        blocks = build_blocks(sch)
         assert np.allclose(blocks.c_minus, 0.7 * np.outer(ops.hL, ops.lR), atol=1e-15)
         assert np.allclose(blocks.c_plus, 0.3 * np.outer(ops.hR, ops.lL), atol=1e-15)
         expected_zero = (
@@ -96,7 +94,7 @@ class TestBlocks:
 
     def test_upwind_kills_downwind_block(self):
         sch = scheme(4, 1.0)
-        blocks = build_blocks(sch, operators_for(sch))
+        blocks = build_blocks(sch)
         assert np.all(blocks.c_plus == 0.0)
 
     @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
@@ -104,7 +102,7 @@ class TestBlocks:
     def test_row_sum_identity(self, p, alpha):
         fam = CorrectionFamily.dg(p)
         sch = SchemeConfig(p, fam, alpha, 1)
-        blocks = build_blocks(sch, operators_for(sch))
+        blocks = build_blocks(sch)
         total = blocks.c_minus + blocks.c_zero + blocks.c_plus
         assert np.abs(total @ np.ones(p + 1)).max() < 1e-12
 
@@ -116,6 +114,19 @@ class TestBlocks:
             sym = symbol_for(sch, stencil, WaveProbe(k=k))
             expected = -(1.0 - np.exp(-1j * k * delta)) / delta
             assert abs(sym.Q[0, 0] - expected) < 1e-14
+
+    def test_built_once_per_scheme_and_read_only(self):
+        sch = scheme(3, 0.7, 2)
+        ops, blocks = operators_for(sch), build_blocks(sch)
+        assert operators_for(sch) is ops and build_blocks(sch) is blocks
+        twin = scheme(3, 0.7, 2)  # a distinct but value-equal scheme
+        assert twin is not sch
+        assert operators_for(twin) is ops and build_blocks(twin) is blocks
+        arrays = [ops.D, ops.lL, ops.lR, ops.hL, ops.hR,
+                  blocks.c_minus, blocks.c_zero, blocks.c_plus]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
 
 
 class TestSymbol:
@@ -183,18 +194,18 @@ class TestSymbol:
     def test_conjugate_symmetry(self):
         sch = scheme(3, 1.0, 2)
         stencil = StretchedStencil(2, (1.0, 0.8), (1.1, 0.9))
-        blocks = build_blocks(sch, operators_for(sch))
         theta = 0.6
         k = 1.9
-        plus = spectrum_of(symbol_for(sch, stencil, WaveProbe(k=k, theta=theta), blocks=blocks))
-        minus = spectrum_of(symbol_for(sch, stencil, WaveProbe(k=-k, theta=theta), blocks=blocks))
+        plus = spectrum_of(symbol_for(sch, stencil, WaveProbe(k=k, theta=theta)))
+        minus = spectrum_of(symbol_for(sch, stencil, WaveProbe(k=-k, theta=theta)))
         assert np.abs(np.sort_complex(np.conj(plus)) - minus).max() < 1e-12
 
     def test_dimension_mismatch_rejected(self):
-        s2 = scheme(2, 1.0, 2)
-        blocks = build_blocks(s2, operators_for(s2))
-        with pytest.raises(ValueError):
-            symbol_for(scheme(2, 1.0, 1), StretchedStencil.uniform(1), WaveProbe(k=1.0), blocks=blocks)
+        for d_scheme, d_stencil in [(2, 1), (1, 2), (3, 2)]:
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                symbol_for(
+                    scheme(2, 1.0, d_scheme), StretchedStencil.uniform(d_stencil), WaveProbe(k=1.0)
+                )
 
     def test_theta_zero_mandatory_in_1d(self):
         sch = scheme(2, 1.0, 1)
@@ -216,8 +227,9 @@ class TestSymbol:
         assert found
 
 
-def scalar_direction_symbols(scheme, stencil, probe, blocks):
-    """Per-probe, per-direction loop: the oracle for direction_symbol_batch."""
+def scalar_direction_symbols(scheme, stencil, probe):
+    """Per-probe, per-direction loop: the oracle for DirectionSymbols."""
+    blocks = build_blocks(scheme)
     vel = probe.velocity(scheme.d)
     k = probe.k
     out = []
@@ -246,48 +258,40 @@ class TestSymbolBatch:
     def test_batch_equals_scalar_loop_bit_for_bit(self, d, alpha):
         sch = scheme(3, alpha, d)
         stencil = StretchedStencil.stretched(self.GAMMA[:d], (1.0, 0.8, 1.3)[:d])
-        blocks = build_blocks(sch, operators_for(sch))
         for theta, phi in self.ANGLES[d]:
             k_nq = nyquist_wavenumber(theta, phi, stencil, sch.p)
             ks = np.array([0.0, -1.7, 1e-4, 0.9, k_nq * (1 - 1e-12), k_nq, -k_nq])
-            batch = direction_symbol_batch(sch, stencil, theta, phi, ks, blocks)
-            assert batch.shape == (ks.size, d, sch.p + 1, sch.p + 1)
-            symbols = DirectionSymbols(sch, stencil, theta, phi, blocks)  # built once
+            symbols = DirectionSymbols(sch, stencil, theta, phi)  # built once
             active = symbols.active.tolist()
             assert active == [m for m in range(d) if not (theta == np.pi / 2 and m == 0)]
             evaluated = symbols.evaluate(ks)
-            for k, row, row_active in zip(ks, batch, evaluated):
+            assert evaluated.shape == (ks.size, len(active), sch.p + 1, sch.p + 1)
+            for k, row_active in zip(ks, evaluated):
                 probe = WaveProbe(k=k, theta=theta, phi=phi)
-                ref = scalar_direction_symbols(sch, stencil, probe, blocks)
+                ref = scalar_direction_symbols(sch, stencil, probe)
+                row = direction_symbols(sch, stencil, probe)
+                assert len(row) == d
                 assert np.array_equal(row, ref)
                 assert np.array_equal(row_active, [ref[m] for m in active])
                 assert np.array_equal(symbols.evaluate([k])[0], row_active)
-                assert np.array_equal(direction_symbols(sch, stencil, probe, blocks), ref)
                 dense = sum(lift_to_dimension(q_m, m, d) for m, q_m in enumerate(ref))
-                assert np.array_equal(assemble_symbol(sch, stencil, probe, blocks).Q, dense)
+                assert np.array_equal(assemble_symbol(sch, stencil, probe).Q, dense)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_wavenumber_in_batch_rejected(self, bad):
-        sch = scheme(2, 1.0, 2)
-        blocks = build_blocks(sch, operators_for(sch))
+        symbols = DirectionSymbols(scheme(2, 1.0, 2), StretchedStencil.uniform(2), 0.3, 0.0)
         with pytest.raises(ValueError, match="finite"):
-            direction_symbol_batch(
-                sch, StretchedStencil.uniform(2), 0.3, 0.0, np.array([0.5, bad, 1.0]), blocks
-            )
+            symbols.evaluate(np.array([0.5, bad, 1.0]))
 
     def test_non_finite_entries_rejected(self):
-        sch = scheme(2, 1.0, 2)
-        blocks = build_blocks(sch, operators_for(sch))
-        broken = FrBlocks(2, blocks.c_minus, np.full_like(blocks.c_zero, np.inf), blocks.c_plus)
-        with pytest.raises(ValueError, match="non-finite entries"), np.errstate(invalid="ignore"):
-            direction_symbol_batch(
-                sch, StretchedStencil.uniform(2), 0.3, 0.0, np.array([1.0]), broken
-            )
+        # a finite but subnormal spacing makes the metric factor 2/(delta*gamma) overflow
+        stencil = StretchedStencil(2, (1, 1), (1e-310, 1))
+        with pytest.raises(ValueError, match="non-finite entries"), np.errstate(all="ignore"):
+            DirectionSymbols(scheme(2, 1.0, 2), stencil, 0.3, 0.0).evaluate(np.array([1.0]))
 
     def test_batch_keeps_probe_angle_checks(self):
         sch = scheme(2, 1.0, 2)
-        blocks = build_blocks(sch, operators_for(sch))
         stencil = StretchedStencil.uniform(2)
         for theta, phi in [(2.0, 0.0), (-0.1, 0.0), (0.3, 0.2)]:
             with pytest.raises(ValueError):
-                direction_symbol_batch(sch, stencil, theta, phi, np.array([1.0]), blocks)
+                DirectionSymbols(sch, stencil, theta, phi)

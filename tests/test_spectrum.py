@@ -11,9 +11,7 @@ from frspectra.operator import (
     StretchedStencil,
     WaveProbe,
     assemble_symbol,
-    build_blocks,
     direction_symbols,
-    operators_for,
     symbol_for,
 )
 from frspectra.spectrum import (
@@ -401,9 +399,8 @@ def dense_sweep_omega_hat(sch, stencil, theta, phi, k_hat):
     factor = normalization_factor(theta, phi, stencil, sch.p)
     lead = _anchor_ladder(k_hat[0])
     ks = np.concatenate((lead, k_hat)) / factor
-    blocks = build_blocks(sch, operators_for(sch))
     modes = [
-        analyze(assemble_symbol(sch, stencil, WaveProbe(k=k, theta=theta, phi=phi), blocks)).modes
+        analyze(assemble_symbol(sch, stencil, WaveProbe(k=k, theta=theta, phi=phi))).modes
         for k in ks
     ]
     tracked = track_branches(modes)
@@ -420,26 +417,24 @@ class TestFactoredSpectra:
         sch = scheme(2, 0.8, 3)
         stencil = self.stretched(3)
         probe = WaveProbe(k=1.7, theta=0.5, phi=0.4)
-        blocks = build_blocks(sch, operators_for(sch))
-        q_x, q_y, q_z = direction_symbols(sch, stencil, probe, blocks)
+        q_x, q_y, q_z = direction_symbols(sch, stencil, probe)
         eye = np.eye(3)
         lifted = (
             np.kron(eye, np.kron(eye, q_x))
             + np.kron(eye, np.kron(q_y, eye))
             + np.kron(q_z, np.kron(eye, eye))
         )
-        assert np.abs(assemble_symbol(sch, stencil, probe, blocks).Q - lifted).max() < 1e-14
+        assert np.abs(assemble_symbol(sch, stencil, probe).Q - lifted).max() < 1e-14
 
     @pytest.mark.parametrize("d, theta, phi", [(2, 0.6, 0.0), (3, 0.5, 0.4), (3, 0.0, 0.7)])
     def test_eigenvalues_match_dense(self, d, theta, phi):
         sch = scheme(3, 1.0, d)
         stencil = self.stretched(d)
-        blocks = build_blocks(sch, operators_for(sch))
         ks = np.array([0.3, 1.9, 4.2])
-        lam, _ = factored_spectra(DirectionSymbols(sch, stencil, theta, phi, blocks), ks)
+        lam, _ = factored_spectra(DirectionSymbols(sch, stencil, theta, phi), ks)
         for k, factored in zip(ks, lam):
             probe = WaveProbe(k=k, theta=theta, phi=phi)
-            dense = np.linalg.eigvals(assemble_symbol(sch, stencil, probe, blocks).Q)
+            dense = np.linalg.eigvals(assemble_symbol(sch, stencil, probe).Q)
             aligned = factored[_match_to_previous(dense, factored)]
             assert np.abs(aligned - dense).max() < 1e-12 * np.abs(dense).max()
 
@@ -447,11 +442,10 @@ class TestFactoredSpectra:
     def test_kappa_is_product_of_direction_values(self, d):
         sch = scheme(3, 1.0, d)
         stencil = self.stretched(d)
-        blocks = build_blocks(sch, operators_for(sch))
         theta, phi, k = 0.6, (0.4 if d == 3 else 0.0), 2.3
-        dense = analyze(assemble_symbol(sch, stencil, WaveProbe(k=k, theta=theta, phi=phi), blocks))
+        dense = analyze(assemble_symbol(sch, stencil, WaveProbe(k=k, theta=theta, phi=phi)))
         assert not dense.degenerate
-        symbols = DirectionSymbols(sch, stencil, theta, phi, blocks)
+        symbols = DirectionSymbols(sch, stencil, theta, phi)
         _, kappa = factored_spectra(symbols, np.array([k]), True)
         assert abs(kappa[0] - dense.kappa) < 1e-8 * dense.kappa
 

@@ -12,8 +12,6 @@ from frspectra.operator import (
     StretchedStencil,
     WaveProbe,
     assemble_symbol,
-    build_blocks,
-    operators_for,
     symbol_for,
 )
 from frspectra.spectrum import (
@@ -71,8 +69,7 @@ def reference_cfl_limit(scheme, stencil, probe_angles, rk, nk=257, rel_tol=1e-4)
     which refines only when the k grid cannot decide a step.
     """
     theta, phi = probe_angles if isinstance(probe_angles, tuple) else (probe_angles, 0.0)
-    blocks = build_blocks(scheme, operators_for(scheme))
-    symbols = DirectionSymbols(scheme, stencil, theta, phi, blocks)
+    symbols = DirectionSymbols(scheme, stencil, theta, phi)
     k_nq = nyquist_wavenumber(theta, phi, stencil, scheme.p)
     ks = np.linspace(0.0, k_nq, nk + 1)[1:]
     lam_grid = factored_spectra(symbols, ks)[0]
@@ -290,9 +287,9 @@ class TestCflLimit:
                 symbols.scheme, symbols.stencil, symbols.theta, symbols.phi
             )
             return np.array([
-                np.linalg.eigvals(assemble_symbol(
-                    scheme, stencil, WaveProbe(k=k, theta=theta, phi=phi), symbols.blocks
-                ).Q)
+                np.linalg.eigvals(
+                    assemble_symbol(scheme, stencil, WaveProbe(k=k, theta=theta, phi=phi)).Q
+                )
                 for k in ks
             ]), None
 
