@@ -288,11 +288,10 @@ class AdvectionProblem:
         return left @ y.reshape(len(x), left.shape[1], -1)
 
     def step(self, state: FieldState, rk: RkScheme, tau: float) -> FieldState:
-        """One explicit RK step, R(tau L) applied to the state (see
-        :meth:`_rk_update`); converts the state once each way."""
-        _check_step(tau)
-        x = self._apply_update(self._to_grid(state.values), self._rk_update(rk, tau))
-        return FieldState(values=self._from_grid(x), time=state.time + tau)
+        """One explicit RK step, R(tau L) applied to the state: a march of one
+        step (:meth:`_march`), so it raises :class:`DivergenceError` as the
+        march does."""
+        return self._march(state, rk, tau, 1)[0]
 
     def _march(
         self, state: FieldState, rk: RkScheme, tau: float, nsteps: int
@@ -509,6 +508,8 @@ def check_decay_rate(
         raise ValueError(f"number of steps must be >= 1, got {nsteps}")
     if not (isfinite(k_hat) and 0 < k_hat <= pi):  # above pi the wave aliases
         raise ValueError(f"k_hat must be finite and in (0, pi], got {k_hat}")
+    if not (isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     family = make_family(family_kind, p, iota)
     scheme = SchemeConfig(p, family, alpha, d)
     provisional = StretchedStencil.uniform(d)

@@ -332,6 +332,8 @@ def _run_cfl(args):
 
 def _run_combos(worker, combos, row_columns, args):
     """Emit every combo's rows, in combo order; exit code 2 if any row failed."""
+    if args.threads < 1:
+        raise UserInputError(f"--threads: must be >= 1, got {args.threads}")
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             nested = list(pool.map(worker, combos))

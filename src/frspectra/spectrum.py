@@ -198,13 +198,28 @@ def _match_to_previous(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
     scans the pairs (i, j), i < j, in lexicographic order and swaps a pair
     whenever that lowers its cost by more than 1e-15; passes repeat until
     one makes no swap. Between swaps nothing changes, so each step jumps
-    to the first improving pair after the last swap, found over the whole
-    matrix.
+    to the first improving pair after the last swap.
 
     Row-wise nearest columns that are all distinct are that answer: greedy
     gives each row i its first minimum own_i, and no swap follows, since
     dist[i, perm[j]] >= own_i, dist[j, perm[i]] >= own_j and rounded addition
     is monotone, so no swapped cost falls below own_i + own_j - 1e-15.
+
+    When a row's nearest column is already taken, greedy gives it the
+    first minimum of dist[i] + taken, where taken is 0 on a free column and
+    +inf on a taken one. For finite distances that has the values, hence
+    the first minimum, of dist[i] with the taken columns set to +inf.
+
+    The repair tests every pair once, into an upper-triangular boolean
+    matrix whose entry (a, b) is dist[a, perm[b]] + dist[b, perm[a]] <
+    own_a + own_b - 1e-15, own_a = dist[a, perm[a]]. An entry reads perm
+    and own only at a and b, so a swap of (i, j) changes only rows and
+    columns i and j. Those are recomputed from one 2 x n expression whose
+    row r, entry c, tests the pair {r, c}: it is written to row r right of
+    the diagonal and to column r above it. A column entry (c, r) adds the
+    same two terms as the full test, in the other order, and IEEE
+    addition commutes, so every entry has the bits of a recompute of the
+    whole matrix; the swaps, hence the permutation, are the same.
     """
     n = prev.size
     dist = np.abs(prev[:, None] - cur[None, :])
@@ -213,25 +228,34 @@ def _match_to_previous(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
     if len(set(columns)) == n:
         return nearest
     perm = np.full(n, -1)
-    used = np.zeros(n, dtype=bool)
+    taken = np.zeros(n)  # 0 for a free column, +inf for a taken one
     for i in np.argsort(dist.min(axis=1)).tolist():
-        j = columns[i]  # the first minimum stays first among unused columns
-        if used[j]:
-            j = int(np.argmin(np.where(used, np.inf, dist[i])))
+        j = columns[i]  # the first minimum stays first among free columns
+        if taken[j]:
+            j = int((dist[i] + taken).argmin())
         perm[i] = j
-        used[j] = True
+        taken[j] = np.inf
     rows = np.arange(n)
-    upper = rows[:, None] < rows[None, :]
+    own = dist[rows, perm]
+    crossed = dist[:, perm]
+    improves = crossed + crossed.T < own[:, None] + own[None, :] - 1e-15
+    improves &= rows[:, None] < rows[None, :]
+    flat = improves.ravel()  # a view, so it sees every update below
     last, swapped = -1, False  # flat index of the last swap in this pass
     while True:
-        own = dist[rows, perm]
-        crossed = dist[:, perm]
-        improves = crossed + crossed.T < own[:, None] + own[None, :] - 1e-15
-        hits = np.flatnonzero((improves & upper).ravel()[last + 1:])
-        if hits.size:
-            last += 1 + int(hits[0])
+        tail = flat[last + 1:]
+        hit = int(tail.argmax())
+        if tail[hit]:
+            last += 1 + hit
             i, j = divmod(last, n)
-            perm[i], perm[j] = perm[j], perm[i]
+            pair = [i, j]
+            perm[pair] = perm[j], perm[i]
+            gathered = dist[pair][:, perm]
+            own[i], own[j] = gathered[0, i], gathered[1, j]
+            fresh = gathered + dist.T[perm[pair]] < own[pair, None] + own - 1e-15
+            for r, row in zip(pair, fresh):
+                improves[r, r + 1:] = row[r + 1:]
+                improves[:r, r] = row[:r]
             swapped = True
         elif swapped:
             last, swapped = -1, False

@@ -512,6 +512,18 @@ class TestGridMarch:
                     march(state, RK44, tau, 3)
             assert info.value.step_index == 1
 
+    @pytest.mark.parametrize("grid", [PeriodicGrid.uniform((8,)), PeriodicGrid.uniform((8, 8))],
+                             ids=["1d", "2d"])
+    def test_step_overflow_diverges_at_step_1_without_warning(self, grid):
+        # a single step is a march of one step and reports overflow the same way
+        problem = march_problem(grid, 2)
+        state = FieldState(1e300 * random_state(grid, 2, seed=5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as info:
+                problem.step(state, RK44, 1e3)
+        assert info.value.step_index == 1
+
     @pytest.mark.parametrize("grid", MARCH_GRIDS, ids=MARCH_IDS)
     def test_real_state_stays_real(self, grid):
         problem = march_problem(grid, 3)
@@ -609,6 +621,15 @@ class TestMarchInputs:
         monkeypatch.setattr(advect, "make_family", solve)
         with pytest.raises(ValueError, match=r"k_hat must be finite and in \(0, pi\]"):
             check_decay_rate(2, "huynh-g2", 1.0, 1, k_hat=k_hat)
+
+    @pytest.mark.parametrize("tol", [np.nan, -1e-6, 0.0, np.inf])
+    def test_decay_check_needs_finite_positive_tol(self, monkeypatch, tol):
+        def solve(*args):
+            raise AssertionError("solved before checking tol")
+
+        monkeypatch.setattr(advect, "make_family", solve)
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            check_decay_rate(2, "huynh-g2", 1.0, 1, tol=tol)
 
 
 class TestRateChecks:

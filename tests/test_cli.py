@@ -117,6 +117,10 @@ class TestUserErrors:
             ["dispersion", "--p", "0"],
             ["cfl", "--p", "0:2:1"],
             ["fully-discrete", "--tau", "0.1", "--p", "-1"],
+            ["dispersion", "--d", "1", "--threads", "0"],
+            ["cfl", "--d", "1", "--threads", "-1"],
+            ["fully-discrete", "--d", "1", "--tau", "0.1", "--threads", "0"],
+            ["condition", "--d", "1", "--threads", "-1"],
         ],
         ids=lambda argv: " ".join(argv),
     )

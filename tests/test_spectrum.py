@@ -1,9 +1,12 @@
 """Eigenanalysis tests: consistency, branch tracking, normalization, kappa."""
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frspectra import spectrum
 from frspectra.basis import CorrectionFamily
 from frspectra.operator import (
     DirectionSymbols,
@@ -329,8 +332,9 @@ class TestScaleInvariance:
         assert np.abs(scaled.kappa - base.kappa).max() < 1e-8 * np.abs(base.kappa).max()
 
 
-def reference_match(prev, cur):
-    """Scalar greedy-plus-swap matcher: the oracle for _match_to_previous."""
+def reference_greedy(prev, cur):
+    """Greedy stage of reference_match: rows in order of their nearest
+    distance take their nearest free column."""
     n = prev.size
     dist = np.abs(prev[:, None] - cur[None, :])
     perm = np.full(n, -1)
@@ -339,6 +343,14 @@ def reference_match(prev, cur):
         j = int(np.argmin(np.where(used, np.inf, dist[i])))
         perm[i] = j
         used[j] = True
+    return perm
+
+
+def reference_match(prev, cur):
+    """Scalar greedy-plus-swap matcher: the oracle for _match_to_previous."""
+    n = prev.size
+    dist = np.abs(prev[:, None] - cur[None, :])
+    perm = reference_greedy(prev, cur)
     improved = True
     while improved:
         improved = False
@@ -352,6 +364,36 @@ def reference_match(prev, cur):
     return perm
 
 
+def reference_track(mode_sets):
+    """track_branches built step by step on reference_match."""
+    tracked = [mode_sets[0]]
+    for cur in mode_sets[1:]:
+        tracked.append(cur[reference_match(tracked[-1], cur)])
+    return np.array(tracked)
+
+
+def matcher_case(n, copies, drift, coarse, seed, ulps=0.0):
+    """prev holds n values, each of ceil(n / copies) random values repeated
+    ``copies`` times, as the Kronecker sum does for a direction with
+    a_m = 0; cur moves every value by ``drift`` times a normal deviate and
+    shuffles them. ``coarse`` rounds to a 0.1 grid, which makes many
+    distances tie exactly; ``ulps`` then moves each value of cur by up to
+    4 * ulps per part, so that swaps gain amounts near the 1e-15 margin."""
+    rng = np.random.default_rng(seed)
+    m = -(-n // copies)
+    base = rng.normal(size=m) + 1j * rng.normal(size=m)
+    moved = base + drift * (rng.normal(size=m) + 1j * rng.normal(size=m))
+    if coarse:
+        base, moved = np.round(base, 1), np.round(moved, 1)
+    prev, cur = np.repeat(base, copies)[:n], rng.permutation(np.repeat(moved, copies)[:n])
+    if ulps:
+        cur = cur + ulps * (rng.integers(-4, 5, n) + 1j * rng.integers(-4, 5, n))
+    return prev, cur
+
+
+SWAP_HEAVY = [(n, copies, drift) for n in (16, 64) for copies in (4, 16) for drift in (1e-3, 0.1)]
+
+
 class TestMatcher:
     def test_swap_repair_beats_greedy(self):
         # greedy gives 0.6 to the row at 1.0 (its nearest), leaving 1.7 for
@@ -362,36 +404,86 @@ class TestMatcher:
         assert list(reference_match(prev, cur)) == [0, 1]
 
     @given(
-        path=st.sampled_from(["early_exit", "greedy_repair", "any"]),
+        path=st.sampled_from(["early_exit", "greedy_repair", "swap_heavy", "near_tie", "any"]),
         n=st.integers(1, 70),
         copies=st.integers(1, 4),
         drift=st.sampled_from([1e-9, 1e-3, 0.1, 1.0, 5.0]),
+        heavy=st.sampled_from(SWAP_HEAVY),
         coarse=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=240, deadline=None)
-    def test_same_permutation_as_scalar_reference(self, path, n, copies, drift, coarse, seed):
-        # copies > 1 repeats every value exactly, as the Kronecker sum does
-        # for a direction with a_m = 0; coarse rounds to a 0.1 grid, which
-        # makes many distances tie exactly. "early_exit" cases move distinct
-        # values by at most 5e-9, so every row keeps its own nearest column;
-        # in "greedy_repair" cases repeated rows share one nearest column
+    def test_same_permutation_as_scalar_reference(
+        self, path, n, copies, drift, heavy, coarse, seed
+    ):
+        # "early_exit" cases move distinct values by at most 5e-9, so every
+        # row keeps its own nearest column; in "greedy_repair" cases repeated
+        # rows share one nearest column; "swap_heavy" cases are those of
+        # test_swap_heavy_cases_make_the_repair_swap; "near_tie" cases are
+        # those of test_near_tie_cases_respect_the_margin
+        ulps = 0.0
         if path == "early_exit":
             copies, coarse, drift = 1, False, drift * 1e-9
         elif path == "greedy_repair":
             n, copies = max(n, 2), max(copies, 2)
-        rng = np.random.default_rng(seed)
-        m = -(-n // copies)
-        base = rng.normal(size=m) + 1j * rng.normal(size=m)
-        moved = base + drift * (rng.normal(size=m) + 1j * rng.normal(size=m))
-        if coarse:
-            base, moved = np.round(base, 1), np.round(moved, 1)
-        prev = np.repeat(base, copies)[:n]
-        cur = rng.permutation(np.repeat(moved, copies)[:n])
+        elif path == "swap_heavy":
+            n, copies, drift = heavy
+        elif path == "near_tie":
+            n, copies, drift, coarse, ulps = max(n, 8), 2, 0.1, True, 1e-15
+        prev, cur = matcher_case(n, copies, drift, coarse, seed, ulps)
         nearest = np.abs(prev[:, None] - cur[None, :]).argmin(axis=1)
-        if path != "any":
+        if path in ("early_exit", "greedy_repair"):
             assert (np.unique(nearest).size == n) == (path == "early_exit")
         assert np.array_equal(_match_to_previous(prev, cur), reference_match(prev, cur))
+
+    def test_swap_heavy_cases_make_the_repair_swap(self):
+        # the swap_heavy family above reaches the swap repair, not only the
+        # greedy pass: some of its cases end away from the greedy permutation
+        swapped = 0
+        for (n, copies, drift), coarse, seed in product(SWAP_HEAVY, (False, True), range(10)):
+            prev, cur = matcher_case(n, copies, drift, coarse, seed)
+            perm = _match_to_previous(prev, cur)
+            assert np.array_equal(perm, reference_match(prev, cur))
+            swapped += not np.array_equal(perm, reference_greedy(prev, cur))
+        assert swapped > 0
+
+    def test_near_tie_cases_respect_the_margin(self):
+        # costs a few 1e-15 apart: a swap counts only when it gains more than
+        # 1e-15, in the first test of every pair and in each retest after a swap
+        for seed in range(60):
+            prev, cur = matcher_case(24, 2, 0.1, True, seed, ulps=1e-15)
+            assert np.array_equal(_match_to_previous(prev, cur), reference_match(prev, cur))
+
+    @pytest.mark.parametrize("phi_deg", [0, 15, 75, 90])
+    def test_tracks_3d_sweep_as_scalar_reference(self, monkeypatch, phi_deg):
+        # the sorted 64-mode sets that dispersion_sweep tracks at d = 3, p = 3,
+        # theta = 30 deg: exact multiplicities at 0 and 90 deg, and the rows
+        # where the tracker hops branches at 15 and 75 deg
+        mode_sets = []
+
+        def recording(sets):
+            mode_sets.append(np.array(sets))
+            return track_branches(sets)
+
+        monkeypatch.setattr(spectrum, "track_branches", recording)
+        dispersion_sweep(
+            scheme(3, d=3), StretchedStencil.uniform(3), np.radians(30), np.radians(phi_deg)
+        )
+        (sets,) = mode_sets
+        assert sets.shape[1] == 64
+        assert np.array_equal(track_branches(sets), reference_track(sets))
+
+    def test_never_writes_to_its_input(self):
+        rng = np.random.default_rng(3)
+        sets = [matcher_case(64, 4, 0.1, False, seed)[1] for seed in range(6)]
+        for mode_sets in (sets, np.array(sets)):
+            before = [row.tobytes() for row in mode_sets]
+            track_branches(mode_sets)
+            assert [row.tobytes() for row in mode_sets] == before
+        prev, cur = sets[0], rng.permutation(sets[0])
+        before = prev.tobytes(), cur.tobytes()
+        _match_to_previous(prev, cur)
+        assert (prev.tobytes(), cur.tobytes()) == before
 
 
 def dense_sweep_omega_hat(sch, stencil, theta, phi, k_hat):
