@@ -220,6 +220,12 @@ def _match_to_previous(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
     same two terms as the full test, in the other order, and IEEE
     addition commutes, so every entry has the bits of a recompute of the
     whole matrix; the swaps, hence the permutation, are the same.
+
+    Rows and columns are addressed by position: ``take`` on an index
+    array, on dist and on a contiguous copy of dist.T made once per call,
+    and scalar writes to perm and own. A gather copies elements and does no
+    arithmetic, so every operand is the one list indexing would give, and
+    every sum and comparison runs in the same order on the same bits.
     """
     n = prev.size
     dist = np.abs(prev[:, None] - cur[None, :])
@@ -227,20 +233,24 @@ def _match_to_previous(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
     columns = nearest.tolist()
     if len(set(columns)) == n:
         return nearest
+    rows = np.arange(n)
     perm = np.full(n, -1)
+    free = [True] * n
     taken = np.zeros(n)  # 0 for a free column, +inf for a taken one
-    for i in np.argsort(dist.min(axis=1)).tolist():
+    for i in np.argsort(dist[rows, nearest]).tolist():  # the row minima
         j = columns[i]  # the first minimum stays first among free columns
-        if taken[j]:
+        if not free[j]:
             j = int((dist[i] + taken).argmin())
         perm[i] = j
+        free[j] = False
         taken[j] = np.inf
-    rows = np.arange(n)
     own = dist[rows, perm]
-    crossed = dist[:, perm]
+    crossed = dist.take(perm, 1)
     improves = crossed + crossed.T < own[:, None] + own[None, :] - 1e-15
     improves &= rows[:, None] < rows[None, :]
     flat = improves.ravel()  # a view, so it sees every update below
+    dist_t = np.ascontiguousarray(dist.T)
+    pair = np.empty(2, dtype=int)
     last, swapped = -1, False  # flat index of the last swap in this pass
     while True:
         tail = flat[last + 1:]
@@ -248,12 +258,13 @@ def _match_to_previous(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
         if tail[hit]:
             last += 1 + hit
             i, j = divmod(last, n)
-            pair = [i, j]
-            perm[pair] = perm[j], perm[i]
-            gathered = dist[pair][:, perm]
+            pair[0], pair[1] = i, j
+            perm[i], perm[j] = perm[j], perm[i]
+            gathered = dist.take(pair, 0).take(perm, 1)
             own[i], own[j] = gathered[0, i], gathered[1, j]
-            fresh = gathered + dist.T[perm[pair]] < own[pair, None] + own - 1e-15
-            for r, row in zip(pair, fresh):
+            crossing = dist_t.take(perm.take(pair), 0)
+            fresh = gathered + crossing < own.take(pair)[:, None] + own - 1e-15
+            for r, row in zip((i, j), fresh):
                 improves[r, r + 1:] = row[r + 1:]
                 improves[:r, r] = row[:r]
             swapped = True
@@ -263,18 +274,73 @@ def _match_to_previous(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
             return perm
 
 
+def _settled_by_copies(dist: np.ndarray, nearest: np.ndarray, cur: np.ndarray) -> bool:
+    """Whether the copy exit of :func:`track_branches` settles a contested step.
+
+    ``dist`` and ``nearest`` are the step's distances and row-wise first
+    minima. ``ties`` marks each row's minimum-distance columns and
+    ``copies`` the columns with the bits of its nearest value. A copy has
+    the distance of the column it copies, so ``copies`` lies within
+    ``ties``, and condition (a) is their equality. Under (a) the rows tied
+    at a column are the rows whose nearest value it copies, so (b)
+    compares the column and row counts of ``ties``. Values that are all
+    distinct as numbers, hence in bits, have one copy each, and a nearest
+    column shared by two rows already breaks (b).
+    """
+    n = cur.size
+    if len(set(cur.tolist())) == n:
+        return False
+    ties = dist == dist[np.arange(n), nearest][:, None]
+    re, im = cur.real.view(np.int64), cur.imag.view(np.int64)
+    copies = (re[nearest, None] == re) & (im[nearest, None] == im)
+    return np.array_equal(ties, copies) and bool((ties.sum(0)[nearest] <= ties.sum(1)).all())
+
+
 def track_branches(mode_sets: Sequence[np.ndarray]) -> np.ndarray:
     """Align eigenvalue sets along an ascending k sweep into branches.
 
     Returns an array of shape (n_k, n_modes) whose columns are continuous
     branches, matched between consecutive k samples by minimal total
-    complex distance.
+    complex distance (:func:`_match_to_previous`). ``mode_sets`` must be a
+    non-empty sequence of equal-size sets of finite values; anything else
+    raises ``ValueError``.
+
+    A step whose rows have distinct nearest columns, or whose competing
+    rows all want exact copies of one value, is settled here without the
+    matcher. Let v_r be the nearest value of row r. A copy of a value is
+    a column with the same bits, so -0.0 and +0.0 differ. The copy exit
+    settles row r as v_r when (a) the minimum-distance columns of every
+    row r are exactly the copies of v_r, and (b) no value is v_r for more
+    rows than it has copies. Then the matcher gives every row a copy of
+    its v_r. Greedy takes the row's first minimum, a copy of v_r, while it
+    is free; otherwise its fallback takes the first minimum over free
+    columns, and a copy of v_r is still free: earlier rows took only
+    copies of their own nearest values, and by (b) fewer of them than v_r
+    has copies share v_r. So every row ends at its row minimum, and no
+    swap follows, by the argument of :func:`_match_to_previous` for
+    distinct nearest columns. Whichever copy greedy picked, the row's
+    value has the bits of v_r.
     """
-    tracked = np.empty((len(mode_sets), mode_sets[0].size), dtype=complex)
-    tracked[0] = mode_sets[0]
-    for i in range(1, len(mode_sets)):
-        cur = np.asarray(mode_sets[i])
-        tracked[i] = cur[_match_to_previous(tracked[i - 1], cur)]
+    try:
+        sets = np.asarray(mode_sets, dtype=complex)
+    except ValueError as exc:
+        raise ValueError("mode sets must all have the same size") from exc
+    if sets.ndim != 2 or 0 in sets.shape:
+        raise ValueError(
+            f"mode sets must be a non-empty sequence of non-empty 1D sets, got shape {sets.shape}"
+        )
+    if not np.isfinite(sets).all():
+        raise ValueError("mode sets must be finite")
+    n_k, n = sets.shape
+    tracked = np.empty((n_k, n), dtype=complex)
+    tracked[0] = sets[0]
+    for i in range(1, n_k):
+        prev, cur = tracked[i - 1], sets[i]
+        dist = np.abs(prev[:, None] - cur[None, :])
+        nearest = dist.argmin(axis=1)
+        if len(set(nearest.tolist())) < n and not _settled_by_copies(dist, nearest, cur):
+            nearest = _match_to_previous(prev, cur)
+        tracked[i] = cur[nearest]
     return tracked
 
 

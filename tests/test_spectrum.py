@@ -134,6 +134,21 @@ class TestBranchTracking:
         for col in range(3):
             assert np.abs(np.diff(tracked[:, col])).max() < 0.011
 
+    def test_rejects_an_empty_sequence(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            track_branches([])
+
+    def test_rejects_sets_of_different_sizes(self):
+        with pytest.raises(ValueError, match="same size"):
+            track_branches([[1, 2], [1.1, 2.1, 3.1]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_values(self, bad):
+        # a nan row once came back as [1.2, 1.2] at the next step: 2.2 was
+        # lost, so the rows stopped being permutations of the input
+        with pytest.raises(ValueError, match="finite"):
+            track_branches([[1, 2], [bad, 2.1], [1.2, 2.2]])
+
     def test_p0_single_mode(self):
         sch = SchemeConfig(0, CorrectionFamily.dg(0), 1.0, 1)
         sweep = dispersion_sweep(sch, StretchedStencil.uniform(1), k_hat=np.linspace(0.1, 3.0, 12))
@@ -484,6 +499,117 @@ class TestMatcher:
         before = prev.tobytes(), cur.tobytes()
         _match_to_previous(prev, cur)
         assert (prev.tobytes(), cur.tobytes()) == before
+
+
+COPY_KINDS = ("coarse", "demand", "signed_zero")
+
+
+def copy_steps(n, copies, steps, drift, kind, seed):
+    """steps + 1 mode sets; set t is the cur of matcher_case at drift
+    t * drift, so ceil(n / copies) values move along straight lines, each
+    repeated ``copies`` times and shuffled.
+
+    "coarse" rounds the values to a 0.1 grid, so a value other than a row's
+    nearest often ties exactly at the row's minimum. "demand" moves the
+    upper half of the values (by real part) 10 to the right at odd steps,
+    so their rows find their nearest value among the others and the rows
+    of two values share one nearest value, more rows than it has copies.
+    "signed_zero" keeps the real parts, with an imaginary part of +0.0,
+    or at odd steps +0.0 or -0.0 at random, so copies equal as numbers
+    differ in their bits.
+    """
+    rng = np.random.default_rng(seed)
+    sets = []
+    for t in range(steps + 1):
+        cur = matcher_case(n, copies, t * drift, kind == "coarse", seed)[1]
+        if kind == "demand" and t % 2:
+            cur = cur + 10.0 * (cur.real > np.median(cur.real))
+        elif kind == "signed_zero":
+            cur = cur.real.astype(complex)
+            cur.imag = np.where(rng.random(n) < 0.5 * (t % 2), -0.0, 0.0)
+        sets.append(cur)
+    return sets
+
+
+def copy_step_kinds(prev, cur):
+    """Which way a contested step departs from being settled by copies,
+    from the definitions in track_branches: "settled", "tie" (a row's
+    minimum columns hold more than the bit copies of its nearest value),
+    "sign" (those extra columns are equal to that value as numbers) or
+    "demand" (a value is nearest for more rows than it has copies)."""
+    dist = np.abs(prev[:, None] - cur[None, :])
+    nearest = dist.argmin(axis=1)
+    if np.unique(nearest).size == cur.size:
+        return set()
+    bits = cur.view(np.int64).reshape(-1, 2)
+    copies = (bits[nearest][:, None] == bits[None]).all(axis=-1)
+    ties = dist == dist.min(axis=1)[:, None]
+    if not np.array_equal(ties, copies):
+        return {"sign"} if np.array_equal(ties, cur[nearest][:, None] == cur) else {"tie"}
+    demand = copies.sum(axis=0)[nearest]
+    return {"demand"} if np.any(demand > copies.sum(axis=1)) else {"settled"}
+
+
+class TestCopyExit:
+    @given(
+        kind=st.sampled_from(COPY_KINDS),
+        n=st.integers(2, 48),
+        copies=st.sampled_from([2, 4, 16]),
+        steps=st.integers(1, 5),
+        drift=st.sampled_from([1e-3, 0.05, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_tracks_exact_copies_as_scalar_reference(self, kind, n, copies, steps, drift, seed):
+        sets = copy_steps(n, copies, steps, drift, kind, seed)
+        # compare bits, since -0.0 == 0.0
+        got = track_branches(sets).view(np.int64)
+        assert np.array_equal(got, reference_track(sets).view(np.int64))
+
+    def test_copy_families_reach_every_case(self):
+        # the families above hold steps the copy exit settles, and steps it
+        # must leave to the matcher for each of its three conditions
+        seen = {kind: set() for kind in COPY_KINDS}
+        for kind, copies, seed in product(COPY_KINDS, (2, 4, 16), range(4)):
+            sets = copy_steps(32, copies, 4, 0.05, kind, seed)
+            tracked = reference_track(sets)
+            for prev, cur in zip(tracked, sets[1:]):
+                seen[kind] |= copy_step_kinds(prev, cur)
+        assert seen["coarse"] >= {"settled", "tie"}
+        assert seen["demand"] >= {"settled", "demand"}
+        assert seen["signed_zero"] >= {"settled", "sign"}
+
+    @pytest.mark.parametrize(
+        "d, theta_deg, phi_deg, tau, calls",
+        [
+            (2, 0, 0, None, 0),
+            (2, 90, 0, None, 0),
+            (3, 30, 90, None, 0),
+            (2, 0, 0, 0.18, 0),
+            (3, 30, 0, None, 7),
+        ],
+    )
+    def test_matcher_runs_only_where_copies_do_not_settle(
+        self, monkeypatch, d, theta_deg, phi_deg, tau, calls
+    ):
+        # grid-aligned sweeps repeat every mode exactly (a_m = 0 adds a zero
+        # spectrum), so no step needs the matcher; at (30, 0) deg the 16
+        # distinct values also compete, on 7 of the 86 steps
+        reached = []
+        match = spectrum._match_to_previous
+
+        def counting(prev, cur):
+            reached.append(prev.size)
+            return match(prev, cur)
+
+        monkeypatch.setattr(spectrum, "_match_to_previous", counting)
+        sch, stencil = scheme(3, d=d), StretchedStencil.uniform(d)
+        theta, phi = np.radians(theta_deg), np.radians(phi_deg)
+        if tau is None:
+            sweep = dispersion_sweep(sch, stencil, theta, phi)
+        else:
+            sweep = fully_discrete_sweep(sch, stencil, RK44, tau, theta, phi)
+        assert len(sweep.k) == 64 and len(reached) == calls
 
 
 def dense_sweep_omega_hat(sch, stencil, theta, phi, k_hat):
