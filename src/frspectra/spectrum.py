@@ -62,8 +62,8 @@ def normalize_wavenumber(
     k: float, probe: WaveProbe, stencil: StretchedStencil, p: int
 ) -> float:
     """Map a physical wavenumber to k_hat in [0, pi]."""
-    if k < 0:
-        raise ValueError("normalization expects k >= 0")
+    if not (np.isfinite(k) and k >= 0):
+        raise ValueError(f"normalization expects a finite k >= 0, got {k}")
     return k * normalization_factor(probe.theta, probe.phi, stencil, p)
 
 
@@ -274,28 +274,6 @@ def _match_to_previous(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
             return perm
 
 
-def _settled_by_copies(dist: np.ndarray, nearest: np.ndarray, cur: np.ndarray) -> bool:
-    """Whether the copy exit of :func:`track_branches` settles a contested step.
-
-    ``dist`` and ``nearest`` are the step's distances and row-wise first
-    minima. ``ties`` marks each row's minimum-distance columns and
-    ``copies`` the columns with the bits of its nearest value. A copy has
-    the distance of the column it copies, so ``copies`` lies within
-    ``ties``, and condition (a) is their equality. Under (a) the rows tied
-    at a column are the rows whose nearest value it copies, so (b)
-    compares the column and row counts of ``ties``. Values that are all
-    distinct as numbers, hence in bits, have one copy each, and a nearest
-    column shared by two rows already breaks (b).
-    """
-    n = cur.size
-    if len(set(cur.tolist())) == n:
-        return False
-    ties = dist == dist[np.arange(n), nearest][:, None]
-    re, im = cur.real.view(np.int64), cur.imag.view(np.int64)
-    copies = (re[nearest, None] == re) & (im[nearest, None] == im)
-    return np.array_equal(ties, copies) and bool((ties.sum(0)[nearest] <= ties.sum(1)).all())
-
-
 def track_branches(mode_sets: Sequence[np.ndarray]) -> np.ndarray:
     """Align eigenvalue sets along an ascending k sweep into branches.
 
@@ -303,23 +281,8 @@ def track_branches(mode_sets: Sequence[np.ndarray]) -> np.ndarray:
     branches, matched between consecutive k samples by minimal total
     complex distance (:func:`_match_to_previous`). ``mode_sets`` must be a
     non-empty sequence of equal-size sets of finite values; anything else
-    raises ``ValueError``.
-
-    A step whose rows have distinct nearest columns, or whose competing
-    rows all want exact copies of one value, is settled here without the
-    matcher. Let v_r be the nearest value of row r. A copy of a value is
-    a column with the same bits, so -0.0 and +0.0 differ. The copy exit
-    settles row r as v_r when (a) the minimum-distance columns of every
-    row r are exactly the copies of v_r, and (b) no value is v_r for more
-    rows than it has copies. Then the matcher gives every row a copy of
-    its v_r. Greedy takes the row's first minimum, a copy of v_r, while it
-    is free; otherwise its fallback takes the first minimum over free
-    columns, and a copy of v_r is still free: earlier rows took only
-    copies of their own nearest values, and by (b) fewer of them than v_r
-    has copies share v_r. So every row ends at its row minimum, and no
-    swap follows, by the argument of :func:`_match_to_previous` for
-    distinct nearest columns. Whichever copy greedy picked, the row's
-    value has the bits of v_r.
+    raises ``ValueError``. A step whose rows have distinct nearest columns
+    is settled by the matcher's first test, without the greedy pass.
     """
     try:
         sets = np.asarray(mode_sets, dtype=complex)
@@ -331,16 +294,10 @@ def track_branches(mode_sets: Sequence[np.ndarray]) -> np.ndarray:
         )
     if not np.isfinite(sets).all():
         raise ValueError("mode sets must be finite")
-    n_k, n = sets.shape
-    tracked = np.empty((n_k, n), dtype=complex)
+    tracked = np.empty_like(sets)
     tracked[0] = sets[0]
-    for i in range(1, n_k):
-        prev, cur = tracked[i - 1], sets[i]
-        dist = np.abs(prev[:, None] - cur[None, :])
-        nearest = dist.argmin(axis=1)
-        if len(set(nearest.tolist())) < n and not _settled_by_copies(dist, nearest, cur):
-            nearest = _match_to_previous(prev, cur)
-        tracked[i] = cur[nearest]
+    for i in range(1, len(sets)):
+        tracked[i] = sets[i][_match_to_previous(tracked[i - 1], sets[i])]
     return tracked
 
 
@@ -359,10 +316,14 @@ def physical_mode_select(tracked: np.ndarray, k_values: np.ndarray) -> int:
     is the one with omega/k closest to 1 at the smallest k of the sweep.
     A near-tie (:func:`physical_candidates`) between genuinely distinct
     branches is reported rather than silently resolved; exact multiplicity
-    copies (grid-aligned multi-dimensional sweeps repeat the 1D branch)
-    collapse to the lowest index.
+    copies collapse to the lowest index. The factored sweeps hold no copies
+    (:func:`factored_spectra`), but a dense symbol at grid-aligned
+    incidence repeats the 1D branch. The smallest k must be finite and
+    nonzero, else ``ValueError``.
     """
     k0 = k_values[0]
+    if not (np.isfinite(k0) and k0 != 0):
+        raise ValueError(f"the smallest k must be finite and nonzero, got {k0}")
     scores = np.abs(tracked[0] / k0 - 1.0)
     best, *ties = physical_candidates(scores)
     scale = max(1.0, float(np.abs(tracked).max()))
@@ -398,7 +359,7 @@ class ModeSweep:
 
     k: np.ndarray
     k_hat: np.ndarray
-    modes: np.ndarray  # (n_k, n_modes), branch-aligned
+    modes: np.ndarray  # (n_k, (p+1)^#active), branch-aligned; idle directions add none
     physical: int
     kappa: np.ndarray
     scale: float  # omega_hat = omega * scale
@@ -424,26 +385,28 @@ def factored_spectra(
     Kronecker products of theirs (Horn & Johnson, Topics in Matrix
     Analysis, 4.4). The unit-column eigenvector matrix W is then the
     Kronecker product of the 1D ones, and kappa(W) = prod_m kappa(W_m).
-    Only directions the wave moves in (``symbols.active``) are solved; any
-    other direction has Q_m = 0 and contributes exact zeros and the
-    identity basis (kappa_m = 1).
+    Only directions the wave moves in (``symbols.active``) are summed. Any
+    other direction has Q_m = 0: it would only repeat the spectrum of the
+    others p+1 times, with the identity basis (kappa_m = 1), so it is left
+    out.
 
     ``symbols`` is the configuration's
     :class:`~frspectra.operator.DirectionSymbols`, built once by the
     caller, so a call costs one evaluation of its formula at ``ks`` and one
     batched eigensolve for every k, whether there are many or one.
 
-    Returns the eigenvalues, shape (n_k, (p+1)^d) in the order of the
-    lifted basis (xi index fastest), and kappa(W) per k when
-    ``with_kappa`` is set, else None. The dense :func:`analyze` of
-    :func:`~frspectra.operator.assemble_symbol` is the reference.
+    Returns the eigenvalues, shape (n_k, (p+1)^len(active)) in the order
+    of the lifted basis of the active directions (the first fastest), and
+    kappa(W) per k when ``with_kappa`` is set, else None. The dense
+    :func:`analyze` of :func:`~frspectra.operator.assemble_symbol` is the
+    reference.
     """
     lam_1d, vecs = checked_eig(symbols.evaluate(ks), vectors=with_kappa)
-    n_k, n, d = len(ks), symbols.scheme.p + 1, symbols.scheme.d
-    lam = np.zeros((n_k,) + (n,) * d, dtype=complex)
-    for col, m in enumerate(symbols.active):
-        shape = [n_k] + [1] * d
-        shape[d - m] = n  # the xi direction (m = 0) is the last axis
+    n_k, n_active, n = lam_1d.shape
+    lam = np.zeros((n_k,) + (n,) * n_active, dtype=complex)
+    for col in range(n_active):
+        shape = [n_k] + [1] * n_active
+        shape[n_active - col] = n  # the first active direction is the last axis
         lam = lam + lam_1d[:, col].reshape(shape)
     lam = lam.reshape(n_k, -1)
     if not with_kappa:
@@ -492,8 +455,8 @@ def factored_sweep(
     if k_hat is None:
         k_hat = default_k_hat_grid()
     k_hat = np.asarray(k_hat, dtype=float)
-    if k_hat.size == 0 or np.any(np.diff(k_hat) <= 0) or k_hat[0] <= 0:
-        raise ValueError("k_hat must be a non-empty strictly increasing positive grid")
+    if not (k_hat.size and np.isfinite(k_hat).all() and (np.diff(k_hat, prepend=0.0) > 0).all()):
+        raise ValueError("k_hat must be finite, positive, strictly increasing and non-empty")
     factor = normalization_factor(theta, phi, stencil, scheme.p)
     lead = _anchor_ladder(k_hat[0])
     ks = np.concatenate((lead, k_hat)) / factor
@@ -522,10 +485,12 @@ def dispersion_sweep(
     """Analyze a k sweep at fixed angles with branch tracking.
 
     Spectra come from per-direction 1D eigensolves (:func:`factored_spectra`):
-    the (p+1)^d modes at each k are the sums of the 1D eigenvalues, sorted
-    by (Re, Im) and branch-tracked as a whole (:func:`tracked_frequencies`),
-    and kappa is the product of the 1D values (a direction with |a_m| below
-    machine epsilon counts as kappa = 1). The dense :func:`analyze` of the
+    the (p+1)^#active modes at each k are the sums of the 1D eigenvalues of
+    the directions the wave moves in, sorted by (Re, Im) and branch-tracked
+    as a whole (:func:`tracked_frequencies`), and kappa is the product of
+    the 1D values. A direction with |a_m| at or below machine epsilon is
+    idle: it adds no modes and counts as kappa = 1, so the sweep equals the
+    one in the lower dimension. The dense :func:`analyze` of the
     assembled symbol remains the reference. The grid, its seeding ladder
     and the physical branch are those of :func:`factored_sweep`.
     """

@@ -88,8 +88,8 @@ class UpdateOperator:
 
 def build_update(symbol: SemiDiscreteSymbol, rk: RkScheme, tau: float) -> UpdateOperator:
     """Evaluate the stability polynomial at tau*Q (matrix Horner form)."""
-    if tau <= 0:
-        raise ValueError(f"time step must be > 0, got {tau}")
+    if not (isfinite(tau) and tau > 0):
+        raise ValueError(f"time step must be finite and > 0, got {tau}")
     z = tau * symbol.Q
     eye = np.eye(z.shape[0])
     with np.errstate(all="ignore"):
@@ -342,8 +342,8 @@ def fully_discrete_sweep(
     branch, seeded from the small-k limit where the principal branch is
     exact. The dense :func:`fully_discrete_spectrum` is the reference.
     """
-    if tau <= 0:
-        raise ValueError(f"time step must be > 0, got {tau}")
+    if not (isfinite(tau) and tau > 0):
+        raise ValueError(f"time step must be finite and > 0, got {tau}")
 
     def frequencies(ks: np.ndarray, lam: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):

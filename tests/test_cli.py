@@ -362,6 +362,22 @@ class TestFullyDiscreteCommand:
         assert code == 0
         assert len(out.read_text().strip().splitlines()) == 4
 
+    def test_idle_direction_prints_the_2d_rows(self, capsys):
+        # at theta = 0 the wave does not move in y, so the 3D sweep at phi = 45
+        # is the 2D one at theta = 45; tracked over the repeated modes of y,
+        # it printed error:ModeAmbiguityError in every row
+        common = ["--p", "4", "--alpha", "0.75", "--tau", "0.05", "--khat", "0.5:3:0.5"]
+        rows = {}
+        for d, angles in ((3, ["--theta", "0", "--phi", "45"]), (2, ["--theta", "45"])):
+            assert main(["fully-discrete", "--d", str(d), *angles, *common]) == 0
+            header, *lines = capsys.readouterr().out.splitlines()
+            rows[d] = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        fields = ("khat", "re_omega_hat", "im_omega_hat", "kappa", "status")
+        assert len(rows[3]) == 6 and {row["status"] for row in rows[3]} == {"ok"}
+        assert [[row[f] for f in fields] for row in rows[3]] == [
+            [row[f] for f in fields] for row in rows[2]
+        ]
+
 
 class TestVerifyCommand:
     def test_verify_passes(self, capsys):

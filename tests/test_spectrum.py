@@ -3,10 +3,10 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frspectra import spectrum
+from frspectra import spectrum, temporal
 from frspectra.basis import CorrectionFamily
 from frspectra.operator import (
     DirectionSymbols,
@@ -18,6 +18,8 @@ from frspectra.operator import (
     symbol_for,
 )
 from frspectra.spectrum import (
+    EigensolverError,
+    ModeAmbiguityError,
     _anchor_ladder,
     _match_to_previous,
     analyze,
@@ -32,7 +34,7 @@ from frspectra.spectrum import (
     track_branches,
     wavenumber_for,
 )
-from frspectra.temporal import RK44, fully_discrete_sweep
+from frspectra.temporal import RK44, cfl_limit, fully_discrete_sweep
 
 
 def scheme(p, alpha=1.0, d=1, kind="huynh"):
@@ -187,6 +189,12 @@ class TestBranchTracking:
         with pytest.raises(ModeAmbiguityError):
             physical_mode_select(tracked, k)
 
+    def test_rejects_zero_first_k(self):
+        # omega/k is undefined at k = 0, so no branch can be scored there
+        tracked = np.array([[0j, 1.0], [1e-3, 1.0]])
+        with pytest.raises(ValueError, match="nonzero"):
+            physical_mode_select(tracked, np.array([0.0, 1e-3]))
+
 
 def near_ties_as_mode_select(scores):
     """The tie loop physical_mode_select ran before the shared helper."""
@@ -281,6 +289,11 @@ class TestNormalization:
     def test_rejects_negative_k(self):
         with pytest.raises(ValueError):
             normalize_wavenumber(-1.0, WaveProbe(k=1.0), StretchedStencil.uniform(1), 2)
+
+    @pytest.mark.parametrize("k", [np.nan, np.inf])
+    def test_rejects_non_finite_k(self, k):
+        with pytest.raises(ValueError, match="finite"):
+            normalize_wavenumber(k, WaveProbe(k=1.0), StretchedStencil.uniform(1), 2)
 
     def test_sweep_rejects_bad_grid(self):
         sch = scheme(2)
@@ -471,9 +484,10 @@ class TestMatcher:
 
     @pytest.mark.parametrize("phi_deg", [0, 15, 75, 90])
     def test_tracks_3d_sweep_as_scalar_reference(self, monkeypatch, phi_deg):
-        # the sorted 64-mode sets that dispersion_sweep tracks at d = 3, p = 3,
-        # theta = 30 deg: exact multiplicities at 0 and 90 deg, and the rows
-        # where the tracker hops branches at 15 and 75 deg
+        # the sorted mode sets that dispersion_sweep tracks at d = 3, p = 3,
+        # theta = 30 deg: 16 modes at 0 deg (z idle) and 4 at 90 deg (x and y
+        # idle), and 64 with the rows where the tracker hops branches at 15
+        # and 75 deg
         mode_sets = []
 
         def recording(sets):
@@ -485,7 +499,7 @@ class TestMatcher:
             scheme(3, d=3), StretchedStencil.uniform(3), np.radians(30), np.radians(phi_deg)
         )
         (sets,) = mode_sets
-        assert sets.shape[1] == 64
+        assert sets.shape[1] == {0: 16, 15: 64, 75: 64, 90: 4}[phi_deg]
         assert np.array_equal(track_branches(sets), reference_track(sets))
 
     def test_never_writes_to_its_input(self):
@@ -531,26 +545,10 @@ def copy_steps(n, copies, steps, drift, kind, seed):
     return sets
 
 
-def copy_step_kinds(prev, cur):
-    """Which way a contested step departs from being settled by copies,
-    from the definitions in track_branches: "settled", "tie" (a row's
-    minimum columns hold more than the bit copies of its nearest value),
-    "sign" (those extra columns are equal to that value as numbers) or
-    "demand" (a value is nearest for more rows than it has copies)."""
-    dist = np.abs(prev[:, None] - cur[None, :])
-    nearest = dist.argmin(axis=1)
-    if np.unique(nearest).size == cur.size:
-        return set()
-    bits = cur.view(np.int64).reshape(-1, 2)
-    copies = (bits[nearest][:, None] == bits[None]).all(axis=-1)
-    ties = dist == dist.min(axis=1)[:, None]
-    if not np.array_equal(ties, copies):
-        return {"sign"} if np.array_equal(ties, cur[nearest][:, None] == cur) else {"tie"}
-    demand = copies.sum(axis=0)[nearest]
-    return {"demand"} if np.any(demand > copies.sum(axis=1)) else {"settled"}
-
-
 class TestCopyExit:
+    """Tracking of exactly repeated values, as dense grid-aligned symbols
+    hold them."""
+
     @given(
         kind=st.sampled_from(COPY_KINDS),
         n=st.integers(2, 48),
@@ -566,21 +564,8 @@ class TestCopyExit:
         got = track_branches(sets).view(np.int64)
         assert np.array_equal(got, reference_track(sets).view(np.int64))
 
-    def test_copy_families_reach_every_case(self):
-        # the families above hold steps the copy exit settles, and steps it
-        # must leave to the matcher for each of its three conditions
-        seen = {kind: set() for kind in COPY_KINDS}
-        for kind, copies, seed in product(COPY_KINDS, (2, 4, 16), range(4)):
-            sets = copy_steps(32, copies, 4, 0.05, kind, seed)
-            tracked = reference_track(sets)
-            for prev, cur in zip(tracked, sets[1:]):
-                seen[kind] |= copy_step_kinds(prev, cur)
-        assert seen["coarse"] >= {"settled", "tie"}
-        assert seen["demand"] >= {"settled", "demand"}
-        assert seen["signed_zero"] >= {"settled", "sign"}
-
     @pytest.mark.parametrize(
-        "d, theta_deg, phi_deg, tau, calls",
+        "d, theta_deg, phi_deg, tau, contested",
         [
             (2, 0, 0, None, 0),
             (2, 90, 0, None, 0),
@@ -590,26 +575,36 @@ class TestCopyExit:
         ],
     )
     def test_matcher_runs_only_where_copies_do_not_settle(
-        self, monkeypatch, d, theta_deg, phi_deg, tau, calls
+        self, monkeypatch, d, theta_deg, phi_deg, tau, contested
     ):
-        # grid-aligned sweeps repeat every mode exactly (a_m = 0 adds a zero
-        # spectrum), so no step needs the matcher; at (30, 0) deg the 16
-        # distinct values also compete, on 7 of the 86 steps
-        reached = []
-        match = spectrum._match_to_previous
+        # an idle direction (a_m = 0) adds no modes, so grid-aligned sweeps
+        # track (p+1)^#active distinct values and no rows want one nearest
+        # column; at (30, 0) deg the 16 values of x and y compete on 7 of
+        # the 86 steps, which the greedy pass and swap repair settle
+        recorded = []
+        track = spectrum.track_branches
 
-        def counting(prev, cur):
-            reached.append(prev.size)
-            return match(prev, cur)
+        def recording(sets):
+            recorded.append(np.array(sets))
+            return track(sets)
 
-        monkeypatch.setattr(spectrum, "_match_to_previous", counting)
+        monkeypatch.setattr(spectrum, "track_branches", recording)
+        monkeypatch.setattr(temporal, "track_branches", recording)
         sch, stencil = scheme(3, d=d), StretchedStencil.uniform(d)
         theta, phi = np.radians(theta_deg), np.radians(phi_deg)
         if tau is None:
             sweep = dispersion_sweep(sch, stencil, theta, phi)
         else:
             sweep = fully_discrete_sweep(sch, stencil, RK44, tau, theta, phi)
-        assert len(sweep.k) == 64 and len(reached) == calls
+        (sets,) = recorded
+        active = DirectionSymbols(sch, stencil, theta, phi).active.size
+        assert len(sweep.k) == 64 and sets.shape[1] == 4**active
+        tracked = track(sets)
+        repeats = [
+            np.unique(np.abs(prev[:, None] - cur[None, :]).argmin(axis=1)).size < cur.size
+            for prev, cur in zip(tracked, sets[1:])
+        ]
+        assert sum(repeats) == contested
 
 
 def dense_sweep_omega_hat(sch, stencil, theta, phi, k_hat):
@@ -653,6 +648,8 @@ class TestFactoredSpectra:
         for k, factored in zip(ks, lam):
             probe = WaveProbe(k=k, theta=theta, phi=phi)
             dense = np.linalg.eigvals(assemble_symbol(sch, stencil, probe).Q)
+            # an idle direction repeats every factored value p+1 times in Q
+            factored = np.repeat(factored, dense.size // factored.size)
             aligned = factored[_match_to_previous(dense, factored)]
             assert np.abs(aligned - dense).max() < 1e-12 * np.abs(dense).max()
 
@@ -724,3 +721,63 @@ class TestFactoredSpectra:
         assert round(one_d.kappa[0], 4) == 3.3297
         assert np.abs(aligned.kappa - one_d.kappa).max() < 1e-12 * one_d.kappa.max()
         assert np.abs(aligned.omega_hat_physical - one_d.omega_hat_physical).max() < 1e-12
+
+
+def idle_reduction(d, idle, angle, gamma):
+    """Angles (deg) of a d-dimensional wave that does not move in direction
+    ``idle`` and moves at ``angle`` in the others, and the lower-dimensional
+    (d, theta, phi, gamma) whose moving direction cosines have the same bits."""
+    if d == 2:
+        return (90.0, 0.0) if idle == 0 else (0.0, 0.0), (1, 0.0, 0.0, (gamma[1 - idle],))
+    full = {0: (90.0, angle), 1: (0.0, angle), 2: (angle, 0.0)}[idle]
+    return full, (2, angle, 0.0, tuple(g for m, g in enumerate(gamma) if m != idle))
+
+
+def sweep_outcome(run):
+    """The bits of a sweep's physical omega_hat and kappa, a CFL result's
+    fields, or the name of the error raised."""
+    try:
+        out = run()
+    except (ModeAmbiguityError, EigensolverError) as exc:
+        return type(exc).__name__
+    if hasattr(out, "tau_limit"):
+        return out.cfl_limit, out.tau_limit, out.worst_k, out.stable, out.cfl_crossing
+    return out.omega_hat_physical.tobytes(), out.kappa.tobytes()
+
+
+class TestIdleDirection:
+    """A direction the wave does not move in adds no modes: the sweep equals
+    the one without that direction, bit for bit."""
+
+    @given(
+        d=st.sampled_from([2, 3]),
+        idle=st.integers(0, 2),
+        p=st.integers(1, 4),
+        kind=st.sampled_from(["dg", "huynh"]),
+        alpha=st.sampled_from([1.0, 0.75, 0.5]),
+        gamma=st.tuples(*[st.floats(0.8, 1.25)] * 3),
+        angle=st.floats(1.0, 89.0),
+        analysis=st.sampled_from(["dispersion", "fully_discrete", "cfl"]),
+    )
+    # tracked over the repeated modes of the idle direction, the first of
+    # these fully-discrete sweeps raised ModeAmbiguityError and the second
+    # departed from the 2D values
+    @example(3, 1, 4, "huynh", 0.75, (1.0, 1.0, 1.0), 45.0, "fully_discrete")
+    @example(3, 1, 3, "dg", 0.5, (1.1, 0.9, 1.05), 45.0, "fully_discrete")
+    @settings(max_examples=60, deadline=None)
+    def test_equals_lower_dimensional_call(self, d, idle, p, kind, alpha, gamma, angle, analysis):
+        idle %= d
+        full, (d_low, theta_low, phi_low, gamma_low) = idle_reduction(d, idle, angle, gamma)
+
+        def outcome(dim, theta_deg, phi_deg, gammas):
+            sch, stencil = scheme(p, alpha, dim, kind), StretchedStencil.stretched(gammas)
+            theta, phi = np.radians(theta_deg), np.radians(phi_deg)
+            if analysis == "dispersion":
+                return sweep_outcome(lambda: dispersion_sweep(sch, stencil, theta, phi))
+            if analysis == "fully_discrete":
+                return sweep_outcome(
+                    lambda: fully_discrete_sweep(sch, stencil, RK44, 0.05, theta, phi)
+                )
+            return sweep_outcome(lambda: cfl_limit(sch, stencil, (theta, phi), RK44, nk=33))
+
+        assert outcome(d, *full, gamma[:d]) == outcome(d_low, theta_low, phi_low, gamma_low)

@@ -215,6 +215,12 @@ class TestUpdateOperator:
         with pytest.raises(ValueError):
             build_update(sym, RK44, 0.0)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_rejects_non_finite_tau(self, tau):
+        sym = symbol_for(scheme(2), StretchedStencil.uniform(1), WaveProbe(k=1.0))
+        with pytest.raises(ValueError, match="finite"):
+            build_update(sym, RK44, tau)
+
     def test_overflow_reported(self):
         sym = symbol_for(scheme(2), StretchedStencil.uniform(1), WaveProbe(k=1.0))
         with pytest.raises(OverflowError):
@@ -601,6 +607,11 @@ class TestFullyDiscrete:
         with pytest.raises(OverflowError):
             fully_discrete_sweep(scheme(2), StretchedStencil.uniform(1), RK44, 1e200)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_sweep_rejects_non_finite_tau(self, tau):
+        with pytest.raises(ValueError, match="finite"):
+            fully_discrete_sweep(scheme(2), StretchedStencil.uniform(1), RK44, tau)
+
 
 @pytest.mark.parametrize(
     "sweep",
@@ -610,7 +621,9 @@ class TestFullyDiscrete:
     ],
     ids=["dispersion", "fully_discrete"],
 )
-@pytest.mark.parametrize("k_hat", [[], [2.0, 1.0], [1.0, 1.0], [0.0, 1.0], [-0.5, 1.0]])
+@pytest.mark.parametrize(
+    "k_hat", [[], [2.0, 1.0], [1.0, 1.0], [0.0, 1.0], [-0.5, 1.0], [np.nan], [np.inf]]
+)
 def test_sweeps_reject_bad_k_hat_grids(sweep, k_hat):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k_hat must be"):
         sweep(scheme(2), StretchedStencil.uniform(1), np.array(k_hat))
