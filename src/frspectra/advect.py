@@ -51,7 +51,7 @@ from .operator import (
     operators_for,
 )
 from .spectrum import _anchor_ladder, checked_eig, normalization_factor, physical_branch
-from .temporal import RK44, RkScheme
+from .temporal import RK44, RkScheme, check_time_step
 
 BLOWUP_THRESHOLD = 1e10
 
@@ -307,7 +307,7 @@ class AdvectionProblem:
         ``BLOWUP_THRESHOLD`` or is not finite, and the energy. Overflow and
         invalid operations are not warned about, as that check reports them.
         """
-        _check_step(tau)
+        check_time_step(tau)
         if nsteps < 0:
             raise ValueError(f"number of steps must be >= 0, got {nsteps}")
         x = self._to_grid(state.values)
@@ -361,11 +361,6 @@ def _powers(a: np.ndarray, count: int) -> list[np.ndarray]:
     for _ in range(1, count):
         out.append(out[-1] @ a)
     return out
-
-
-def _check_step(tau: float) -> None:
-    if not (isfinite(tau) and tau > 0):
-        raise ValueError(f"time step must be finite and > 0, got {tau}")
 
 
 # -- plane-wave initial data ----------------------------------------------------

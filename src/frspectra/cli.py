@@ -17,9 +17,10 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
-from functools import cache
+from functools import cache, partial
 from itertools import product
-from math import isfinite, radians
+from math import isfinite, prod, radians
+from pathlib import Path
 
 import numpy as np
 
@@ -44,6 +45,10 @@ _CFL_COLUMNS = [
 ]
 
 
+# Most values a range may expand to, and most combos a sweep may run.
+MAX_VALUES = 1_000_000
+
+
 class UserInputError(Exception):
     pass
 
@@ -66,15 +71,17 @@ def parse_range(text: str, integer: bool = False):
             start, stop, step = numbers
             if step <= 0:
                 raise ValueError("step must be > 0")
-            n = int(np.floor((stop - start) / step + 1e-9))
-            if n < 0:
+            count = np.floor((stop - start) / step + 1e-9) + 1
+            if count < 1:
                 raise ValueError("empty range")
-            values = [start + i * step for i in range(n + 1)]
+            if count > MAX_VALUES:
+                raise ValueError(f"more than {MAX_VALUES} values")
+            values = [start + i * step for i in range(int(count))]
         else:
             raise ValueError("expected 'v' or 'start:stop:step'")
         if integer and not all(v.is_integer() for v in values):
             raise ValueError("integer values required")
-    except (ValueError, OverflowError) as exc:  # overflow: a range too long to count
+    except ValueError as exc:
         raise UserInputError(f"bad range {text!r}: {exc}") from exc
     return [int(v) for v in values] if integer else values
 
@@ -158,8 +165,15 @@ def _emit(groups, row_columns, args, spec_echo):
     if args.output in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        _write_file(args.output, lambda path: Path(path).write_text(text))
+
+
+def _write_file(path, write):
+    """Run ``write(path)``; a path that cannot be written is a user error."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise UserInputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _spec_echo(args, skip=("output", "threads", "func", "command")):
@@ -226,14 +240,15 @@ def _sweep_combos(args):
     if OSFR in fams and args.iota is None:
         raise UserInputError("--iota is required with --family osfr")
     fam_iotas = [(fam, iota) for fam in fams for iota in (iotas if fam == OSFR else [None])]
+    axes = (ps, fam_iotas, alphas, gxs, gys, gzs, dxs, dys, dzs, thetas, phis)
+    if prod(map(len, axes)) > MAX_VALUES:
+        raise UserInputError(f"the sweep has more than {MAX_VALUES} combinations")
     return [
         dict(
             p=p, family=fam, iota=iota, alpha=alpha, gx=gx, gy=gy, gz=gz,
             dx=dx, dy=dy, dz=dz, theta=theta, phi=phi, d=d,
         )
-        for p, (fam, iota), alpha, gx, gy, gz, dx, dy, dz, theta, phi in product(
-            ps, fam_iotas, alphas, gxs, gys, gzs, dxs, dys, dzs, thetas, phis
-        )
+        for p, (fam, iota), alpha, gx, gy, gz, dx, dy, dz, theta, phi in product(*axes)
     ]
 
 
@@ -257,83 +272,65 @@ def _key_fields(c):
     return {**c, "iota": _resolved_iota(c), "aspect": c["dy"] / c["dx"]}
 
 
-def _error_rows(exc, khat_grid=(None,)):
-    return [{"khat": kh, "status": f"error:{type(exc).__name__}"} for kh in khat_grid]
-
-
 _ROW_ERRORS = (EigensolverError, ModeAmbiguityError, OverflowError, ValueError)
 
 
-def _run_spectrum_command(args, fully_discrete=False):
-    combos = _sweep_combos(args)
+def _run_spectrum_command(args):
     khat_grid = (
         np.array(parse_range(args.khat)) if args.khat else default_k_hat_grid()
     )
     if khat_grid[0] <= 0:  # ranges ascend
         raise UserInputError(f"--khat: values must be > 0, got {args.khat!r}")
-    rk = _rk_scheme(args.rk) if fully_discrete else None
-    if fully_discrete and not (isfinite(args.tau) and args.tau > 0):
-        raise UserInputError(f"--tau: must be finite and > 0, got {args.tau}")
+    sweep = partial(dispersion_sweep, k_hat=khat_grid)
+    if args.command == "fully-discrete":
+        rk = _rk_scheme(args.rk)
+        if not (isfinite(args.tau) and args.tau > 0):
+            raise UserInputError(f"--tau: must be finite and > 0, got {args.tau}")
+        sweep = partial(fully_discrete_sweep, rk=rk, tau=args.tau, k_hat=khat_grid)
 
-    def worker(c):
-        try:
-            scheme, stencil = _combo_scheme_stencil(c)
-            if fully_discrete:
-                sweep = fully_discrete_sweep(
-                    scheme, stencil, rk, args.tau,
-                    radians(c["theta"]), radians(c["phi"]), khat_grid,
-                )
-            else:
-                sweep = dispersion_sweep(
-                    scheme, stencil, radians(c["theta"]), radians(c["phi"]), khat_grid
-                )
-            omega_hat = sweep.omega_hat_physical
-            return [
-                {
-                    "khat": sweep.k_hat[i],
-                    "re_omega_hat": omega_hat[i].real,
-                    "im_omega_hat": omega_hat[i].imag,
-                    "kappa": sweep.kappa[i],
-                    "status": "ok",
-                }
-                for i in range(sweep.k_hat.size)
-            ]
-        except _ROW_ERRORS as exc:
-            return _error_rows(exc, khat_grid)
+    def rows_for(scheme, stencil, theta, phi):
+        result = sweep(scheme, stencil, theta=theta, phi=phi)
+        return [
+            {
+                "khat": khat, "re_omega_hat": omega_hat.real,
+                "im_omega_hat": omega_hat.imag, "kappa": kappa, "status": "ok",
+            }
+            for khat, omega_hat, kappa in zip(
+                result.k_hat, result.omega_hat_physical, result.kappa
+            )
+        ]
 
-    return _run_combos(worker, combos, _SPECTRUM_COLUMNS, args)
+    return _run_sweep(args, _SPECTRUM_COLUMNS, rows_for, khat_grid)
 
 
 def _run_cfl(args):
-    combos = _sweep_combos(args)
     rk = _rk_scheme(args.rk)
+
+    def rows_for(scheme, stencil, theta, phi):
+        # every CFL column but khat and status is a CflResult field
+        return [{**vars(cfl_limit(scheme, stencil, (theta, phi), rk)), "status": "ok"}]
+
+    return _run_sweep(args, _CFL_COLUMNS, rows_for)
+
+
+def _run_sweep(args, row_columns, rows_for, khat_grid=(None,)):
+    """Emit every combo's rows, in combo order; exit code 2 if any row failed.
+
+    ``rows_for(scheme, stencil, theta, phi)`` gives one combo's rows, with
+    the angles in radians. A numerical error gives one error row per
+    ``khat_grid`` value instead.
+    """
+    combos = _sweep_combos(args)
+    if args.threads < 1:
+        raise UserInputError(f"--threads: must be >= 1, got {args.threads}")
 
     def worker(c):
         try:
             scheme, stencil = _combo_scheme_stencil(c)
-            res = cfl_limit(
-                scheme, stencil, (radians(c["theta"]), radians(c["phi"])), rk
-            )
-            return [
-                {
-                    "cfl_limit": res.cfl_limit,
-                    "cfl_crossing": res.cfl_crossing,
-                    "tau_limit": res.tau_limit,
-                    "worst_k": res.worst_k,
-                    "stable": res.stable,
-                    "status": "ok",
-                }
-            ]
+            return rows_for(scheme, stencil, radians(c["theta"]), radians(c["phi"]))
         except _ROW_ERRORS as exc:
-            return _error_rows(exc)
+            return [{"khat": kh, "status": f"error:{type(exc).__name__}"} for kh in khat_grid]
 
-    return _run_combos(worker, combos, _CFL_COLUMNS, args)
-
-
-def _run_combos(worker, combos, row_columns, args):
-    """Emit every combo's rows, in combo order; exit code 2 if any row failed."""
-    if args.threads < 1:
-        raise UserInputError(f"--threads: must be >= 1, got {args.threads}")
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             nested = list(pool.map(worker, combos))
@@ -361,21 +358,13 @@ def _run_verify(args):
     k_hat = _single("--khat", args.khat)
     iota = _single("--iota", args.iota) if args.iota else None
     _check_angles("--theta", [theta])
-    if args.d == 1 and theta != 0.0:
-        raise UserInputError(f"--theta: must be 0 in 1D, got {theta}")
-    if not 0 < k_hat <= np.pi:  # above pi the wave aliases onto a lower k_hat
-        raise UserInputError(f"--khat: must lie in (0, pi], got {k_hat}")
-    if not (isfinite(args.tol) and args.tol > 0):
-        raise UserInputError(f"--tol: must be finite and > 0, got {args.tol}")
     rk = _rk_scheme(args.rk)
-    try:  # the scheme checks of check_decay_rate, run here so they stay user errors
-        SchemeConfig(p, make_family(fam[0], p, iota), alpha, args.d)
-    except ValueError as exc:
-        raise UserInputError(str(exc)) from exc
     try:
         check = check_decay_rate(
             p, fam[0], alpha, args.d, radians(theta), k_hat, rk, tol=args.tol, iota=iota
         )
+    except ValueError as exc:  # input rejected by its checks
+        raise UserInputError(str(exc)) from exc
     except _ROW_ERRORS as exc:
         print(f"verify failed to run: {exc}", file=sys.stderr)
         return 2
@@ -401,7 +390,7 @@ def _run_mesh(args):
         print(f"mesh generation failed: {exc}", file=sys.stderr)
         return 2
     if args.output:
-        write_mesh(mesh, args.output)
+        _write_file(args.output, partial(write_mesh, mesh))
     qh = mesh.per_element_qh
     print(
         f"mesh {dims[0]}x{dims[1]}x{dims[2]} jitter={args.jitter} seed={args.seed}: "
@@ -433,7 +422,7 @@ def build_parser() -> _Parser:
     _add_sweep_flags(fd)
     fd.add_argument("--rk", default="rk44")
     fd.add_argument("--tau", type=float, required=True)
-    fd.set_defaults(func=lambda a: _run_spectrum_command(a, fully_discrete=True))
+    fd.set_defaults(func=_run_spectrum_command)
 
     ver = sub.add_parser("verify", help="solver decay rate vs eigenanalysis")
     ver.add_argument("--p", default="2")

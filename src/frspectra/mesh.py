@@ -99,24 +99,15 @@ def _min_corner_gap(corners: np.ndarray) -> np.ndarray:
 def shape_factor(corners) -> float:
     """q_h of a single hexahedron given its 8 corners (see corner order).
 
-    Rejects degenerate elements (coincident corners) and inverted ones
-    (non-positive total volume). Individual split tetrahedra of a jittered
-    element may carry either sign because the faces are non-planar; only
-    the total is constrained.
+    The mesh audit's rule for one element: it rejects degenerate elements
+    (coincident corners) and inverted ones (non-positive total volume).
+    Individual split tetrahedra of a jittered element may carry either
+    sign because the faces are non-planar; only the total is constrained.
     """
     corners = np.asarray(corners, dtype=float)
     if corners.shape != (8, 3):
         raise ValueError(f"expected 8 corner points of shape (8, 3), got {corners.shape}")
-    scale = float(np.ptp(corners, axis=0).max())
-    if scale <= 0.0 or _min_corner_gap(corners) <= 1e-12 * scale:
-        raise MeshGenerationError("degenerate hexahedron (coincident corners)")
-    volume = float(_tet_volumes(corners).sum())
-    if volume <= 1e-12 * scale**3:
-        raise MeshGenerationError(
-            f"degenerate or inverted hexahedron (volume {volume:.3e})"
-        )
-    area = float(hex_surface_area(corners))
-    return 6.0 * sqrt(pi) * volume / area**1.5
+    return float(_audit_quality(corners[None, None, None])[0, 0, 0])
 
 
 @dataclass(frozen=True)
@@ -201,17 +192,13 @@ def generate(dims, extent=(1.0, 1.0, 1.0), jitter_factor: float = 0.0, seed: int
     interior = np.zeros(nodes.shape[:3], dtype=bool)
     interior[1:-1, 1:-1, 1:-1] = True
     nodes = nodes + offsets * interior[..., None]
+    return _audited_mesh(dims, extent, float(jitter_factor), int(seed), nodes)
 
-    mesh = JitteredMesh(
-        dims=dims,
-        extent=extent,
-        jitter_factor=float(jitter_factor),
-        seed=int(seed),
-        nodes=nodes,
-        per_element_qh=np.empty(dims),
-    )
-    qh = _audit_quality(mesh.element_corners())
-    object.__setattr__(mesh, "per_element_qh", qh)
+
+def _audited_mesh(dims, extent, jitter_factor, seed, nodes) -> JitteredMesh:
+    """The mesh with its audited q_h; its arrays are read-only."""
+    mesh = JitteredMesh(dims, extent, jitter_factor, seed, nodes, np.empty(dims))
+    object.__setattr__(mesh, "per_element_qh", _audit_quality(mesh.element_corners()))
     mesh.nodes.setflags(write=False)
     mesh.per_element_qh.setflags(write=False)
     return mesh
@@ -240,32 +227,57 @@ def write_mesh(mesh: JitteredMesh, path) -> None:
             fh.write(" ".join(str(i) for i in row) + "\n")
 
 
-def read_mesh(path) -> JitteredMesh:
-    """Read the plain-text format written by :func:`write_mesh`."""
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("# frspectra hex mesh"):
-            raise ValueError(f"not a frspectra mesh file: {header.strip()!r}")
-        dims = tuple(int(v) for v in fh.readline().split()[1:])
-        extent = tuple(float(v) for v in fh.readline().split()[1:])
-        jf = float(fh.readline().split()[1])
-        seed = int(fh.readline().split()[1])
-        n_nodes = int(fh.readline().split()[1])
-        flat = np.array(
-            [[float(v) for v in fh.readline().split()] for _ in range(n_nodes)]
+def _values(lines, i, kind, count, label=None) -> list:
+    """The ``count`` values of type ``kind`` on line i, after its ``label``."""
+    if i >= len(lines):
+        raise ValueError(f"truncated mesh file: line {i + 1} is missing")
+    words = lines[i].split()
+    if label is not None:
+        if words[:1] != [label]:
+            raise ValueError(f"line {i + 1}: expected {label!r}, got {lines[i]!r}")
+        words = words[1:]
+    try:
+        values = [kind(w) for w in words]
+    except ValueError:
+        values = []  # count is >= 1, so this is reported below
+    if len(values) != count:
+        raise ValueError(
+            f"line {i + 1}: expected {count} {kind.__name__} values, got {lines[i]!r}"
         )
-        nx, ny, nz = dims
-        nodes = flat.reshape(nz + 1, ny + 1, nx + 1, 3).transpose(2, 1, 0, 3)
-        n_elems = int(fh.readline().split()[1])
-        for _ in range(n_elems):
-            fh.readline()  # connectivity is implied by dims; verified on write
-    mesh = JitteredMesh(
-        dims=dims,
-        extent=extent,
-        jitter_factor=jf,
-        seed=seed,
-        nodes=nodes,
-        per_element_qh=np.empty(dims),
-    )
-    object.__setattr__(mesh, "per_element_qh", _audit_quality(mesh.element_corners()))
+    return values
+
+
+def read_mesh(path) -> JitteredMesh:
+    """Read the plain-text format written by :func:`write_mesh`, checking it.
+
+    Raises ValueError naming the first problem: a foreign header, a missing
+    or malformed line, a node or element count that disagrees with ``dims``,
+    or a connectivity line other than the one ``dims`` implies. q_h is
+    audited as by :func:`generate`, and the arrays are read-only.
+    """
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    header = lines[0] if lines else ""
+    if not header.startswith("# frspectra hex mesh"):
+        raise ValueError(f"not a frspectra mesh file: {header.strip()!r}")
+    dims = tuple(_values(lines, 1, int, 3, "dims"))
+    extent = tuple(_values(lines, 2, float, 3, "extent"))
+    (jf,) = _values(lines, 3, float, 1, "jitter_factor")
+    (seed,) = _values(lines, 4, int, 1, "seed")
+    (n_nodes,) = _values(lines, 5, int, 1, "nodes")
+    nx, ny, nz = dims
+    if min(dims) < 1 or n_nodes != (nx + 1) * (ny + 1) * (nz + 1):
+        raise ValueError(f"nodes {n_nodes} does not match dims {dims}")
+    flat = np.array([_values(lines, 6 + i, float, 3) for i in range(n_nodes)])
+    nodes = flat.reshape(nz + 1, ny + 1, nx + 1, 3).transpose(2, 1, 0, 3)
+    mesh = _audited_mesh(dims, extent, jf, seed, nodes)
+    at = 6 + n_nodes
+    (n_elems,) = _values(lines, at, int, 1, "elements")
+    if n_elems != nx * ny * nz:
+        raise ValueError(f"elements {n_elems} does not match dims {dims}")
+    for i, row in enumerate(mesh.connectivity().tolist()):
+        if _values(lines, at + 1 + i, int, 8) != row:
+            raise ValueError(
+                f"line {at + 2 + i}: element {i} is not connected as dims {dims} imply"
+            )
     return mesh

@@ -78,6 +78,12 @@ def rk_from_name(name: str) -> RkScheme:
         raise ValueError(f"unknown RK scheme {name!r}; choose from {sorted(_BY_NAME)}")
 
 
+def check_time_step(tau: float) -> None:
+    """Reject a time step that is not finite and > 0."""
+    if not (isfinite(tau) and tau > 0):
+        raise ValueError(f"time step must be finite and > 0, got {tau}")
+
+
 @dataclass
 class UpdateOperator:
     """One-step update matrix R = R(tau*Q) with its time step."""
@@ -88,8 +94,7 @@ class UpdateOperator:
 
 def build_update(symbol: SemiDiscreteSymbol, rk: RkScheme, tau: float) -> UpdateOperator:
     """Evaluate the stability polynomial at tau*Q (matrix Horner form)."""
-    if not (isfinite(tau) and tau > 0):
-        raise ValueError(f"time step must be finite and > 0, got {tau}")
+    check_time_step(tau)
     z = tau * symbol.Q
     eye = np.eye(z.shape[0])
     with np.errstate(all="ignore"):
@@ -174,10 +179,12 @@ def cfl_limit(
     refinement replaces the grid maximum only by a larger value, so it
     can never turn "exceeds" into "does not". When the bracket doubles tau
     at least once, its lower end is the previous, already non-exceeding
-    tau (doubling is exact), so it is not tested again. The reported
-    ``worst_k`` is the refined peak at the final upper end: the one that
-    step computed, or, when its grid alone decided it, one refinement of
-    the grid array it kept. No tau has its grid evaluated twice.
+    tau (doubling is exact), so it is not tested again. The grid
+    evaluation and the refinement are both cached per tau, so each tau
+    has its grid evaluated once and refined at most once. The reported
+    ``worst_k`` is the refined peak at the final upper end: the cached
+    refinement when that step needed one, else one refinement of its
+    cached grid.
 
     The spectrum of R is the stability polynomial applied to tau times the
     eigenvalues of Q, taken from per-direction 1D eigensolves
@@ -215,10 +222,13 @@ def cfl_limit(
         worst = float(ks[int(np.argmax(lam_grid.real.max(axis=1)))])
         return CflResult(0.0, 0.0, worst, stable=False, theta=theta, phi=phi)
 
+    @cache
     def grid_rho(tau: float) -> np.ndarray:
         return np.abs(rk.stability(tau * lam_grid)).max(axis=1)
 
-    def sup_rho(tau: float, rho_grid: np.ndarray) -> tuple[float, float]:
+    @cache
+    def sup_rho(tau: float) -> tuple[float, float]:
+        rho_grid = grid_rho(tau)
         j = int(np.argmax(rho_grid))
         best_k, best_rho = float(ks[j]), float(rho_grid[j])
         lo = ks[j - 1] if j > 0 else ks[0] * 0.5
@@ -228,48 +238,38 @@ def cfl_limit(
             best_k, best_rho = k_ref, rho_ref
         return best_rho, best_k
 
-    def exceeding(tau: float):
-        """None when tau is stable, else its grid array and its refined
-        (rho, k), the latter None when the grid alone decided."""
-        rho_grid = grid_rho(tau)
-        if rho_grid.max() > 1.0 + RHO_TOL:
-            return rho_grid, None  # refinement only ever raises the grid maximum
-        sup = sup_rho(tau, rho_grid)
-        return (rho_grid, sup) if sup[0] > 1.0 + RHO_TOL else None
-
-    def worst_k(tau: float, evaluation) -> float:
-        rho_grid, sup = evaluation
-        return (sup if sup is not None else sup_rho(tau, rho_grid))[1]
+    def exceeds(tau: float) -> bool:
+        # refinement only ever raises the grid maximum, so it runs only
+        # when the grid alone cannot decide
+        return grid_rho(tau).max() > 1.0 + RHO_TOL or sup_rho(tau)[0] > 1.0 + RHO_TOL
 
     tau_lo, tau_hi = 0.0, 1.0 / lam_scale
     for _ in range(200):
-        hi = exceeding(tau_hi)
-        if hi is not None:
+        if exceeds(tau_hi):
             break
         tau_lo, tau_hi = tau_hi, tau_hi * 2.0
     else:
         raise RuntimeError("failed to bracket the stability boundary from above")
     if tau_lo == 0.0:  # the first step already exceeds: halve down to a stable one
         tau_lo = tau_hi / 2.0
-        while exceeding(tau_lo) is not None:
+        while exceeds(tau_lo):
             tau_lo /= 2.0
             if tau_lo < 1e-300:
                 # unstable for every positive step despite a left-half-plane
                 # spectrum; report as a flagged zero limit
                 return CflResult(
-                    0.0, 0.0, worst_k(tau_hi, hi), stable=False, theta=theta, phi=phi
+                    0.0, 0.0, sup_rho(tau_hi)[1], stable=False, theta=theta, phi=phi
                 )
     while (tau_hi - tau_lo) > rel_tol * tau_hi:
         mid = 0.5 * (tau_lo + tau_hi)
-        evaluation = exceeding(mid)
-        if evaluation is not None:
-            tau_hi, hi = mid, evaluation
+        if exceeds(mid):
+            tau_hi = mid
         else:
             tau_lo = mid
     return CflResult(
         cfl_limit=tau_lo * cfl_per_tau,
         tau_limit=tau_lo,
-        worst_k=worst_k(tau_hi, hi),
+        worst_k=sup_rho(tau_hi)[1],
         stable=True,
         cfl_crossing=tau_lo * crossing_per_tau,
         theta=theta,
@@ -342,8 +342,7 @@ def fully_discrete_sweep(
     branch, seeded from the small-k limit where the principal branch is
     exact. The dense :func:`fully_discrete_spectrum` is the reference.
     """
-    if not (isfinite(tau) and tau > 0):
-        raise ValueError(f"time step must be finite and > 0, got {tau}")
+    check_time_step(tau)
 
     def frequencies(ks: np.ndarray, lam: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):

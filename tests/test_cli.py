@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 import frspectra
-from frspectra.cli import _sweep_combos, build_parser, main, parse_range
+from frspectra.cli import (
+    MAX_VALUES,
+    UserInputError,
+    _sweep_combos,
+    build_parser,
+    main,
+    parse_range,
+)
 from frspectra.basis import CorrectionFamily
 from frspectra.operator import SchemeConfig, StretchedStencil
 from frspectra.spectrum import dispersion_sweep
@@ -44,6 +51,11 @@ class TestRangeParsing:
         for text in ("2:3:0.5", "2.7"):
             with pytest.raises(UserInputError):
                 parse_range(text, integer=True)
+
+    def test_range_longer_than_the_cap_is_rejected(self):
+        assert len(parse_range("0:999999:1")) == MAX_VALUES
+        with pytest.raises(UserInputError, match="more than 1000000 values"):
+            parse_range("0:1:1e-6")  # 1,000,001 values
 
 
 class TestUserErrors:
@@ -130,6 +142,26 @@ class TestUserErrors:
         assert captured.out == ""
         assert "frspectra:" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_sweep_larger_than_the_cap_exits_1(self, capsys):
+        # 1000 x 1001 combos, each range well within the range cap
+        argv = ["cfl", "--d", "2", "--theta", "45", "--gx", "1:1000:1", "--gy", "1:1001:1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "frspectra: the sweep has more than 1000000 combinations\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["dispersion", "--d", "1", "--p", "2", "--khat", "1"], ["mesh", "--dims", "2"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_output_exits_1(self, argv, tmp_path, capsys):
+        path = tmp_path / "missing" / "out.txt"
+        assert main(argv + ["-o", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"frspectra: cannot write {path}: No such file or directory\n"
 
     def test_rk_name_is_case_insensitive(self, capsys):
         argv = ["cfl", "--d", "1", "--p", "1"]
@@ -321,6 +353,25 @@ class TestDispersionCommand:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 2
         assert "error:ValueError" in lines[1]
+
+
+class TestRowErrors:
+    @pytest.mark.parametrize(
+        "argv, khats",
+        [
+            (["cfl"], [""]),
+            (["fully-discrete", "--tau", "0.01", "--khat", "0.5:1.5:0.5"], [0.5, 1.0, 1.5]),
+        ],
+        ids=["cfl", "fully-discrete"],
+    )
+    def test_error_row_per_khat_and_exit_2(self, argv, khats, capsys):
+        # the dispersion case is test_row_error_marker_and_exit_2
+        osfr = ["--d", "1", "--p", "3", "--family", "osfr", "--iota", "-100.0", "--theta", "0"]
+        assert main(argv + osfr) == 2
+        header, *lines = capsys.readouterr().out.splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert [row["status"] for row in rows] == ["error:ValueError"] * len(khats)
+        assert [row["khat"] and float(row["khat"]) for row in rows] == khats
 
 
 class TestCflCommand:

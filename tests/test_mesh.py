@@ -170,3 +170,33 @@ class TestExport:
         path.write_text("something else\n")
         with pytest.raises(ValueError):
             read_mesh(path)
+
+    @staticmethod
+    def edited(tmp_path, edit):
+        """A written mesh file with its lines passed through ``edit``."""
+        path = tmp_path / "mesh.txt"
+        write_mesh(generate((3, 2, 2), 1.0, 0.3, seed=4), path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        return path
+
+    def test_rejects_truncated_file(self, tmp_path):
+        path = self.edited(tmp_path, lambda lines: lines[:-3])
+        with pytest.raises(ValueError, match="truncated mesh file: line 53 is missing"):
+            read_mesh(path)
+
+    def test_rejects_dims_that_disagree_with_the_nodes(self, tmp_path):
+        path = self.edited(tmp_path, lambda lines: [lines[0], "dims 3 2 3", *lines[2:]])
+        with pytest.raises(ValueError, match=r"nodes 36 does not match dims \(3, 2, 3\)"):
+            read_mesh(path)
+
+    def test_rejects_corrupted_connectivity(self, tmp_path):
+        path = self.edited(
+            tmp_path, lambda lines: [*lines[:-1], " ".join(reversed(lines[-1].split()))]
+        )
+        with pytest.raises(ValueError, match="line 55: element 11 is not connected"):
+            read_mesh(path)
+
+    def test_read_arrays_are_read_only(self, tmp_path):
+        mesh = read_mesh(self.edited(tmp_path, lambda lines: lines))
+        assert not mesh.nodes.flags.writeable
+        assert not mesh.per_element_qh.flags.writeable
