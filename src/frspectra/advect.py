@@ -43,14 +43,8 @@ from math import comb, factorial, isfinite, pi, sqrt
 import numpy as np
 
 from .basis import make_family, make_points
-from .operator import (
-    DirectionSymbols,
-    SchemeConfig,
-    StretchedStencil,
-    direction_cosines,
-    operators_for,
-)
-from .spectrum import _anchor_ladder, checked_eig, normalization_factor, physical_branch
+from .operator import SchemeConfig, StretchedStencil, direction_cosines, operators_for
+from .spectrum import normalization_factor, physical_eigenvector, wavenumber_for
 from .temporal import RK44, RkScheme, check_time_step
 
 BLOWUP_THRESHOLD = 1e10
@@ -375,53 +369,18 @@ def plane_wave_state(problem: AdvectionProblem, k: float) -> FieldState:
     return FieldState(problem.sample(wave))
 
 
-def physical_eigenvector(
-    scheme: SchemeConfig,
-    stencil: StretchedStencil,
-    theta: float,
-    phi: float,
-    k: float,
-) -> tuple[complex, np.ndarray]:
-    """Physical-mode frequency and unit eigenvector of Q at one wavenumber k > 0.
-
-    Q is the Kronecker sum of Q_m(k) = a_m S_m(k a_m), so omega = sum_m a_m
-    omega_m(k a_m) and the eigenvector is the Kronecker product (xi fastest) of
-    the 1D ones, constant where a_m = 0. A moving direction takes one batched
-    eigensolve of Q_m on the anchor ladder, 24 geometric and 24 linear points
-    up to k_hat_m = k a_m delta_m / (gamma_m (p+1)), whose last row is k, and
-    keeps that row's eigenpair nearest :func:`~frspectra.spectrum.physical_branch`.
-    The direction symbols are built once per call.
-    """
-    if not (isfinite(k) and k > 0):
-        raise ValueError(f"wavenumber must be finite and > 0, got {k}")
-    n = scheme.p + 1
-    symbols = DirectionSymbols(scheme, stencil, theta, phi)
-    omega, parts = 0j, [np.full(n, n**-0.5)] * scheme.d
-    for col, m in enumerate(symbols.active):
-        a = symbols.velocity[m]
-        k_hat = k * a * (stencil.delta[m] / (stencil.gamma[m] * n))
-        lo = min(1e-3, 0.1 * k_hat)
-        geometric = np.geomspace(lo, 0.5 * k_hat, 24, endpoint=False)
-        grid = np.concatenate([_anchor_ladder(lo), geometric, np.linspace(0.5 * k_hat, k_hat, 24)])
-        ks = k * (grid / k_hat)
-        lam, vecs = checked_eig(symbols.evaluate(ks)[:, col])
-        idx = int(np.argmin(np.abs(1j * (lam[-1] / a) - physical_branch(lam, ks, a)[-1])))
-        omega += 1j * lam[-1, idx]
-        parts[m] = vecs[-1, :, idx]
-    return complex(omega), reduce(lambda vec, part: np.kron(part, vec), parts, np.ones(1))
-
-
 def eigenmode_state(
     problem: AdvectionProblem, k: float, theta: float = 0.0, phi: float = 0.0
 ) -> tuple[FieldState, complex]:
     """Initial data projected exactly onto the physical mode.
 
     The cell values are the Kronecker product of the 1D physical eigenvectors
-    of :func:`physical_eigenvector` times the Bloch phase of each cell, so a
-    direction the wave does not move in carries exactly constant values. The
-    state is an exact eigenvector of the update only on a uniform grid per
-    direction, with ``problem.velocity`` the direction of the angles and
-    wavenumber components commensurate with the box (:func:`commensurate_wave`).
+    of :func:`~frspectra.spectrum.physical_eigenvector` times the Bloch phase
+    of each cell, so a direction the wave does not move in carries exactly
+    constant values. The state is an exact eigenvector of the update only on
+    a uniform grid per direction, with ``problem.velocity`` the direction of
+    the angles and wavenumber components commensurate with the box
+    (:func:`commensurate_wave`).
     """
     if not np.allclose(problem.velocity, direction_cosines(theta, phi, problem.grid.d), 0, 1e-12):
         raise ValueError(f"velocity {problem.velocity} is not the unit direction of the angles")
@@ -507,9 +466,7 @@ def check_decay_rate(
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     family = make_family(family_kind, p, iota)
     scheme = SchemeConfig(p, family, alpha, d)
-    provisional = StretchedStencil.uniform(d)
-    factor = normalization_factor(theta, 0.0, provisional, p)
-    k_target = k_hat / factor
+    k_target = wavenumber_for(k_hat, theta, 0.0, StretchedStencil.uniform(d), p)
     cells_per_dir = (cells,) * d
     k, delta = commensurate_wave(d, theta, k_target, cells_per_dir)
     stencil = StretchedStencil(d, delta, (1.0,) * d)

@@ -35,7 +35,7 @@ from .spectrum import (
     default_k_hat_grid,
     dispersion_sweep,
 )
-from .temporal import cfl_limit, fully_discrete_sweep, rk_from_name
+from .temporal import check_time_step, cfl_limit, fully_discrete_sweep, rk_from_name
 
 # Columns constant over a combo's rows, then the per-row columns of each command.
 _KEY_COLUMNS = ["p", "family", "iota", "alpha", "gx", "gy", "gz", "aspect", "theta", "phi"]
@@ -252,26 +252,6 @@ def _sweep_combos(args):
     ]
 
 
-def _combo_scheme_stencil(c):
-    family = make_family(c["family"], c["p"], c["iota"])
-    scheme = SchemeConfig(c["p"], family, c["alpha"], c["d"])
-    delta = (c["dx"], c["dy"], c["dz"])[: c["d"]]
-    gamma = (c["gx"], c["gy"], c["gz"])[: c["d"]]
-    return scheme, StretchedStencil(c["d"], delta, gamma)
-
-
-def _resolved_iota(c):
-    try:
-        return make_family(c["family"], c["p"], c["iota"]).iota
-    except ValueError:
-        return c["iota"]  # unresolvable (error rows): echo the input
-
-
-def _key_fields(c):
-    """The combo with the resolved iota and the aspect ratio: every key column."""
-    return {**c, "iota": _resolved_iota(c), "aspect": c["dy"] / c["dx"]}
-
-
 _ROW_ERRORS = (EigensolverError, ModeAmbiguityError, OverflowError, ValueError)
 
 
@@ -284,8 +264,10 @@ def _run_spectrum_command(args):
     sweep = partial(dispersion_sweep, k_hat=khat_grid)
     if args.command == "fully-discrete":
         rk = _rk_scheme(args.rk)
-        if not (isfinite(args.tau) and args.tau > 0):
-            raise UserInputError(f"--tau: must be finite and > 0, got {args.tau}")
+        try:
+            check_time_step(args.tau)
+        except ValueError as exc:
+            raise UserInputError(f"--tau: {exc}") from exc
         sweep = partial(fully_discrete_sweep, rk=rk, tau=args.tau, k_hat=khat_grid)
 
     def rows_for(scheme, stencil, theta, phi):
@@ -318,27 +300,34 @@ def _run_sweep(args, row_columns, rows_for, khat_grid=(None,)):
 
     ``rows_for(scheme, stencil, theta, phi)`` gives one combo's rows, with
     the angles in radians. A numerical error gives one error row per
-    ``khat_grid`` value instead.
+    ``khat_grid`` value instead. A combo's key echoes the iota of the family
+    its scheme is built from, or the input iota when no family can be built.
     """
     combos = _sweep_combos(args)
     if args.threads < 1:
         raise UserInputError(f"--threads: must be >= 1, got {args.threads}")
 
     def worker(c):
+        key = {**c, "aspect": c["dy"] / c["dx"]}
         try:
-            scheme, stencil = _combo_scheme_stencil(c)
-            return rows_for(scheme, stencil, radians(c["theta"]), radians(c["phi"]))
+            family = make_family(c["family"], c["p"], c["iota"])
+            key["iota"] = family.iota
+            scheme = SchemeConfig(c["p"], family, c["alpha"], c["d"])
+            d = c["d"]
+            stencil = StretchedStencil(
+                d, (c["dx"], c["dy"], c["dz"])[:d], (c["gx"], c["gy"], c["gz"])[:d]
+            )
+            return key, rows_for(scheme, stencil, radians(c["theta"]), radians(c["phi"]))
         except _ROW_ERRORS as exc:
-            return [{"khat": kh, "status": f"error:{type(exc).__name__}"} for kh in khat_grid]
+            return key, [{"khat": kh, "status": f"error:{type(exc).__name__}"} for kh in khat_grid]
 
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            nested = list(pool.map(worker, combos))
+            groups = list(pool.map(worker, combos))
     else:
-        nested = [worker(c) for c in combos]
-    groups = list(zip(map(_key_fields, combos), nested))
+        groups = [worker(c) for c in combos]
     _emit(groups, row_columns, args, _spec_echo(args))
-    return 2 if any(r["status"] != "ok" for rows in nested for r in rows) else 0
+    return 2 if any(r["status"] != "ok" for _, rows in groups for r in rows) else 0
 
 
 def _single(flag, text, integer=False):

@@ -147,7 +147,7 @@ class JitteredMesh:
 
 def _audit_quality(corners: np.ndarray) -> np.ndarray:
     scale = np.ptp(corners, axis=-2).max()
-    volume = _tet_volumes(corners).sum(axis=-1)
+    volume = hex_volume(corners)
     bad = np.argwhere(
         (volume <= 1e-12 * scale**3) | (_min_corner_gap(corners) <= 1e-12 * scale)
     )

@@ -80,6 +80,11 @@ class StretchedStencil:
     The central cell has width delta[m] in direction m; the upstream
     neighbour has width delta[m]/gamma[m] and the downstream neighbour
     gamma[m]*delta[m]. gamma = 1 everywhere reproduces the uniform grid.
+    At gamma != 1 the symbol acts on width-weighted values
+    (:class:`DirectionSymbols`), and at resolved k the upwind physical mode
+    tends to omega_ex = k sum_m a_m^2/gamma_m + i sum_m a_m ln(gamma_m)/delta_m.
+    So omega_hat/k_hat = 0.8 at gamma = 1.25 in 1D is 1/gamma, not a 20%
+    dispersion error.
     """
 
     d: int
@@ -220,8 +225,14 @@ class DirectionSymbols:
 
     with d_up = delta_m/gamma_m the upstream width and d_dn =
     gamma_m*delta_m the downstream width. Upstream and downstream blocks
-    carry their own cells' metric factors. The blocks C are the scheme's
-    own, from :func:`build_blocks` (built once per scheme).
+    carry their own cells' metric factors, so Q_m acts on width-weighted
+    values (nodal value times cell width): on a line of the time-domain
+    solver, W L W^-1 with W the cell widths equals Q_m on a Bloch vector at
+    every cell of width delta_m whose neighbours are d_up and d_dn wide.
+    A constant-amplitude wave has width-weighted values that grow by
+    gamma_m per cell, hence the ln(gamma_m) in the omega_ex of
+    :class:`StretchedStencil`. The blocks C are the scheme's own, from
+    :func:`build_blocks` (built once per scheme).
 
     Building one runs every check that does not depend on k (scheme and
     stencil dimensions, and the angles through :class:`WaveProbe`), finds

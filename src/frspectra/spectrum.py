@@ -3,7 +3,9 @@
 Extracts per-mode complex frequencies omega (Re = dispersion, Im =
 dissipation), identifies the physical branch, normalizes wavenumbers by
 the angle- and stretch-dependent Nyquist limit, and measures the modal
-conditioning kappa(W) of the eigenvector matrix.
+conditioning kappa(W) of the eigenvector matrix. It also finds the
+physical Bloch mode at one wavenumber (:func:`physical_eigenvector`),
+the initial data the time-domain solver marches to check the symbol.
 
 ``analyze`` is pure; sweeps over (k, theta, phi) tuples can run
 concurrently as long as results are gathered in a deterministic order.
@@ -11,6 +13,8 @@ concurrently as long as results are gathered in a deterministic order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from math import isfinite
 from typing import Callable, Sequence
 
 import numpy as np
@@ -429,12 +433,45 @@ def tracked_frequencies(lam: np.ndarray) -> np.ndarray:
     return track_branches(np.take_along_axis(omega, order, axis=-1))
 
 
-def physical_branch(lam: np.ndarray, ks: np.ndarray, a: float) -> np.ndarray:
-    """Physical branch omega_m(k a) of S_m along an ascending k sweep, given the
-    eigenvalues ``lam`` (n_k, p+1) of Q_m(k) = a S_m(k a), a != 0: the tracked
-    frequencies i*lam/a with omega / (k a) closest to 1 at the smallest k."""
-    tracked = tracked_frequencies(lam / a)
-    return tracked[:, physical_mode_select(tracked, ks * a)]
+def physical_eigenvector(
+    scheme: SchemeConfig,
+    stencil: StretchedStencil,
+    theta: float,
+    phi: float,
+    k: float,
+) -> tuple[complex, np.ndarray]:
+    """Physical-mode frequency and unit eigenvector of Q at one wavenumber k > 0.
+
+    Q is the Kronecker sum of Q_m(k) = a_m S_m(k a_m), so omega = sum_m a_m
+    omega_m(k a_m) and the eigenvector is the Kronecker product (xi fastest) of
+    the 1D ones, constant where a_m = 0. A moving direction takes one batched
+    eigensolve of Q_m on the anchor ladder, 24 geometric and 24 linear points
+    up to k_hat_m = k a_m delta_m / (gamma_m (p+1)), whose last row is k. Its
+    frequencies i*lam/a are branch-tracked (:func:`tracked_frequencies`), the
+    physical branch of S_m is the one with omega / (k a) closest to 1 at the
+    smallest k (:func:`physical_mode_select`), and the last row's eigenpair
+    nearest that branch is kept. The direction symbols are built once per
+    call. The time-domain solver marches this mode to check the symbol.
+    """
+    if not (isfinite(k) and k > 0):
+        raise ValueError(f"wavenumber must be finite and > 0, got {k}")
+    n = scheme.p + 1
+    symbols = DirectionSymbols(scheme, stencil, theta, phi)
+    omega, parts = 0j, [np.full(n, n**-0.5)] * scheme.d
+    for col, m in enumerate(symbols.active):
+        a = symbols.velocity[m]
+        k_hat = k * a * (stencil.delta[m] / (stencil.gamma[m] * n))
+        lo = min(1e-3, 0.1 * k_hat)
+        geometric = np.geomspace(lo, 0.5 * k_hat, 24, endpoint=False)
+        grid = np.concatenate([_anchor_ladder(lo), geometric, np.linspace(0.5 * k_hat, k_hat, 24)])
+        ks = k * (grid / k_hat)
+        lam, vecs = checked_eig(symbols.evaluate(ks)[:, col])
+        tracked = tracked_frequencies(lam / a)
+        branch = tracked[:, physical_mode_select(tracked, ks * a)]
+        idx = int(np.argmin(np.abs(1j * (lam[-1] / a) - branch[-1])))
+        omega += 1j * lam[-1, idx]
+        parts[m] = vecs[-1, :, idx]
+    return complex(omega), reduce(lambda vec, part: np.kron(part, vec), parts, np.ones(1))
 
 
 def factored_sweep(

@@ -1,0 +1,42 @@
+"""Each module keeps its private names, and the solver stays an independent check.
+
+The time-domain solver builds its operator from the element-wise recipe,
+so the decay-rate check tests the symbol only while ``advect`` does not
+assemble the symbol itself. It takes the physical mode from ``spectrum``
+by name and nothing below it.
+"""
+import ast
+from pathlib import Path
+
+import frspectra
+
+SRC = Path(frspectra.__file__).parent
+
+# The symbol's own construction, which the solver must not reach for.
+SYMBOL_BUILDERS = {"DirectionSymbols", "build_blocks", "checked_eig", "assemble_symbol"}
+
+
+def _imports():
+    """(importing module, imported module, name) for every ``from .x import y``."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "frspectra"
+            ):
+                for alias in node.names:
+                    yield path.stem, node.module or "", alias.name
+
+
+def test_no_module_imports_another_modules_private_name():
+    private = sorted(
+        (importer, module, name) for importer, module, name in _imports()
+        if name.startswith("_") and not name.startswith("__")  # dunders are public
+    )
+    assert not private, f"private names imported across modules: {private}"
+
+
+def test_solver_imports_the_mode_but_not_the_symbol():
+    from_advect = {(module, name) for importer, module, name in _imports() if importer == "advect"}
+    builders = sorted(name for _, name in from_advect if name in SYMBOL_BUILDERS)
+    assert not builders, f"advect imports the symbol's construction: {builders}"
+    assert ("spectrum", "physical_eigenvector") in from_advect  # the walk sees advect's imports

@@ -14,6 +14,7 @@ from frspectra.operator import (
     StretchedStencil,
     WaveProbe,
     assemble_symbol,
+    direction_cosines,
     direction_symbols,
     symbol_for,
 )
@@ -30,6 +31,7 @@ from frspectra.spectrum import (
     normalize_wavenumber,
     nyquist_wavenumber,
     physical_candidates,
+    physical_eigenvector,
     physical_mode_select,
     track_branches,
     wavenumber_for,
@@ -781,3 +783,44 @@ class TestIdleDirection:
             return sweep_outcome(lambda: cfl_limit(sch, stencil, (theta, phi), RK44, nk=33))
 
         assert outcome(d, *full, gamma[:d]) == outcome(d_low, theta_low, phi_low, gamma_low)
+
+
+class TestGridDependence:
+    """At a resolved k_hat, a sweep's physical mode should not depend on the
+    other wavenumbers of its grid. Case: 2D, p = 4, DG, upwind, delta = (1,
+    0.5), gamma = (1.3, 0.8), theta = 0.6 rad, k_hat = 0.4, on the grids
+    [0.4] and [0.1, 0.4]. The expected value is the per-direction mode of
+    physical_eigenvector, 0.369004 - 0.004251i, within 1e-6 of omega_ex."""
+
+    STENCIL = StretchedStencil(2, (1.0, 0.5), (1.3, 0.8))
+    THETA = 0.6
+    GRIDS = ([0.4], [0.1, 0.4])
+
+    def expected(self):
+        factor = normalization_factor(self.THETA, 0.0, self.STENCIL, 4)
+        sch = scheme(4, 1.0, 2, "dg")
+        omega, _ = physical_eigenvector(sch, self.STENCIL, self.THETA, 0.0, 0.4 / factor)
+        return omega * factor
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=str)
+    def test_1d_sweeps_per_direction_do_not_depend_on_the_grid(self, grid):
+        factor = normalization_factor(self.THETA, 0.0, self.STENCIL, 4)
+        omega = 0j
+        for m, a in enumerate(direction_cosines(self.THETA, 0.0, 2)):
+            line = StretchedStencil(1, self.STENCIL.delta[m:m + 1], self.STENCIL.gamma[m:m + 1])
+            line_k_hat = np.array(grid) / factor * a * normalization_factor(0.0, 0.0, line, 4)
+            sweep = dispersion_sweep(scheme(4, 1.0, 1, "dg"), line, 0.0, 0.0, line_k_hat)
+            omega += a * sweep.omega_physical[-1]
+        assert abs(omega * factor - self.expected()) < 1e-9
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="tracking the summed 2D modes hops branches at a resolved k_hat when the "
+        "grid starts at 0.1; ROADMAP direction 2 (track each direction in 1D) mends it",
+    )
+    def test_summed_sweep_does_not_depend_on_the_grid(self):
+        expected = self.expected()
+        for grid in self.GRIDS:
+            sweep = dispersion_sweep(scheme(4, 1.0, 2, "dg"), self.STENCIL, self.THETA, 0.0, grid)
+            assert abs(sweep.omega_hat_physical[-1] - expected) < 1e-9

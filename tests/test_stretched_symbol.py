@@ -1,0 +1,127 @@
+"""What the stretched symbol measures, checked against the time-domain solver.
+
+The dense reference reuses the symbol's metric and phase factors, so it
+cannot catch a wrong one at gamma != 1. Two identities can:
+
+1. The symbol acts on width-weighted values. With L the solver's operator
+   (built from the element-wise recipe) and W the width of each node's
+   cell, W L W^-1 applied to a Bloch vector equals Q(k; delta = w_j, gamma) u
+   at every cell j whose neighbours are w_j/gamma and gamma*w_j wide: the
+   interior cells of a mirrored-geometric half. L itself does not.
+2. The exact frozen value. A constant-amplitude wave has width-weighted
+   values that grow by gamma per cell, so at resolved k the upwind physical
+   mode tends to omega_ex = k sum_m a_m^2/gamma_m + i sum_m a_m ln(gamma_m)/delta_m,
+   with an error that falls with the order of the scheme.
+"""
+from functools import reduce
+
+import numpy as np
+import pytest
+
+from frspectra.advect import AdvectionProblem, PeriodicGrid
+from frspectra.basis import CorrectionFamily
+from frspectra.operator import (
+    SchemeConfig,
+    StretchedStencil,
+    WaveProbe,
+    assemble_symbol,
+    direction_cosines,
+)
+from frspectra.spectrum import dispersion_sweep
+
+
+def scheme(p, alpha, d, kind):
+    fam = CorrectionFamily.dg(p) if kind == "dg" else CorrectionFamily.huynh_g2(p)
+    return SchemeConfig(p, fam, alpha, d)
+
+
+def bloch_residuals(sch, grid, gamma, theta, k, cells):
+    """Largest relative residual of W L W^-1 against Q over ``cells`` (cell
+    indices in FieldState order), and the smallest residual of L itself."""
+    d, n = grid.d, sch.p + 1
+    velocity = direction_cosines(theta, 0.0, d)
+    problem = AdvectionProblem(grid, sch, velocity)
+    widths = reduce(np.multiply.outer, grid.spacings[::-1])[(...,) + (None,) * d]
+    phase = reduce(
+        np.multiply.outer,
+        [np.exp(1j * k * a * grid.origins(m)) for m, a in enumerate(velocity)][::-1],
+    )
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal(n**d) + 1j * rng.standard_normal(n**d)
+    bloch = np.multiply.outer(phase, u.reshape((n,) * d))
+    weighted = widths * problem.rhs(bloch / widths)
+    plain = problem.rhs(bloch)
+    worst_weighted, best_plain = 0.0, np.inf
+    for cell in cells:
+        delta = tuple(float(grid.spacings[m][cell[d - 1 - m]]) for m in range(d))
+        stencil = StretchedStencil(d, delta, gamma)
+        q_u = assemble_symbol(sch, stencil, WaveProbe(k, theta)).Q @ u
+        res = [np.linalg.norm(f[cell].ravel() / phase[cell] - q_u) for f in (weighted, plain)]
+        worst_weighted = max(worst_weighted, res[0] / np.linalg.norm(q_u))
+        best_plain = min(best_plain, res[1] / np.linalg.norm(q_u))
+    return worst_weighted, best_plain
+
+
+class TestWidthWeightedValues:
+    @pytest.mark.parametrize("p", [1, 3, 4])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    @pytest.mark.parametrize("kind", ["dg", "huynh"])
+    @pytest.mark.parametrize("gamma", [0.8, 1.2, 1.5])
+    def test_1d_line(self, p, alpha, kind, gamma):
+        grid = PeriodicGrid.mirrored_geometric(16, gamma, 0.7)
+        for k in (0.3, 1.7, 4.0):
+            weighted, plain = bloch_residuals(
+                scheme(p, alpha, 1, kind), grid, (gamma,), 0.0, k, [(j,) for j in range(1, 7)]
+            )
+            assert weighted < 1e-13
+            assert plain > 0.03
+
+    @pytest.mark.parametrize("p", [1, 3, 4])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    @pytest.mark.parametrize("kind", ["dg", "huynh"])
+    def test_2d_tensor_grid(self, p, alpha, kind):
+        gamma = (1.2, 0.8)
+        grid = PeriodicGrid.explicit(
+            PeriodicGrid.mirrored_geometric(12, gamma[0], 0.7).spacings[0],
+            PeriodicGrid.mirrored_geometric(12, gamma[1], 0.5).spacings[0],
+        )
+        cells = [(j, i) for j in range(1, 5) for i in range(1, 5)]  # (y, x)
+        sch = scheme(p, alpha, 2, kind)
+        for k in (0.3, 1.7, 4.0):
+            weighted, plain = bloch_residuals(sch, grid, gamma, 0.5, k, cells)
+            assert weighted < 1e-13
+            assert plain > 0.03
+
+
+def exact_frequency(stencil, theta, phi, k):
+    a = direction_cosines(theta, phi, stencil.d)
+    return sum(
+        k * a[m] ** 2 / stencil.gamma[m] + 1j * a[m] * np.log(stencil.gamma[m]) / stencil.delta[m]
+        for m in range(stencil.d)
+    )
+
+
+STRETCHED_CASES = [
+    (StretchedStencil(1, (1.0,), (1.25,)), 0.0, 0.0),
+    (StretchedStencil(1, (1.0,), (0.8,)), 0.0, 0.0),
+    (StretchedStencil(2, (1.0, 0.5), (1.3, 0.8)), 0.6, 0.0),
+    (StretchedStencil(3, (1.0, 0.7, 0.5), (1.2, 0.9, 1.1)), 0.5, 0.4),
+]
+
+
+class TestExactFrozenValue:
+    # relative error bound at k_hat = 0.05 by order: 2.1e-5, 1.7e-8 and
+    # 1.3e-11 measured (Huynh g2; DG is smaller)
+    BOUND = {2: 5e-5, 3: 5e-8, 4: 5e-11}
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["dg", "huynh"])
+    @pytest.mark.parametrize(
+        "stencil, theta, phi", STRETCHED_CASES, ids=["1d-expand", "1d-contract", "2d", "3d"]
+    )
+    def test_upwind_mode_tends_to_omega_ex(self, p, kind, stencil, theta, phi):
+        sweep = dispersion_sweep(scheme(p, 1.0, stencil.d, kind), stencil, theta, phi, [0.05])
+        exact = exact_frequency(stencil, theta, phi, sweep.k[0])
+        assert abs(sweep.omega_physical[0] - exact) < self.BOUND[p] * abs(exact)
+        if kind == "dg" and p == 4:
+            assert abs(sweep.omega_physical[0] - exact) < 1e-12 * abs(exact)
