@@ -1,6 +1,6 @@
 """Command-line front end: parameter sweeps with deterministic CSV/JSON output.
 
-Commands: dispersion, condition, cfl, fully-discrete, verify, mesh.
+Commands: dispersion (alias condition), cfl, fully-discrete, verify, mesh.
 Numeric flags accept either a single value or an inclusive range
 ``start:stop:step``. Angles are given in degrees. Output is byte-identical
 for identical invocations (the JSON mirror carries a ``created`` timestamp
@@ -394,13 +394,9 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="frspectra", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    disp = sub.add_parser("dispersion", help="physical-mode dispersion/dissipation sweep")
+    disp = sub.add_parser("dispersion", aliases=["condition"], help="physical-mode sweep")
     _add_sweep_flags(disp)
     disp.set_defaults(func=_run_spectrum_command)
-
-    cond = sub.add_parser("condition", help="modal conditioning sweep (same columns)")
-    _add_sweep_flags(cond)
-    cond.set_defaults(func=_run_spectrum_command)
 
     cfl = sub.add_parser("cfl", help="CFL limit sweep")
     _add_sweep_flags(cfl, with_khat=False)

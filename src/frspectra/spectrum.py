@@ -4,7 +4,7 @@ Extracts per-mode complex frequencies omega (Re = dispersion, Im =
 dissipation), identifies the physical branch, normalizes wavenumbers by
 the angle- and stretch-dependent Nyquist limit, and measures the modal
 conditioning kappa(W) of the eigenvector matrix. It also finds the
-physical Bloch mode at one wavenumber (:func:`physical_eigenvector`),
+wave-carrying Bloch mode at one wavenumber (:func:`physical_eigenvector`),
 the initial data the time-domain solver marches to check the symbol.
 
 ``analyze`` is pure; sweeps over (k, theta, phi) tuples can run
@@ -440,37 +440,33 @@ def physical_eigenvector(
     phi: float,
     k: float,
 ) -> tuple[complex, np.ndarray]:
-    """Physical-mode frequency and unit eigenvector of Q at one wavenumber k > 0.
+    """Wave-carrying frequency and unit eigenvector of Q at one wavenumber k > 0.
 
-    Q is the Kronecker sum of Q_m(k) = a_m S_m(k a_m), so omega = sum_m a_m
-    omega_m(k a_m) and the eigenvector is the Kronecker product (xi fastest) of
-    the 1D ones, constant where a_m = 0. A moving direction takes one batched
-    eigensolve of Q_m on the anchor ladder, 24 geometric and 24 linear points
-    up to k_hat_m = k a_m delta_m / (gamma_m (p+1)), whose last row is k. Its
-    frequencies i*lam/a are branch-tracked (:func:`tracked_frequencies`), the
-    physical branch of S_m is the one with omega / (k a) closest to 1 at the
-    smallest k (:func:`physical_mode_select`), and the last row's eigenpair
-    nearest that branch is kept. The direction symbols are built once per
-    call. The time-domain solver marches this mode to check the symbol.
+    Q is the Kronecker sum of the direction symbols Q_m, so omega = sum_m
+    i lambda_m and the eigenvector is the Kronecker product (xi fastest) of
+    one eigenvector per direction, constant where a_m = 0. One eigensolve at
+    k serves every moving direction; each keeps the eigenpair carrying the
+    plane wave: the largest |beta_j| of W_m beta = u_m (least squares), u_m
+    = exp(i kt_m a_m x) at the solution points, x = (xi + 1) delta_m / 2,
+    sampled at kt_m = k / gamma_m + i ln(gamma_m) / (a_m delta_m), where the
+    uniform upwind symbol equals Q_m (Moura, Sherwin & Peiro, JCP 2015). No
+    branch is tracked, so a sweep can differ at a central-flux avoided
+    crossing (``dispersion --d 1 --p 4 --family dg --alpha 0.5 --khat 0.6``).
     """
     if not (isfinite(k) and k > 0):
         raise ValueError(f"wavenumber must be finite and > 0, got {k}")
     n = scheme.p + 1
     symbols = DirectionSymbols(scheme, stencil, theta, phi)
+    lam, vecs = checked_eig(symbols.evaluate(np.array([k]))[0])
+    xi = make_points(scheme.p, scheme.rule).nodes
     omega, parts = 0j, [np.full(n, n**-0.5)] * scheme.d
     for col, m in enumerate(symbols.active):
-        a = symbols.velocity[m]
-        k_hat = k * a * (stencil.delta[m] / (stencil.gamma[m] * n))
-        lo = min(1e-3, 0.1 * k_hat)
-        geometric = np.geomspace(lo, 0.5 * k_hat, 24, endpoint=False)
-        grid = np.concatenate([_anchor_ladder(lo), geometric, np.linspace(0.5 * k_hat, k_hat, 24)])
-        ks = k * (grid / k_hat)
-        lam, vecs = checked_eig(symbols.evaluate(ks)[:, col])
-        tracked = tracked_frequencies(lam / a)
-        branch = tracked[:, physical_mode_select(tracked, ks * a)]
-        idx = int(np.argmin(np.abs(1j * (lam[-1] / a) - branch[-1])))
-        omega += 1j * lam[-1, idx]
-        parts[m] = vecs[-1, :, idx]
+        a, delta, gamma = symbols.velocity[m], stencil.delta[m], stencil.gamma[m]
+        k_tilde = k / gamma + 1j * np.log(gamma) / (a * delta)
+        wave = np.exp(1j * k_tilde * a * 0.5 * (xi + 1.0) * delta)
+        idx = int(np.argmax(np.abs(np.linalg.lstsq(vecs[col], wave, rcond=None)[0])))
+        omega += 1j * lam[col, idx]
+        parts[m] = vecs[col, :, idx]
     return complex(omega), reduce(lambda vec, part: np.kron(part, vec), parts, np.ones(1))
 
 

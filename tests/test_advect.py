@@ -27,7 +27,7 @@ from frspectra.operator import (
     direction_cosines,
     symbol_for,
 )
-from frspectra.spectrum import _anchor_ladder, analyze, normalization_factor, track_branches
+from frspectra.spectrum import analyze, normalization_factor
 from frspectra.temporal import EULER, RK33, RK44, cfl_limit
 
 
@@ -36,34 +36,17 @@ def scheme(p, alpha=1.0, d=1, kind="huynh"):
     return SchemeConfig(p, fam, alpha, d)
 
 
-def dense_physical_eigenvector(sch, stencil, theta, phi, k):
-    """physical_eigenvector with a dense analyze() at every sweep point."""
-    factor = normalization_factor(theta, phi, stencil, sch.p)
-    k_hat_target = k * factor
-    lo = min(1e-3, 0.1 * k_hat_target)
-    grid = np.unique(
-        np.concatenate(
-            [
-                _anchor_ladder(lo),
-                np.geomspace(lo, 0.5 * k_hat_target, 24, endpoint=False),
-                np.linspace(0.5 * k_hat_target, k_hat_target, 24),
-            ]
-        )
-    )
-    ks = grid / factor
-    tracked = track_branches([
-        analyze(symbol_for(sch, stencil, WaveProbe(k=k_i, theta=theta, phi=phi))).modes
-        for k_i in ks
-    ])
-    scores = np.abs(tracked[0] / ks[0] - 1.0)
-    order = np.argsort(scores)
-    cutoff = max(10.0 * scores[order[0]], 1e-6)
-    candidates = [int(j) for j in order if scores[j] < 0.1 and scores[j] <= cutoff]
-    if not candidates:
-        candidates = [int(order[0])]
+def dense_wave_mode(sch, stencil, theta, phi, k):
+    """The dense mode of analyze() with the largest plane-wave weight |beta|.
+
+    Its eigenvectors are Kronecker products of the 1D ones, so its beta is
+    the product of the 1D weights and the largest is the product of the 1D
+    largest. analyze() samples the wave at the real k, so the stencil must
+    be uniform.
+    """
+    assert stencil.gamma == (1.0,) * stencil.d
     res = analyze(symbol_for(sch, stencil, WaveProbe(k=k, theta=theta, phi=phi)))
-    cols = [int(np.argmin(np.abs(res.modes - tracked[-1, j]))) for j in candidates]
-    idx = cols[int(np.argmax(np.abs(res.beta[cols])))]
+    idx = int(np.argmax(np.abs(res.beta)))
     return complex(res.modes[idx]), res.eigvecs[:, idx]
 
 
@@ -80,12 +63,12 @@ def eigen_residual(q, omega, vec):
 
 
 def sum_of_1d_dense_modes(sch, stencil, theta, k):
-    """sum_m a_m omega_m(k a_m), each 1D mode from dense tracking in 1D."""
+    """sum_m a_m omega_m(k a_m), each 1D mode the dense wave-carrying one."""
     line = SchemeConfig(sch.p, sch.family, sch.alpha, 1)
     total = 0j
     for m, a in enumerate((np.cos(theta), np.sin(theta))):
         sub = StretchedStencil(1, stencil.delta[m : m + 1], stencil.gamma[m : m + 1])
-        total += a * dense_physical_eigenvector(line, sub, 0.0, 0.0, k * a)[0]
+        total += a * dense_wave_mode(line, sub, 0.0, 0.0, k * a)[0]
     return total
 
 
@@ -658,23 +641,12 @@ class TestRateChecks:
         theta = np.radians(30)
         k = k_hat / normalization_factor(theta, 0.0, stencil, 3)
         omega, vec = physical_eigenvector(sch, stencil, theta, 0.0, k)
-        if alpha == 1.0 or k_hat == 0.3:
-            dense_omega, dense_vec = dense_physical_eigenvector(sch, stencil, theta, 0.0, k)
-        elif k_hat == 1.0:
-            # dense (p+1)^2-mode tracking hops branches here (Re omega 2.568 at
-            # k = 4.619); the physical mode carries the largest plane-wave weight
-            _, res = dense_mode(sch, stencil, theta, 0.0, k)
-            idx = int(np.argmax(np.abs(res.beta)))
-            dense_omega, dense_vec = res.modes[idx], res.eigvecs[:, idx]
-        else:
-            # no dense rule decides k_hat = 2.2: the mode must be an exact
-            # eigenpair of Q and the sum of the 1D physical modes
-            q, _ = dense_mode(sch, stencil, theta, 0.0, k)
-            assert eigen_residual(q, omega, vec) <= 1e-12
-            assert abs(omega - sum_of_1d_dense_modes(sch, stencil, theta, k)) < 1e-12
-            return
+        dense_omega, dense_vec = dense_wave_mode(sch, stencil, theta, 0.0, k)
         assert abs(omega - dense_omega) < 1e-12
         assert abs(abs(np.vdot(dense_vec, vec)) - 1.0) < 1e-12
+        q, _ = dense_mode(sch, stencil, theta, 0.0, k)
+        assert eigen_residual(q, omega, vec) <= 1e-12
+        assert abs(omega - sum_of_1d_dense_modes(sch, stencil, theta, k)) < 1e-12
 
     def test_decay_rate_follows_sum_of_1d_modes(self):
         # a plane-wave-weight tie-break over dense modes gave rate -5.163111136102
@@ -703,16 +675,16 @@ class TestRateChecks:
             for k_hat in (0.3, 1.0, 1.3, 2.0):
                 k = k_hat / normalization_factor(theta, 0.0, stencil, p)
                 omega, vec = physical_eigenvector(sch, stencil, theta, 0.0, k)
-                line = dense_physical_eigenvector(
+                line = dense_wave_mode(
                     scheme(p, alpha), StretchedStencil.uniform(1), 0.0, 0.0, k * a
                 )[0]
                 assert abs(omega - 2 * a * line) <= 1e-12 * abs(omega)
                 q, _ = dense_mode(sch, stencil, theta, 0.0, k)
                 assert eigen_residual(q, omega, vec) <= 1e-12
 
-    def test_anchor_ladder_keeps_the_1d_branches(self):
-        # each direction tracks from the anchor ladder; without it Im omega
-        # read 0.1808658 here instead of the sum of the 1D modes, 0.1803684
+    def test_stretched_mode_grows_on_expanding_cells(self):
+        # the mode of each direction grows where gamma_m > 1 and decays where
+        # gamma_m < 1, as omega_ex does
         stencil = StretchedStencil(3, (0.5, 2.0, 1.0), (1.5, 0.8, 1.2))
         theta = phi = np.radians(89)
         k = 0.01 / normalization_factor(theta, phi, stencil, 1)
@@ -720,8 +692,35 @@ class TestRateChecks:
         expected = 0j
         for m, a in enumerate(direction_cosines(theta, phi, 3)):
             line = StretchedStencil(1, stencil.delta[m : m + 1], stencil.gamma[m : m + 1])
-            expected += a * dense_physical_eigenvector(scheme(1, 0.5), line, 0.0, 0.0, k * a)[0]
+            omega_m, _ = physical_eigenvector(scheme(1, 0.5), line, 0.0, 0.0, k * a)
+            assert np.sign(omega_m.imag) == np.sign(np.log(stencil.gamma[m]))
+            expected += a * omega_m
         assert abs(omega - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("k_hat", [0.6, 0.65, 0.7])
+    def test_mode_leaves_the_avoided_crossing_with_the_wave(self, k_hat):
+        # 1D DG p = 4 central: a spurious branch meets omega_hat = k_hat in an
+        # avoided crossing near 0.565, where the sorted branches part from the wave
+        sch, stencil = scheme(4, 0.5, kind="dg"), StretchedStencil.uniform(1)
+        factor = normalization_factor(0.0, 0.0, stencil, 4)
+        omega, _ = physical_eigenvector(sch, stencil, 0.0, 0.0, k_hat / factor)
+        assert abs(omega * factor - k_hat) < 1e-3
+
+    @pytest.mark.parametrize("gamma,sign", [(1.5, 1.0), (0.8, -1.0)])
+    def test_expanding_cell_grows_and_contracting_cell_decays(self, gamma, sign):
+        stencil = StretchedStencil(1, (0.5,), (gamma,))
+        omega, _ = physical_eigenvector(scheme(1, 0.5), stencil, 0.0, 0.0, 7.3e-6)
+        assert np.sign(omega.imag) == sign
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_marched_mode_carries_the_plane_wave(self, d, p, alpha):
+        # the timedomain benchmark items; every central mode has zero decay,
+        # so only the weight shows that the marched mode is the wave
+        theta = np.radians(30) if d == 2 else 0.0
+        check = check_decay_rate(p, "huynh-g2", alpha, d, theta, 1.0)
+        assert check.passed and check.weight > 0.9
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("k", [0.0, -1.0, np.nan, np.inf])

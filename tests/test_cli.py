@@ -327,6 +327,16 @@ class TestDispersionCommand:
         db["metadata"].pop("created")
         assert da == db
 
+    def test_condition_is_dispersion_by_another_name(self, capsys):
+        args = ["--d", "2", "--p", "2", "--gx", "1.1", "--theta", "0:90:45", "--khat", "0.5:1:0.5"]
+        csv = []
+        for command in ("dispersion", "condition"):
+            assert main([command, *args]) == 0
+            csv.append(capsys.readouterr().out)
+        assert csv[0] and csv[0] == csv[1]
+        assert main(["condition", *args, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == "condition"
+
     def test_osfr_requires_iota(self, capsys):
         code = run_cli(["dispersion", "--d", "1", "--family", "osfr", "--theta", "0"])
         assert code == 1

@@ -3,7 +3,8 @@
 The time-domain solver builds its operator from the element-wise recipe,
 so the decay-rate check tests the symbol only while ``advect`` does not
 assemble the symbol itself. It takes the physical mode from ``spectrum``
-by name and nothing below it.
+by name and nothing below it, and that mode does not come from the
+sweeps' branch tracker.
 """
 import ast
 from pathlib import Path
@@ -40,3 +41,17 @@ def test_solver_imports_the_mode_but_not_the_symbol():
     builders = sorted(name for _, name in from_advect if name in SYMBOL_BUILDERS)
     assert not builders, f"advect imports the symbol's construction: {builders}"
     assert ("spectrum", "physical_eigenvector") in from_advect  # the walk sees advect's imports
+
+
+def test_wave_carrying_mode_does_not_track_branches():
+    """The time-domain check takes its mode by plane-wave weight, so it
+    stays independent of the sweeps' branch tracking."""
+    tracker = {"track_branches", "tracked_frequencies", "physical_mode_select", "_anchor_ladder"}
+    tree = ast.parse((SRC / "spectrum.py").read_text())
+    [func] = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "physical_eigenvector"
+    ]
+    named = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(func) if isinstance(node, ast.Attribute)}
+    assert not named & tracker, f"physical_eigenvector names the tracker: {sorted(named & tracker)}"
