@@ -3,8 +3,7 @@
 import argparse
 import sys
 
-import numpy as np
-
+from frspectra.cli import parse_range
 from frspectra.mesh import generate
 
 
@@ -13,12 +12,11 @@ def run(argv=None):
     parser.add_argument("--dims", type=int, default=20)
     parser.add_argument("--extent", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--jitters", default="0:0.8:0.1")
+    parser.add_argument("--jitters", default="0:0.8:0.1", help="v or start:stop:step")
     parser.add_argument("-o", "--output", default="jitter_quality.csv")
     args = parser.parse_args(argv)
 
-    start, stop, step = (float(v) for v in args.jitters.split(":"))
-    jitters = np.arange(start, stop + step / 2, step)
+    jitters = parse_range(args.jitters)
     with open(args.output, "w") as fh:
         fh.write("jitter_factor,mean_qh,min_qh,max_qh\n")
         for jf in jitters:

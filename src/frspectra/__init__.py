@@ -45,7 +45,6 @@ from .spectrum import (
     dispersion_sweep,
     normalize_wavenumber,
     nyquist_wavenumber,
-    physical_mode_select,
     track_branches,
     wavenumber_for,
 )

@@ -234,6 +234,11 @@ class DirectionSymbols:
     :class:`StretchedStencil`. The blocks C are the scheme's own, from
     :func:`build_blocks` (built once per scheme).
 
+    With upwind fluxes C_plus = 0, so Q_m(k; delta_m, gamma_m) equals the
+    uniform Q_m(kt; delta_m, 1) at kt = k/gamma_m + i ln(gamma_m)/(a_m
+    delta_m): expansion (gamma_m > 1) lifts kt into the upper half-plane,
+    hence growth. For alpha < 1 C_plus keeps a real phase and this fails.
+
     Building one runs every check that does not depend on k (scheme and
     stencil dimensions, and the angles through :class:`WaveProbe`), finds
     the directions the wave moves in (``active``: a_m != 0, with |a_m| at

@@ -3,9 +3,10 @@
 Extracts per-mode complex frequencies omega (Re = dispersion, Im =
 dissipation), identifies the physical branch, normalizes wavenumbers by
 the angle- and stretch-dependent Nyquist limit, and measures the modal
-conditioning kappa(W) of the eigenvector matrix. It also finds the
-wave-carrying Bloch mode at one wavenumber (:func:`physical_eigenvector`),
-the initial data the time-domain solver marches to check the symbol.
+conditioning kappa(W) of the eigenvector matrix. One rule, the largest
+plane-wave weight (:func:`wave_modes`), picks the physical mode: the
+Bloch mode the time-domain solver marches (:func:`physical_eigenvector`)
+and the anchor of the sweeps' tracked branch (:func:`factored_sweep`).
 
 ``analyze`` is pure; sweeps over (k, theta, phi) tuples can run
 concurrently as long as results are gathered in a deterministic order.
@@ -38,7 +39,7 @@ class EigensolverError(RuntimeError):
 
 
 class ModeAmbiguityError(RuntimeError):
-    """Two branches match the physical-mode criterion equally well."""
+    """A distinct branch starts at the physical mode: tracking cannot tell them apart."""
 
 
 def normalization_factor(
@@ -151,11 +152,10 @@ def _eig_sorted(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def analyze(symbol: SemiDiscreteSymbol) -> SpectrumResult:
     """Full eigenanalysis of one semi-discrete symbol.
 
-    Modes are the eigenvalues of iQ. The physical index is chosen by
-    closeness of omega/k to the exact unit-speed response, which is
-    reliable for small and moderate k; branch-tracked sweeps
-    (:func:`dispersion_sweep`) are authoritative near and beyond the
-    Nyquist limit.
+    Modes are the eigenvalues of iQ. The physical index is the largest
+    plane-wave weight |beta|, the rule of :func:`wave_modes` on the dense
+    eigenvectors with the wave sampled at the real k. Branch-tracked sweeps
+    (:func:`dispersion_sweep`) follow the branch from their anchor.
     """
     omega, vecs = _eig_sorted(symbol.Q)
     sv = np.linalg.svd(vecs, compute_uv=False)
@@ -169,14 +169,10 @@ def analyze(symbol: SemiDiscreteSymbol) -> SpectrumResult:
     else:
         beta = np.linalg.solve(vecs, u0)
     k = symbol.probe.k
-    if abs(k) > 1e-300:
-        physical = int(np.argmin(np.abs(omega / k - 1.0)))
-    else:
-        physical = int(np.argmin(np.abs(omega)))
     return SpectrumResult(
         modes=omega,
         eigvecs=vecs,
-        physical_index=physical,
+        physical_index=int(np.argmax(np.abs(beta))),
         k_hat=normalize_wavenumber(abs(k), symbol.probe, symbol.stencil, symbol.scheme.p),
         kappa=kappa,
         beta=beta,
@@ -305,39 +301,17 @@ def track_branches(mode_sets: Sequence[np.ndarray]) -> np.ndarray:
     return tracked
 
 
-def physical_candidates(scores: np.ndarray) -> list[int]:
-    """The best branch by ``scores`` (|omega/k - 1| at the smallest k), then
-    the near-ties: scores < 0.1 and < max(10 * best, 1e-6), ascending."""
-    best, *rest = np.argsort(scores).tolist()
-    cutoff = min(0.1, max(10.0 * scores[best], 1e-6))
-    return [best] + [j for j in rest if scores[j] < cutoff]
-
-
-def physical_mode_select(tracked: np.ndarray, k_values: np.ndarray) -> int:
-    """Index of the physical branch in a branch-tracked mode array.
-
-    The physical branch passes through the origin with unit slope, so it
-    is the one with omega/k closest to 1 at the smallest k of the sweep.
-    A near-tie (:func:`physical_candidates`) between genuinely distinct
-    branches is reported rather than silently resolved; exact multiplicity
-    copies collapse to the lowest index. The factored sweeps hold no copies
-    (:func:`factored_spectra`), but a dense symbol at grid-aligned
-    incidence repeats the 1D branch. The smallest k must be finite and
-    nonzero, else ``ValueError``.
-    """
-    k0 = k_values[0]
-    if not (np.isfinite(k0) and k0 != 0):
-        raise ValueError(f"the smallest k must be finite and nonzero, got {k0}")
-    scores = np.abs(tracked[0] / k0 - 1.0)
-    best, *ties = physical_candidates(scores)
-    scale = max(1.0, float(np.abs(tracked).max()))
-    for j in ties:
-        if np.abs(tracked[:, j] - tracked[:, best]).max() > 1e-9 * scale:
+def _check_anchor(modes: np.ndarray, physical: int, k0: float) -> None:
+    """Raise :class:`ModeAmbiguityError` when a branch starts within 1e-6 *
+    k0 of the physical one (row 0) and later departs from it; copies pass."""
+    near = np.abs(modes[0] - modes[0, physical]) < 1e-6 * k0
+    scale = max(1.0, float(np.abs(modes).max()))
+    for j in np.flatnonzero(near).tolist():
+        if np.abs(modes[:, j] - modes[:, physical]).max() > 1e-9 * scale:
             raise ModeAmbiguityError(
-                f"two distinct branches match the physical criterion at k = {k0}: "
-                f"scores {scores[best]:.3e} and {scores[j]:.3e}"
+                f"a distinct branch starts within {1e-6 * k0:.3e} of the physical mode "
+                f"at k = {k0}"
             )
-    return best
 
 
 def default_k_hat_grid(n: int = 64, lo: float = 0.01 * np.pi) -> np.ndarray:
@@ -348,9 +322,9 @@ def default_k_hat_grid(n: int = 64, lo: float = 0.01 * np.pi) -> np.ndarray:
 def _anchor_ladder(first_k_hat: float) -> np.ndarray:
     """Unreported leading wavenumbers seeding branch identification.
 
-    Starts low enough that the physical branch is unambiguous and climbs
-    geometrically so consecutive eigenvalue sets stay close for matching,
-    regardless of how coarse or high the requested grid is.
+    Starts at a resolved anchor, where :func:`wave_modes` picks the physical
+    mode, and climbs geometrically so consecutive eigenvalue sets stay
+    close for matching, regardless of how coarse or high the grid is.
     """
     anchor = min(1e-4, 0.01 * first_k_hat)
     steps = max(2, int(np.ceil(4 * np.log(first_k_hat / anchor))))
@@ -426,11 +400,35 @@ def tracked_frequencies(lam: np.ndarray) -> np.ndarray:
 
     ``lam`` holds the eigenvalues of Q, shape (n_k, n_modes). Each row is
     sorted by (Re, Im), as :func:`analyze` sorts its modes, before
-    :func:`track_branches` aligns the rows into branches.
+    :func:`track_branches` aligns the rows into branches, returned in the
+    column order of ``lam[0]``.
     """
     omega = 1j * lam
     order = np.lexsort((omega.imag, omega.real), axis=-1)
-    return track_branches(np.take_along_axis(omega, order, axis=-1))
+    tracked = track_branches(np.take_along_axis(omega, order, axis=-1))
+    return tracked[:, np.argsort(order[0])]
+
+
+def wave_modes(
+    symbols: DirectionSymbols, k: float
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Eigenvalues (len(active), p+1) and unit eigenvectors (len(active),
+    p+1, p+1) of the active Q_m at one k, and per active direction the index
+    of the mode carrying the plane wave: the largest |beta_j| of W_m beta =
+    u_m (least squares; Moura, Sherwin & Peiro, JCP 2015). u_m = exp(i kt_m
+    a_m x) at the solution points, x = (xi + 1) delta_m / 2, with kt_m = k /
+    gamma_m + i ln(gamma_m) / (a_m delta_m), where the uniform upwind symbol
+    equals Q_m (:class:`~frspectra.operator.DirectionSymbols`).
+    """
+    lam, vecs = checked_eig(symbols.evaluate(np.array([k]))[0])
+    xi = make_points(symbols.scheme.p, symbols.scheme.rule).nodes
+    picks = []
+    for col, m in enumerate(symbols.active):
+        a, delta, gamma = symbols.velocity[m], symbols.stencil.delta[m], symbols.stencil.gamma[m]
+        k_tilde = k / gamma + 1j * np.log(gamma) / (a * delta)
+        wave = np.exp(1j * k_tilde * a * 0.5 * (xi + 1.0) * delta)
+        picks.append(int(np.argmax(np.abs(np.linalg.lstsq(vecs[col], wave, rcond=None)[0]))))
+    return lam, vecs, picks
 
 
 def physical_eigenvector(
@@ -444,27 +442,18 @@ def physical_eigenvector(
 
     Q is the Kronecker sum of the direction symbols Q_m, so omega = sum_m
     i lambda_m and the eigenvector is the Kronecker product (xi fastest) of
-    one eigenvector per direction, constant where a_m = 0. One eigensolve at
-    k serves every moving direction; each keeps the eigenpair carrying the
-    plane wave: the largest |beta_j| of W_m beta = u_m (least squares), u_m
-    = exp(i kt_m a_m x) at the solution points, x = (xi + 1) delta_m / 2,
-    sampled at kt_m = k / gamma_m + i ln(gamma_m) / (a_m delta_m), where the
-    uniform upwind symbol equals Q_m (Moura, Sherwin & Peiro, JCP 2015). No
-    branch is tracked, so a sweep can differ at a central-flux avoided
-    crossing (``dispersion --d 1 --p 4 --family dg --alpha 0.5 --khat 0.6``).
+    one eigenvector per direction, constant where a_m = 0. Each moving
+    direction keeps the eigenpair of :func:`wave_modes`. No branch is
+    tracked, so a sweep can differ at a central-flux avoided crossing
+    (``dispersion --d 1 --p 4 --family dg --alpha 0.5 --khat 0.6``).
     """
     if not (isfinite(k) and k > 0):
         raise ValueError(f"wavenumber must be finite and > 0, got {k}")
     n = scheme.p + 1
     symbols = DirectionSymbols(scheme, stencil, theta, phi)
-    lam, vecs = checked_eig(symbols.evaluate(np.array([k]))[0])
-    xi = make_points(scheme.p, scheme.rule).nodes
+    lam, vecs, picks = wave_modes(symbols, k)
     omega, parts = 0j, [np.full(n, n**-0.5)] * scheme.d
-    for col, m in enumerate(symbols.active):
-        a, delta, gamma = symbols.velocity[m], stencil.delta[m], stencil.gamma[m]
-        k_tilde = k / gamma + 1j * np.log(gamma) / (a * delta)
-        wave = np.exp(1j * k_tilde * a * 0.5 * (xi + 1.0) * delta)
-        idx = int(np.argmax(np.abs(np.linalg.lstsq(vecs[col], wave, rcond=None)[0])))
+    for col, (m, idx) in enumerate(zip(symbols.active, picks)):
         omega += 1j * lam[col, idx]
         parts[m] = vecs[col, :, idx]
     return complex(omega), reduce(lambda vec, part: np.kron(part, vec), parts, np.ones(1))
@@ -481,9 +470,11 @@ def factored_sweep(
     """Branch-tracked sweep over a normalized wavenumber grid.
 
     Validates ``k_hat`` (the default grid when None) and prepends the
-    unreported :func:`_anchor_ladder` that seeds the physical branch.
-    ``frequencies(ks, lam)`` maps the wavenumbers and the eigenvalues of Q
-    from :func:`factored_spectra` to branch-tracked frequencies.
+    unreported :func:`_anchor_ladder`. ``frequencies(ks, lam)`` maps the
+    wavenumbers and the eigenvalues of Q from :func:`factored_spectra` to
+    branches in the column order of ``lam[0]``. The physical branch is the
+    column of ``lam[0]`` nearest the sum of the :func:`wave_modes` at the
+    anchor ``ks[0]`` (nearest, so two eigensolves need not order alike).
     """
     if k_hat is None:
         k_hat = default_k_hat_grid()
@@ -496,8 +487,11 @@ def factored_sweep(
     n_lead = lead.size
     symbols = DirectionSymbols(scheme, stencil, theta, phi)
     lam, kappa = factored_spectra(symbols, ks, with_kappa=True)
+    lam_1d, _, picks = wave_modes(symbols, ks[0])
+    anchor = sum(lam_1d[col, idx] for col, idx in enumerate(picks))
+    physical = int(np.argmin(np.abs(lam[0] - anchor)))
     modes = frequencies(ks, lam)
-    physical = physical_mode_select(modes, ks)
+    _check_anchor(modes, physical, ks[0])
     return ModeSweep(
         k=ks[n_lead:],
         k_hat=k_hat,
@@ -525,7 +519,8 @@ def dispersion_sweep(
     idle: it adds no modes and counts as kappa = 1, so the sweep equals the
     one in the lower dimension. The dense :func:`analyze` of the
     assembled symbol remains the reference. The grid, its seeding ladder
-    and the physical branch are those of :func:`factored_sweep`.
+    and the physical branch, the largest plane-wave weight at the anchor
+    tracked from there, are those of :func:`factored_sweep`.
     """
     return factored_sweep(
         scheme, stencil, theta, phi, k_hat, lambda ks, lam: tracked_frequencies(lam)

@@ -289,10 +289,12 @@ def fully_discrete_spectrum(
 
     so that omega reduces to the semi-discrete value as tau -> 0. An
     exactly zero eigenvalue (an over-dissipated mode) is reported with
-    dissipation -inf rather than raising. Branch continuity across a k
-    sweep is handled by :func:`fully_discrete_sweep`; callers are
-    responsible for choosing tau below the stability limit unless an
-    unstable regime is deliberately probed.
+    dissipation -inf rather than raising. The physical index is the largest
+    plane-wave weight |beta|, as in :func:`~frspectra.spectrum.analyze`.
+    Branch continuity across a k sweep is handled by
+    :func:`fully_discrete_sweep`; callers are responsible for choosing tau
+    below the stability limit unless an unstable regime is deliberately
+    probed.
     """
     update = build_update(symbol, rk, tau)
     r_eigs, vecs = checked_eig(update.R)
@@ -308,14 +310,10 @@ def fully_discrete_spectrum(
     kappa = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     u0 = plane_wave_samples(symbol)
     beta = np.linalg.lstsq(vecs, u0, rcond=None)[0]
-    with np.errstate(invalid="ignore"):
-        scores = np.abs(omega / k - 1.0) if k != 0 else np.abs(omega)
-    scores = np.where(np.isnan(scores), np.inf, scores)  # -inf sentinel modes
-    physical = int(np.argmin(scores))
     return SpectrumResult(
         modes=omega,
         eigvecs=vecs,
-        physical_index=physical,
+        physical_index=int(np.argmax(np.abs(beta))),
         k_hat=normalize_wavenumber(abs(k), symbol.probe, symbol.stencil, symbol.scheme.p),
         kappa=kappa,
         beta=beta,

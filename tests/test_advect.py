@@ -46,8 +46,7 @@ def dense_wave_mode(sch, stencil, theta, phi, k):
     """
     assert stencil.gamma == (1.0,) * stencil.d
     res = analyze(symbol_for(sch, stencil, WaveProbe(k=k, theta=theta, phi=phi)))
-    idx = int(np.argmax(np.abs(res.beta)))
-    return complex(res.modes[idx]), res.eigvecs[:, idx]
+    return complex(res.omega_physical), res.eigvecs[:, res.physical_index]
 
 
 def dense_mode(sch, stencil, theta, phi, k):

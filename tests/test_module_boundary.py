@@ -4,7 +4,8 @@ The time-domain solver builds its operator from the element-wise recipe,
 so the decay-rate check tests the symbol only while ``advect`` does not
 assemble the symbol itself. It takes the physical mode from ``spectrum``
 by name and nothing below it, and that mode does not come from the
-sweeps' branch tracker.
+sweeps' branch tracker. The sweeps anchor their branch on the same
+plane-wave-weight helper.
 """
 import ast
 from pathlib import Path
@@ -43,15 +44,31 @@ def test_solver_imports_the_mode_but_not_the_symbol():
     assert ("spectrum", "physical_eigenvector") in from_advect  # the walk sees advect's imports
 
 
+def _spectrum_function(name):
+    tree = ast.parse((SRC / "spectrum.py").read_text())
+    [func] = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+    return func
+
+
 def test_wave_carrying_mode_does_not_track_branches():
     """The time-domain check takes its mode by plane-wave weight, so it
     stays independent of the sweeps' branch tracking."""
-    tracker = {"track_branches", "tracked_frequencies", "physical_mode_select", "_anchor_ladder"}
-    tree = ast.parse((SRC / "spectrum.py").read_text())
-    [func] = [
-        node for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "physical_eigenvector"
-    ]
-    named = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
-    named |= {node.attr for node in ast.walk(func) if isinstance(node, ast.Attribute)}
-    assert not named & tracker, f"physical_eigenvector names the tracker: {sorted(named & tracker)}"
+    tracker = {"track_branches", "tracked_frequencies", "_check_anchor", "_anchor_ladder"}
+    for name in ("physical_eigenvector", "wave_modes"):
+        func = _spectrum_function(name)
+        named = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
+        named |= {node.attr for node in ast.walk(func) if isinstance(node, ast.Attribute)}
+        assert not named & tracker, f"{name} names the tracker: {sorted(named & tracker)}"
+
+
+def test_one_rule_picks_the_physical_mode():
+    """The sweeps' anchor and the time-domain mode both come from the one
+    plane-wave-weight helper, so a second rule cannot come back unnoticed."""
+    for name in ("factored_sweep", "physical_eigenvector"):
+        called = {
+            node.func.id for node in ast.walk(_spectrum_function(name))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        assert "wave_modes" in called, f"{name} does not call wave_modes"

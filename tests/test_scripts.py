@@ -14,6 +14,8 @@ CASES = {
     ),
     "iota_cfl": (["--p", "2", "--points", "2", "--angles", "0", "-o", "{tmp}/iota.csv"], "iota.csv"),
     "jitter_quality": (["--dims", "2", "--jitters", "0:0.1:0.1", "-o", "{tmp}/q.csv"], "q.csv"),
+    # one value, not a range
+    "jitter_quality:single": (["--dims", "2", "--jitters", "0.3", "-o", "{tmp}/q.csv"], "q.csv"),
     "polar_dispersion": (
         ["--orders", "2", "--theta", "0", "--outdir", "{tmp}"],
         "polar_huynh_p2_uniform.csv",
@@ -24,7 +26,8 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_script_runs(name, tmp_path, capsys):
     argv, written = CASES[name]
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    script = name.split(":")[0]
+    spec = importlib.util.spec_from_file_location(script, SCRIPTS / f"{script}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert module.run([a.format(tmp=tmp_path) for a in argv]) == 0

@@ -22,6 +22,7 @@ from frspectra.spectrum import (
     EigensolverError,
     ModeAmbiguityError,
     _anchor_ladder,
+    _check_anchor,
     _match_to_previous,
     analyze,
     diagonalization_residual,
@@ -30,9 +31,7 @@ from frspectra.spectrum import (
     normalization_factor,
     normalize_wavenumber,
     nyquist_wavenumber,
-    physical_candidates,
     physical_eigenvector,
-    physical_mode_select,
     track_branches,
     wavenumber_for,
 )
@@ -184,71 +183,14 @@ class TestBranchTracking:
         assert np.abs(sweep_f.omega_physical[::2] - sweep_c.omega_physical).max() < 1e-8
 
     def test_ambiguity_reported_for_distinct_tied_branches(self):
-        from frspectra.spectrum import ModeAmbiguityError
-
-        k = np.array([1e-3, 2e-3])
+        # branch 1 starts 1e-12 from the physical branch 0 at k0 = 1e-3,
+        # within 1e-6 * k0, and departs from it later
         tracked = np.array([[1e-3 + 0j, 1e-3 + 1e-12j], [2e-3, 2.2e-3]])
         with pytest.raises(ModeAmbiguityError):
-            physical_mode_select(tracked, k)
-
-    def test_rejects_zero_first_k(self):
-        # omega/k is undefined at k = 0, so no branch can be scored there
-        tracked = np.array([[0j, 1.0], [1e-3, 1.0]])
-        with pytest.raises(ValueError, match="nonzero"):
-            physical_mode_select(tracked, np.array([0.0, 1e-3]))
-
-
-def near_ties_as_mode_select(scores):
-    """The tie loop physical_mode_select ran before the shared helper."""
-    order = np.argsort(scores)
-    best = int(order[0])
-    ties = []
-    for j in order[1:]:
-        if not (scores[j] < 0.1 and scores[j] < max(10.0 * scores[best], 1e-6)):
-            break
-        ties.append(int(j))
-    return [best] + ties
-
-
-def near_ties_as_eigenvector(scores):
-    """The candidate list physical_eigenvector built before the shared helper."""
-    order = np.argsort(scores)
-    cutoff = max(10.0 * scores[order[0]], 1e-6)
-    candidates = [int(j) for j in order if scores[j] < 0.1 and scores[j] <= cutoff]
-    return candidates or [int(order[0])]
-
-
-class TestPhysicalCandidates:
-    def test_rule(self):
-        scores = np.array([0.3, 2e-3, 1e-7, 5e-7, 0.05, 9e-7])
-        # best 1e-7: ties need < max(1e-6, 1e-6) and < 0.1
-        assert physical_candidates(scores) == [2, 3, 5]
-        # the bound is strict
-        assert physical_candidates(np.array([1e-7, 1e-6])) == [0]
-        # a best score of 0.1 or more has no ties, and is still returned
-        assert physical_candidates(np.array([0.5, 0.2, 0.25])) == [1]
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(
-                st.floats(0.0, 1.0),
-                st.floats(0.0, 1e-5),
-                st.sampled_from([0.0, 1e-6, 0.01, 0.1, 0.2]),
-            ),
-            min_size=1,
-            max_size=12,
-        )
-    )
-    def test_same_selection_as_both_former_rules(self, values):
-        scores = np.array(values)
-        got = physical_candidates(scores)
-        assert got == near_ties_as_mode_select(scores)
-        assert got[0] == near_ties_as_eigenvector(scores)[0]
-        # the former eigenvector rule admitted a score equal to the cutoff
-        cutoff = max(10.0 * scores[got[0]], 1e-6)
-        if not np.any(scores == cutoff):
-            assert got == near_ties_as_eigenvector(scores)
+            _check_anchor(tracked, 0, 1e-3)
+        # a copy that never departs, or a branch starting 2e-6 * k0 away, passes
+        _check_anchor(np.array([[1e-3 + 0j, 1e-3], [2e-3, 2e-3]]), 0, 1e-3)
+        _check_anchor(np.array([[1e-3 + 0j, 1e-3 + 2e-9j], [2e-3, 2.2e-3]]), 0, 1e-3)
 
 
 class TestNormalization:
@@ -610,16 +552,17 @@ class TestCopyExit:
 
 
 def dense_sweep_omega_hat(sch, stencil, theta, phi, k_hat):
-    """Physical omega_hat from dense analyze() at every k, tracked in full."""
+    """Physical omega_hat from dense analyze() at every k, tracked in full
+    from the mode with the largest plane-wave weight |beta| at the first k."""
     factor = normalization_factor(theta, phi, stencil, sch.p)
     lead = _anchor_ladder(k_hat[0])
     ks = np.concatenate((lead, k_hat)) / factor
-    modes = [
-        analyze(assemble_symbol(sch, stencil, WaveProbe(k=k, theta=theta, phi=phi))).modes
+    results = [
+        analyze(assemble_symbol(sch, stencil, WaveProbe(k=k, theta=theta, phi=phi)))
         for k in ks
     ]
-    tracked = track_branches(modes)
-    return tracked[lead.size:, physical_mode_select(tracked, ks)] * factor
+    tracked = track_branches([res.modes for res in results])
+    return tracked[lead.size:, results[0].physical_index] * factor
 
 
 class TestFactoredSpectra:

@@ -12,6 +12,9 @@ cannot catch a wrong one at gamma != 1. Two identities can:
    values that grow by gamma per cell, so at resolved k the upwind physical
    mode tends to omega_ex = k sum_m a_m^2/gamma_m + i sum_m a_m ln(gamma_m)/delta_m,
    with an error that falls with the order of the scheme.
+
+With upwind fluxes a third, exact identity holds: stretching is a complex
+wavenumber, Q_m(k; delta, gamma) = Q_m(k/gamma + i ln(gamma)/(a delta); delta, 1).
 """
 from functools import reduce
 
@@ -21,13 +24,16 @@ import pytest
 from frspectra.advect import AdvectionProblem, PeriodicGrid
 from frspectra.basis import CorrectionFamily
 from frspectra.operator import (
+    DirectionSymbols,
     SchemeConfig,
     StretchedStencil,
     WaveProbe,
     assemble_symbol,
+    build_blocks,
     direction_cosines,
 )
-from frspectra.spectrum import dispersion_sweep
+from frspectra.spectrum import dispersion_sweep, normalization_factor
+from frspectra.temporal import RK44, fully_discrete_sweep
 
 
 def scheme(p, alpha, d, kind):
@@ -125,3 +131,81 @@ class TestExactFrozenValue:
         assert abs(sweep.omega_physical[0] - exact) < self.BOUND[p] * abs(exact)
         if kind == "dg" and p == 4:
             assert abs(sweep.omega_physical[0] - exact) < 1e-12 * abs(exact)
+
+
+def uniform_symbol_at(sch, delta, a, k):
+    """The uniform (gamma = 1) direction symbol at a complex wavenumber k,
+    from the scheme's blocks."""
+    blocks = build_blocks(sch)
+    return -a * (2.0 / delta) * (
+        blocks.c_minus * np.exp(-1j * k * a * delta)
+        + blocks.c_zero
+        + blocks.c_plus * np.exp(1j * k * a * delta)
+    )
+
+
+class TestStretchingIsAComplexWavenumber:
+    """Identity A: at alpha = 1 the symbol has no downstream block, so the x
+    symbol on a stretched stencil equals the uniform one at the complex
+    wavenumber kt = k/gamma + i ln(gamma)/(a delta). The central block keeps
+    the real phase e^{i k a delta}, so the identity fails for alpha < 1."""
+
+    THETA = 0.6  # a = cos 0.6
+
+    def largest_difference(self, p, kind, alpha, gamma, delta):
+        sch = scheme(p, alpha, 2, kind)
+        stencil = StretchedStencil(2, (delta, 1.0), (gamma, 1.0))
+        a = np.cos(self.THETA)
+        ks = np.array([0.3, 1.7, 4.0])
+        stretched = DirectionSymbols(sch, stencil, self.THETA, 0.0).evaluate(ks)[:, 0]
+        worst = 0.0
+        for k, q in zip(ks, stretched):
+            k_tilde = k / gamma + 1j * np.log(gamma) / (a * delta)
+            diff = np.abs(q - uniform_symbol_at(sch, delta, a, k_tilde)).max()
+            worst = max(worst, diff / np.abs(q).max())
+        return worst
+
+    @pytest.mark.parametrize("delta", [0.7, 1.3])
+    @pytest.mark.parametrize("gamma", [0.8, 1.25])
+    @pytest.mark.parametrize("p", [1, 3, 5])
+    @pytest.mark.parametrize("kind", ["dg", "huynh"])
+    def test_upwind_symbol_is_uniform_symbol_at_complex_k(self, kind, p, gamma, delta):
+        assert self.largest_difference(p, kind, 1.0, gamma, delta) < 1e-13
+
+    @pytest.mark.parametrize("kind", ["dg", "huynh"])
+    def test_fails_with_a_downstream_block(self, kind):
+        # measured 1.02 at alpha = 0.5
+        assert self.largest_difference(3, kind, 0.5, 1.25, 0.7) > 0.1
+
+
+class TestExpandingCellsGrow:
+    """The physical mode of a sweep grows where the cells expand, as
+    omega_ex does. These sweeps once anchored on the mode with omega/k
+    nearest 1, which on a stretched stencil is not the physical one."""
+
+    GAMMA_3D = StretchedStencil.stretched((0.8, 1.25, 1.1))
+    ANGLE = np.radians(45)
+    K_HAT = np.array([0.05, 0.1, 0.15, 0.2])
+
+    def test_3d_upwind_dg_follows_omega_ex(self):
+        # Im omega_hat read +0.000554, then -0.000815 to -0.004958 (decay)
+        sweep = dispersion_sweep(
+            scheme(4, 1.0, 3, "dg"), self.GAMMA_3D, self.ANGLE, self.ANGLE, self.K_HAT
+        )
+        exact = exact_frequency(self.GAMMA_3D, self.ANGLE, self.ANGLE, sweep.k) * sweep.scale
+        assert np.abs(sweep.omega_hat_physical - exact).max() < 1e-6
+        assert (exact.imag > 0).all()
+
+    def test_3d_upwind_dg_fully_discrete_grows(self):
+        sweep = fully_discrete_sweep(
+            scheme(4, 1.0, 3, "dg"), self.GAMMA_3D, RK44, 0.02, self.ANGLE, self.ANGLE, self.K_HAT
+        )
+        assert (sweep.omega_hat_physical.imag > 0).all()
+
+    def test_2d_g2_partly_upwind_grows(self):
+        # read -0.003256; omega_ex gives +0.068161
+        stencil, theta = StretchedStencil(2, (1.0, 0.5), (1.3, 0.8)), np.radians(10)
+        sweep = dispersion_sweep(scheme(1, 0.75, 2, "huynh"), stencil, theta, 0.0, [0.05])
+        assert sweep.omega_hat_physical[0].imag > 0
+        exact = exact_frequency(stencil, theta, 0.0, sweep.k[0]) * sweep.scale
+        assert exact.imag > 0

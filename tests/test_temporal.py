@@ -16,11 +16,11 @@ from frspectra.operator import (
 )
 from frspectra.spectrum import (
     _anchor_ladder,
+    analyze,
     dispersion_sweep,
     factored_spectra,
     normalization_factor,
     nyquist_wavenumber,
-    physical_mode_select,
     track_branches,
 )
 from frspectra.temporal import (
@@ -44,7 +44,9 @@ def scheme(p, alpha=1.0, d=1):
 
 
 def dense_fully_discrete_sweep(sch, stencil, rk, tau, theta, k_hat):
-    """Physical omega and kappa from eig(R(tau Q)) of the dense symbol at every k."""
+    """Physical omega and kappa from eig(R(tau Q)) of the dense symbol at every
+    k, tracked from the mode with the largest plane-wave weight |beta| of
+    analyze() at the first k."""
     factor = normalization_factor(theta, 0.0, stencil, sch.p)
     lead = _anchor_ladder(k_hat[0])
     ks = np.concatenate((lead, k_hat)) / factor
@@ -55,11 +57,15 @@ def dense_fully_discrete_sweep(sch, stencil, rk, tau, theta, k_hat):
         amp_sets.append(np.exp(1j * k * tau) * r_eigs)
         sv = np.linalg.svd(vecs, compute_uv=False)
         kappas.append(sv[0] / sv[-1])
+        if k == ks[0]:
+            first_vecs = vecs
     tracked_amp = track_branches(amp_sets)
     args = np.unwrap(np.angle(tracked_amp), axis=0)
     omega = ks[:, None] - args / tau + 1j * np.log(np.abs(tracked_amp)) / tau
-    physical = physical_mode_select(omega, ks)
-    return omega[lead.size:, physical], np.array(kappas[lead.size:])
+    # R(tau Q) has the eigenvectors of Q: the anchor is the column along that mode
+    first = analyze(symbol_for(sch, stencil, WaveProbe(k=ks[0], theta=theta)))
+    overlap = np.abs(first_vecs.conj().T @ first.eigvecs[:, first.physical_index])
+    return omega[lead.size:, int(np.argmax(overlap))], np.array(kappas[lead.size:])
 
 
 def reference_cfl_limit(scheme, stencil, probe_angles, rk, nk=257, rel_tol=1e-4):
