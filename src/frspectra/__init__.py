@@ -72,12 +72,20 @@ from .advect import (
     eigenmode_state,
     plane_wave_state,
 )
-from .mesh import (
-    CUBE_SHAPE_FACTOR,
-    JitteredMesh,
-    MeshGenerationError,
-    generate,
-    read_mesh,
-    shape_factor,
-    write_mesh,
-)
+
+# Loaded on first access (PEP 562): no sweep or check runs the mesh generator.
+_MESH_NAMES = {"CUBE_SHAPE_FACTOR", "JitteredMesh", "MeshGenerationError", "generate",
+               "read_mesh", "shape_factor", "write_mesh"}
+
+
+def __getattr__(name):
+    if name != "mesh" and name not in _MESH_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    mesh = import_module(".mesh", __name__)
+    return mesh if name == "mesh" else getattr(mesh, name)
+
+
+def __dir__():
+    return sorted({*globals(), "mesh", *_MESH_NAMES})

@@ -13,10 +13,7 @@ orchestrates sweeps and serialization.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from datetime import datetime, timezone
 from functools import cache, partial
 from itertools import product
 from math import isfinite, prod, radians
@@ -27,7 +24,6 @@ import numpy as np
 from . import __version__
 from .advect import check_decay_rate
 from .basis import DG, HUYNH_G2, OSFR, make_family
-from .mesh import MeshGenerationError, generate, write_mesh
 from .operator import SchemeConfig, StretchedStencil
 from .spectrum import (
     EigensolverError,
@@ -116,10 +112,10 @@ def _check_angles(flag, degrees):
 def _format_csv_value(v):
     if v is None:
         return ""
+    if isinstance(v, (float, np.floating)):
+        return "%.17e" % v
     if isinstance(v, (int, np.integer)):  # bool included
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return "%.17e" % float(v)
     return str(v)
 
 
@@ -144,6 +140,9 @@ def _emit(groups, row_columns, args, spec_echo):
             )
         text = "\n".join(lines) + "\n"
     else:
+        import json
+        from datetime import datetime, timezone
+
         doc = {
             "command": args.command,
             "metadata": {
@@ -322,6 +321,8 @@ def _run_sweep(args, row_columns, rows_for, khat_grid=(None,)):
             return key, [{"khat": kh, "status": f"error:{type(exc).__name__}"} for kh in khat_grid]
 
     if args.threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             groups = list(pool.map(worker, combos))
     else:
@@ -367,6 +368,8 @@ def _run_verify(args):
 
 
 def _run_mesh(args):
+    from .mesh import MeshGenerationError, generate, write_mesh
+
     dims = parse_range(args.dims, integer=True)
     dims = tuple(dims * 3 if len(dims) == 1 else dims)
     if len(dims) != 3:

@@ -324,7 +324,8 @@ def _anchor_ladder(first_k_hat: float) -> np.ndarray:
 
     Starts at a resolved anchor, where :func:`wave_modes` picks the physical
     mode, and climbs geometrically so consecutive eigenvalue sets stay
-    close for matching, regardless of how coarse or high the grid is.
+    close for matching, regardless of how coarse or high the grid is. Past
+    the anchor, the sweeps solve it for eigenvalues only (no kappa is shown).
     """
     anchor = min(1e-4, 0.01 * first_k_hat)
     steps = max(2, int(np.ceil(4 * np.log(first_k_hat / anchor))))
@@ -351,6 +352,18 @@ class ModeSweep:
         return self.omega_physical * self.scale
 
 
+def _kronecker_sum(lam_1d: np.ndarray) -> np.ndarray:
+    """Sums of one eigenvalue per direction, (n_k, n_dir, n) -> (n_k, n^n_dir),
+    in the order of the lifted basis (the first direction fastest)."""
+    n_k, n_active, n = lam_1d.shape
+    lam = np.zeros((n_k,) + (n,) * n_active, dtype=complex)
+    for col in range(n_active):
+        shape = [n_k] + [1] * n_active
+        shape[n_active - col] = n  # the first direction is the last axis
+        lam = lam + lam_1d[:, col].reshape(shape)
+    return lam.reshape(n_k, -1)
+
+
 def factored_spectra(
     symbols: DirectionSymbols,
     ks: np.ndarray,
@@ -371,22 +384,17 @@ def factored_spectra(
     ``symbols`` is the configuration's
     :class:`~frspectra.operator.DirectionSymbols`, built once by the
     caller, so a call costs one evaluation of its formula at ``ks`` and one
-    batched eigensolve for every k, whether there are many or one.
+    batched eigensolve for every k, whether there are many or one; without
+    ``with_kappa`` it is eigenvalue-only (``eigvals``, the bits of ``eig``).
 
     Returns the eigenvalues, shape (n_k, (p+1)^len(active)) in the order
-    of the lifted basis of the active directions (the first fastest), and
-    kappa(W) per k when ``with_kappa`` is set, else None. The dense
+    of the lifted basis of the active directions (:func:`_kronecker_sum`),
+    and kappa(W) per k when ``with_kappa`` is set, else None. The dense
     :func:`analyze` of :func:`~frspectra.operator.assemble_symbol` is the
     reference.
     """
     lam_1d, vecs = checked_eig(symbols.evaluate(ks), vectors=with_kappa)
-    n_k, n_active, n = lam_1d.shape
-    lam = np.zeros((n_k,) + (n,) * n_active, dtype=complex)
-    for col in range(n_active):
-        shape = [n_k] + [1] * n_active
-        shape[n_active - col] = n  # the first active direction is the last axis
-        lam = lam + lam_1d[:, col].reshape(shape)
-    lam = lam.reshape(n_k, -1)
+    lam = _kronecker_sum(lam_1d)
     if not with_kappa:
         return lam, None
     sv = np.linalg.svd(vecs, compute_uv=False)
@@ -418,7 +426,8 @@ def wave_modes(
     u_m (least squares; Moura, Sherwin & Peiro, JCP 2015). u_m = exp(i kt_m
     a_m x) at the solution points, x = (xi + 1) delta_m / 2, with kt_m = k /
     gamma_m + i ln(gamma_m) / (a_m delta_m), where the uniform upwind symbol
-    equals Q_m (:class:`~frspectra.operator.DirectionSymbols`).
+    equals Q_m (:class:`~frspectra.operator.DirectionSymbols`). The sweeps'
+    anchor row is the Kronecker sum of these eigenvalues, so k is solved once.
     """
     lam, vecs = checked_eig(symbols.evaluate(np.array([k]))[0])
     xi = make_points(symbols.scheme.p, symbols.scheme.rule).nodes
@@ -471,10 +480,10 @@ def factored_sweep(
 
     Validates ``k_hat`` (the default grid when None) and prepends the
     unreported :func:`_anchor_ladder`. ``frequencies(ks, lam)`` maps the
-    wavenumbers and the eigenvalues of Q from :func:`factored_spectra` to
-    branches in the column order of ``lam[0]``. The physical branch is the
-    column of ``lam[0]`` nearest the sum of the :func:`wave_modes` at the
-    anchor ``ks[0]`` (nearest, so two eigensolves need not order alike).
+    wavenumbers and the eigenvalues of Q to branches in the column order of
+    ``lam[0]``. Each k is solved once, as far as the output reads: the anchor
+    ``ks[0]`` by :func:`wave_modes`, whose picks give the physical column
+    (their Kronecker index), the ladder for eigenvalues, the grid with kappa.
     """
     if k_hat is None:
         k_hat = default_k_hat_grid()
@@ -486,18 +495,18 @@ def factored_sweep(
     ks = np.concatenate((lead, k_hat)) / factor
     n_lead = lead.size
     symbols = DirectionSymbols(scheme, stencil, theta, phi)
-    lam, kappa = factored_spectra(symbols, ks, with_kappa=True)
     lam_1d, _, picks = wave_modes(symbols, ks[0])
-    anchor = sum(lam_1d[col, idx] for col, idx in enumerate(picks))
-    physical = int(np.argmin(np.abs(lam[0] - anchor)))
-    modes = frequencies(ks, lam)
+    physical = sum(idx * (scheme.p + 1) ** col for col, idx in enumerate(picks))
+    ladder, _ = factored_spectra(symbols, ks[1:n_lead])
+    lam, kappa = factored_spectra(symbols, ks[n_lead:], with_kappa=True)
+    modes = frequencies(ks, np.concatenate((_kronecker_sum(lam_1d[None]), ladder, lam)))
     _check_anchor(modes, physical, ks[0])
     return ModeSweep(
         k=ks[n_lead:],
         k_hat=k_hat,
         modes=modes[n_lead:],
         physical=physical,
-        kappa=kappa[n_lead:],
+        kappa=kappa,
         scale=factor,
     )
 

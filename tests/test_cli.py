@@ -12,6 +12,7 @@ import frspectra
 from frspectra.cli import (
     MAX_VALUES,
     UserInputError,
+    _format_csv_value,
     _sweep_combos,
     build_parser,
     main,
@@ -363,6 +364,29 @@ class TestDispersionCommand:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 2
         assert "error:ValueError" in lines[1]
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (None, ""),
+        (True, "1"),
+        (np.True_, "True"),
+        (3, "3"),
+        (np.int64(3), "3"),
+        (1.5, "1.50000000000000000e+00"),
+        (np.float64(1.5), "1.50000000000000000e+00"),
+        (np.float32(1.5), "1.50000000000000000e+00"),
+        (np.float32(0.1), "1.00000001490116119e-01"),
+        (float("nan"), "nan"),
+        (float("inf"), "inf"),
+        (float("-inf"), "-inf"),
+        ("ok", "ok"),
+    ],
+    ids=repr,
+)
+def test_csv_value_bytes(value, text):
+    assert _format_csv_value(value) == text
 
 
 class TestRowErrors:

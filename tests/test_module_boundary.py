@@ -5,10 +5,15 @@ so the decay-rate check tests the symbol only while ``advect`` does not
 assemble the symbol itself. It takes the physical mode from ``spectrum``
 by name and nothing below it, and that mode does not come from the
 sweeps' branch tracker. The sweeps anchor their branch on the same
-plane-wave-weight helper.
+plane-wave-weight helper. A start imports only the modules it runs.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import frspectra
 
@@ -72,3 +77,25 @@ def test_one_rule_picks_the_physical_mode():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         }
         assert "wave_modes" in called, f"{name} does not call wave_modes"
+
+
+@pytest.mark.parametrize("first", ["generate", "JitteredMesh", "mesh"])
+def test_a_start_imports_only_what_it_runs(first):
+    """No sweep or check runs the mesh generator or a thread pool, so
+    importing the package and its CLI loads neither; the mesh names are
+    listed, and each resolves on first access."""
+    code = f"""
+import sys
+import frspectra, frspectra.cli
+loaded = [m for m in ("frspectra.mesh", "concurrent.futures") if m in sys.modules]
+assert not loaded, loaded
+names = {{"mesh", "generate", "JitteredMesh"}}
+assert names <= set(dir(frspectra)), names - set(dir(frspectra))
+value = frspectra.{first}
+mesh = sys.modules["frspectra.mesh"]
+assert value is (mesh if {first!r} == "mesh" else getattr(mesh, {first!r}))
+assert frspectra.mesh is mesh and frspectra.generate is mesh.generate
+assert not hasattr(frspectra, "no_such_name")
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
