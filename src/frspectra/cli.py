@@ -114,7 +114,7 @@ def _format_csv_value(v):
         return ""
     if isinstance(v, (float, np.floating)):
         return "%.17e" % v
-    if isinstance(v, (int, np.integer)):  # bool included
+    if isinstance(v, (int, np.integer, np.bool_)):  # bool and np.bool_ as 1/0
         return str(int(v))
     return str(v)
 
@@ -260,6 +260,8 @@ def _run_spectrum_command(args):
     )
     if khat_grid[0] <= 0:  # ranges ascend
         raise UserInputError(f"--khat: values must be > 0, got {args.khat!r}")
+    if khat_grid[-1] > np.pi:  # above pi the wave aliases
+        raise UserInputError(f"--khat: values must be <= pi, got {args.khat!r}")
     sweep = partial(dispersion_sweep, k_hat=khat_grid)
     if args.command == "fully-discrete":
         rk = _rk_scheme(args.rk)

@@ -478,7 +478,7 @@ def factored_sweep(
 ) -> ModeSweep:
     """Branch-tracked sweep over a normalized wavenumber grid.
 
-    Validates ``k_hat`` (the default grid when None) and prepends the
+    Validates ``k_hat`` (the default grid when None; at most pi) and prepends the
     unreported :func:`_anchor_ladder`. ``frequencies(ks, lam)`` maps the
     wavenumbers and the eigenvalues of Q to branches in the column order of
     ``lam[0]``. Each k is solved once, as far as the output reads: the anchor
@@ -490,6 +490,8 @@ def factored_sweep(
     k_hat = np.asarray(k_hat, dtype=float)
     if not (k_hat.size and np.isfinite(k_hat).all() and (np.diff(k_hat, prepend=0.0) > 0).all()):
         raise ValueError("k_hat must be finite, positive, strictly increasing and non-empty")
+    if k_hat[-1] > np.pi:  # above pi the wave aliases
+        raise ValueError(f"k_hat must be <= pi, got {k_hat[-1]}")
     factor = normalization_factor(theta, phi, stencil, scheme.p)
     lead = _anchor_ladder(k_hat[0])
     ks = np.concatenate((lead, k_hat)) / factor

@@ -174,17 +174,26 @@ def cfl_limit(
     maximum. The bisection converges to relative width ``rel_tol``, which
     must be finite and in (0, 1).
 
-    A step at tau first evaluates the whole grid, and refines only when
-    the grid maximum stays within 1 + ``RHO_TOL``. That is exact: the
-    refinement replaces the grid maximum only by a larger value, so it
-    can never turn "exceeds" into "does not". When the bracket doubles tau
-    at least once, its lower end is the previous, already non-exceeding
-    tau (doubling is exact), so it is not tested again. The grid
-    evaluation and the refinement are both cached per tau, so each tau
-    has its grid evaluated once and refined at most once. The reported
-    ``worst_k`` is the refined peak at the final upper end: the cached
-    refinement when that step needed one, else one refinement of its
-    cached grid.
+    The search runs twice at most. The first pass decides each step by
+    the grid alone (the grid's spectral radius above 1 + ``RHO_TOL``);
+    the full test also exceeds when the golden-section refinement does.
+    The refinement then runs once, at the first pass's lower end tau_lo.
+    If tau_lo passes it too, the first pass's bracket is the answer. Every
+    step the first pass found not exceeding is <= tau_lo, so under the
+    monotone decision that bisection already assumes, the full test
+    passes there as well. At every other step the grid exceeds, and so
+    does the full test, since the refinement can only raise the grid
+    maximum. Both tests thus take the same branch at every step, so a
+    pass with the full test would visit the same steps and return the
+    same bracket. If the refinement overturns tau_lo, or the first pass
+    finds no upper end or halves below 1e-300, the same search runs again
+    with the full test, which refines only the steps whose grid stays
+    within the bound. When the bracket doubles tau at least once, its
+    lower end is the previous, already non-exceeding tau (doubling is
+    exact), so it is not tested again. The grid evaluation and the
+    refinement are both cached per tau, so the second pass evaluates no
+    step's grid again. The reported ``worst_k`` is the refined peak at
+    the final upper end.
 
     The spectrum of R is the stability polynomial applied to tau times the
     eigenvalues of Q, taken from per-direction 1D eigensolves
@@ -235,42 +244,54 @@ def cfl_limit(
         hi = ks[j + 1] if j + 1 < ks.size else k_nq
         k_ref, rho_ref = _golden_max(lambda k: rho(tau, k), lo, hi)
         if rho_ref > best_rho:
-            best_k, best_rho = k_ref, rho_ref
+            best_k, best_rho = float(k_ref), rho_ref
         return best_rho, best_k
+
+    def exceeds_grid(tau: float) -> bool:
+        return grid_rho(tau).max() > 1.0 + RHO_TOL
 
     def exceeds(tau: float) -> bool:
         # refinement only ever raises the grid maximum, so it runs only
         # when the grid alone cannot decide
-        return grid_rho(tau).max() > 1.0 + RHO_TOL or sup_rho(tau)[0] > 1.0 + RHO_TOL
+        return exceeds_grid(tau) or sup_rho(tau)[0] > 1.0 + RHO_TOL
 
-    tau_lo, tau_hi = 0.0, 1.0 / lam_scale
-    for _ in range(200):
-        if exceeds(tau_hi):
-            break
-        tau_lo, tau_hi = tau_hi, tau_hi * 2.0
-    else:
-        raise RuntimeError("failed to bracket the stability boundary from above")
-    if tau_lo == 0.0:  # the first step already exceeds: halve down to a stable one
-        tau_lo = tau_hi / 2.0
-        while exceeds(tau_lo):
-            tau_lo /= 2.0
-            if tau_lo < 1e-300:
-                # unstable for every positive step despite a left-half-plane
-                # spectrum; report as a flagged zero limit
-                return CflResult(
-                    0.0, 0.0, sup_rho(tau_hi)[1], stable=False, theta=theta, phi=phi
-                )
-    while (tau_hi - tau_lo) > rel_tol * tau_hi:
-        mid = 0.5 * (tau_lo + tau_hi)
-        if exceeds(mid):
-            tau_hi = mid
+    def bracket(test) -> tuple[float, float] | None:
+        # the final (tau_lo, tau_hi) under one step test; tau_lo is 0 when
+        # halving reaches the floor, and None means no upper end was found
+        tau_lo, tau_hi = 0.0, 1.0 / lam_scale
+        for _ in range(200):
+            if test(tau_hi):
+                break
+            tau_lo, tau_hi = tau_hi, tau_hi * 2.0
         else:
-            tau_lo = mid
+            return None
+        if tau_lo == 0.0:  # the first step already exceeds: halve down to a stable one
+            tau_lo = tau_hi / 2.0
+            while test(tau_lo):
+                tau_lo /= 2.0
+                if tau_lo < 1e-300:
+                    return 0.0, tau_hi
+        while (tau_hi - tau_lo) > rel_tol * tau_hi:
+            mid = 0.5 * (tau_lo + tau_hi)
+            if test(mid):
+                tau_hi = mid
+            else:
+                tau_lo = mid
+        return tau_lo, tau_hi
+
+    found = bracket(exceeds_grid)
+    if found is None or found[0] == 0.0 or exceeds(found[0]):
+        found = bracket(exceeds)
+        if found is None:
+            raise RuntimeError("failed to bracket the stability boundary from above")
+    # tau_lo = 0: unstable for every positive step despite a left-half-plane
+    # spectrum, reported as a flagged zero limit
+    tau_lo, tau_hi = found
     return CflResult(
         cfl_limit=tau_lo * cfl_per_tau,
         tau_limit=tau_lo,
         worst_k=sup_rho(tau_hi)[1],
-        stable=True,
+        stable=tau_lo > 0.0,
         cfl_crossing=tau_lo * crossing_per_tau,
         theta=theta,
         phi=phi,

@@ -144,6 +144,23 @@ class TestUserErrors:
         assert "frspectra:" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dispersion", "--d", "1", "--p", "3", "--khat", "4"],
+            ["fully-discrete", "--d", "1", "--p", "3", "--tau", "0.1", "--khat", "4"],
+            ["condition", "--d", "1", "--khat", "0.5:3.5:1"],
+            ["dispersion", "--d", "1", "--khat", "0"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_khat_outside_zero_to_pi_exits_1(self, argv, capsys):
+        # above pi the wave aliases, as verify already reports
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("frspectra: --khat:")
+
     def test_sweep_larger_than_the_cap_exits_1(self, capsys):
         # 1000 x 1001 combos, each range well within the range cap
         argv = ["cfl", "--d", "2", "--theta", "45", "--gx", "1:1000:1", "--gy", "1:1001:1"]
@@ -371,7 +388,8 @@ class TestDispersionCommand:
     [
         (None, ""),
         (True, "1"),
-        (np.True_, "True"),
+        (np.True_, "1"),
+        (np.False_, "0"),
         (3, "3"),
         (np.int64(3), "3"),
         (1.5, "1.50000000000000000e+00"),

@@ -156,6 +156,28 @@ def counting_stability(monkeypatch):
     return calls
 
 
+def search_log(monkeypatch):
+    """Log each step ``cfl_limit`` evaluates, as (name, tau, value) in call order.
+
+    Wraps the ``functools.cache`` the search applies to ``grid_rho`` and
+    ``sup_rho``, so an entry is a cache miss: a step evaluated once.
+    """
+    log = []
+
+    def logged_cache(fn):
+        if fn.__name__ not in ("grid_rho", "sup_rho"):
+            return cache(fn)
+
+        def spy(tau):
+            out = fn(tau)
+            log.append((fn.__name__, tau, out))
+            return out
+        return cache(spy)
+
+    monkeypatch.setattr(temporal, "cache", logged_cache)
+    return log
+
+
 class RecordingRk:
     """An RK scheme that logs the spectral-radius maximum of each k-grid evaluation."""
 
@@ -447,7 +469,7 @@ class TestCflShortCircuit:
         args = (scheme(3, 0.5, d), StretchedStencil(d, delta, (1.0,) * d), angles, RK44)
         calls = counting_stability(monkeypatch)
         res = cfl_limit(*args)
-        assert res.stable and calls == [272]
+        assert res.stable and calls == [80]
         assert abs(res.cfl_limit - expected) < 5e-7
         assert res == reference_cfl_limit(*args)
 
@@ -473,18 +495,48 @@ class TestCflShortCircuit:
         assert res.stable
         assert res == reference_cfl_limit(sch, stencil, (0.5, 0.0), EULER)
 
+    def test_halving_to_the_floor_is_a_flagged_zero(self):
+        class AmplifiesEverywhere:  # |R| = 2 at every step and wavenumber
+            def stability(self, z):
+                return 2.0 + 0.0 * z
+
+        args = (scheme(2, 1.0, 2), StretchedStencil.uniform(2), (0.5, 0.0), AmplifiesEverywhere())
+        res = cfl_limit(*args)
+        assert not res.stable and res.tau_limit == res.cfl_limit == res.cfl_crossing == 0.0
+        assert res == reference_cfl_limit(*args)
+
     def test_refines_only_undecided_steps(self, monkeypatch):
-        # the grid alone decides the final upper end, so worst_k refines once more
+        # the grid decides every step, so only the two bracket ends refine
         self.check_schedule(monkeypatch, 4)
 
     def test_worst_k_reuses_the_final_refinement(self, monkeypatch):
-        # the final upper end was refined, so worst_k reuses that refinement
+        # the refinement overturns the grid's lower end, and the full search
+        # refines the final upper end, so worst_k reuses that refinement
         self.check_schedule(monkeypatch, 5)
+
+    @pytest.mark.parametrize(
+        "sch,theta,rk",
+        [
+            (scheme(2, 1.0, 2), 0.5, EULER),
+            (SchemeConfig(3, CorrectionFamily.dg(3), 1.0, 2), np.radians(30.0), RK44),
+        ],
+        ids=["euler-upwind", "rk44-dg"],
+    )
+    def test_overturned_lower_end_runs_the_full_search(self, sch, theta, rk, monkeypatch):
+        stencil, angles = StretchedStencil(2, (1.0, 0.5), (1.0, 1.0)), (theta, 0.0)
+        log = search_log(monkeypatch)
+        res = cfl_limit(sch, stencil, angles, rk)
+        refined = [(tau, out) for name, tau, out in log if name == "sup_rho"]
+        # the first refinement, at the grid-only lower end, exceeds the bound,
+        # so the full search runs and refines below that end
+        assert refined[0][1][0] > 1.0 + RHO_TOL and len(refined) > 2
+        assert res.stable and res.tau_limit < refined[0][0]
+        assert res == reference_cfl_limit(sch, stencil, angles, rk)
 
     @staticmethod
     def check_schedule(monkeypatch, p):
         args = (scheme(p, 1.0, 2), StretchedStencil.stretched((0.9, 0.95)), (0.5, 0.0))
-        events, solves = [], {"cfl_limit": 0, "reference": 0}
+        grids, solves = [], {"cfl_limit": 0, "reference": 0}
 
         def counting(key, solve):
             def spy(*a, **kw):
@@ -492,43 +544,38 @@ class TestCflShortCircuit:
                 return solve(*a, **kw)
             return spy
 
-        def golden(*a, **kw):
-            out = _golden_max(*a, **kw)
-            events.append(("golden", out[1]))
-            return out
-
         monkeypatch.setattr(temporal, "factored_spectra", counting("cfl_limit", factored_spectra))
-        monkeypatch.setattr(temporal, "_golden_max", golden)
-        res = cfl_limit(*args, RecordingRk(RK44, events))
+        log = search_log(monkeypatch)
+        res = cfl_limit(*args, RecordingRk(RK44, grids))
         monkeypatch.setitem(globals(), "factored_spectra", counting("reference", factored_spectra))
         assert res == reference_cfl_limit(*args, RK44)
 
-        grid_at = [i for i, e in enumerate(events) if e[0] == "grid"]
-        assert grid_at[0] == 0  # every refinement follows a grid evaluation
-        goldens = [
-            [e[1] for e in events[i:j] if e[0] == "golden"]
-            for i, j in zip(grid_at, grid_at[1:] + [len(events)])
-        ]
-        within = [events[i][1] <= 1.0 + RHO_TOL for i in grid_at]
-        exceeds = [not w or g[0] > 1.0 + RHO_TOL for w, g in zip(within, goldens)]
-        # the bracket never halves here, so the last exceeding step is the
-        # final upper end; worst_k refines there only if that step did not
-        assert not exceeds[0]
-        final_refined = within[max(i for i, e in enumerate(exceeds) if e)]
-        # each bisection step refines iff its grid stays within the bound,
-        # and worst_k adds one refinement, after the last step, iff the
-        # final upper end was decided by its grid alone
-        expected = [int(w) for w in within]
-        expected[-1] += not final_refined
-        assert [len(g) for g in goldens] == expected
-        assert final_refined == (p == 5)
-        assert 0 < sum(within) < len(grid_at)
-        # no tau has its grid evaluated twice, the final upper end included
-        steps = [events[i][2] for i in grid_at]
-        assert len(set(steps)) == len(steps)
-        if p == 4:
+        # no tau has its grid evaluated twice, and each refinement runs once
+        names = [name for name, _, _ in log]
+        grid_taus = [tau for name, tau, _ in log if name == "grid_rho"]
+        refined = {tau: out for name, tau, out in log if name == "sup_rho"}
+        assert len(grids) == len(grid_taus) == len({g[2] for g in grids})
+        assert len(refined) == names.count("sup_rho")
+        # the grid-only search evaluates grids alone, then refines its lower end
+        first = names.index("sup_rho")
+        assert set(names[:first]) == {"grid_rho"}
+        tau_g = max(tau for _, tau, out in log[:first] if out.max() <= 1.0 + RHO_TOL)
+        rho_g = log[first][2][0]
+        assert log[first][1] == tau_g
+        # the final upper end is the smallest step above the limit, and
+        # worst_k is its cached refinement
+        tau_hi = min(tau for _, tau, _ in log if tau > res.tau_limit)
+        assert tau_hi - res.tau_limit <= 1e-4 * tau_hi
+        assert res.worst_k == refined[tau_hi][1] and type(res.worst_k) is float
+        if p == 4:  # confirmed: one refinement at each bracket end, both after the grids
+            assert rho_g <= 1.0 + RHO_TOL and tau_g == res.tau_limit
+            assert names == ["grid_rho"] * first + ["sup_rho"] * 2
+            assert list(refined) == [res.tau_limit, tau_hi]
             assert 0 < solves["cfl_limit"] < solves["reference"]
-        else:  # the reference's extra refinements revisit only cached wavenumbers
+        else:  # overturned: the full search reruns over the cached grids
+            assert rho_g > 1.0 + RHO_TOL and tau_hi == tau_g
+            assert len(refined) > 2
+            # its refinements revisit only wavenumbers the reference solves too
             assert 0 < solves["cfl_limit"] == solves["reference"]
 
 
@@ -628,7 +675,8 @@ class TestFullyDiscrete:
     ids=["dispersion", "fully_discrete"],
 )
 @pytest.mark.parametrize(
-    "k_hat", [[], [2.0, 1.0], [1.0, 1.0], [0.0, 1.0], [-0.5, 1.0], [np.nan], [np.inf]]
+    "k_hat",
+    [[], [2.0, 1.0], [1.0, 1.0], [0.0, 1.0], [-0.5, 1.0], [np.nan], [np.inf], [4.0], [1.0, 3.2]],
 )
 def test_sweeps_reject_bad_k_hat_grids(sweep, k_hat):
     with pytest.raises(ValueError, match="k_hat must be"):
