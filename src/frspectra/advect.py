@@ -384,8 +384,8 @@ def eigenmode_state(
     """
     if not np.allclose(problem.velocity, direction_cosines(theta, phi, problem.grid.d), 0, 1e-12):
         raise ValueError(f"velocity {problem.velocity} is not the unit direction of the angles")
-    widths = [np.unique(w) for w in problem.grid.spacings]
-    if any(w.size != 1 for w in widths):
+    widths = problem.grid.spacings  # not np.unique, whose first call imports numpy.ma
+    if any((w != w[0]).any() for w in widths):
         raise ValueError("eigenmode initial data requires a uniform grid")
     delta = tuple(float(w[0]) for w in widths)
     stencil = StretchedStencil(problem.grid.d, delta, (1.0,) * problem.grid.d)

@@ -122,7 +122,7 @@ def _format_csv_value(v):
 def _sanitize_json(v):
     if isinstance(v, (float, np.floating)):
         return float(v) if np.isfinite(v) else None
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, (int, np.integer, np.bool_)):  # 1/0, as the CSV prints them
         return int(v)
     return v
 

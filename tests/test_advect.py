@@ -327,6 +327,21 @@ class TestRhs:
         with pytest.raises(ValueError, match="unit direction"):
             eigenmode_state(problem, k, theta)
 
+    def test_eigenmode_needs_a_uniform_grid(self):
+        k, theta = 2 * np.pi * 2 / (8 * 0.3), np.radians(30)
+        stretched = AdvectionProblem(PeriodicGrid.mirrored_geometric(8, 1.1), scheme(3))
+        with pytest.raises(ValueError, match="uniform grid"):
+            eigenmode_state(stretched, k)
+        # uniform in x, so only the y widths can reject it
+        grid = PeriodicGrid.explicit([1.0] * 8, [1.0, 1.0, 1.2, 1.2] * 2)
+        problem = AdvectionProblem(grid, scheme(3, 1.0, 2), (np.cos(theta), np.sin(theta)))
+        with pytest.raises(ValueError, match="uniform grid"):
+            eigenmode_state(problem, k, theta)
+        uniform = AdvectionProblem(PeriodicGrid.uniform((8,), 0.3), scheme(3))
+        _, omega = eigenmode_state(uniform, k)
+        stencil = StretchedStencil(1, (0.3,), (1.0,))
+        assert omega == physical_eigenvector(scheme(3), stencil, 0.0, 0.0, k)[0]
+
 
 class TestStep:
     def test_central_preserves_l2_energy(self):

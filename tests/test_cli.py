@@ -13,6 +13,7 @@ from frspectra.cli import (
     MAX_VALUES,
     UserInputError,
     _format_csv_value,
+    _sanitize_json,
     _sweep_combos,
     build_parser,
     main,
@@ -405,6 +406,23 @@ class TestDispersionCommand:
 )
 def test_csv_value_bytes(value, text):
     assert _format_csv_value(value) == text
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (np.True_, "1"),
+        (np.False_, "0"),
+        (True, "1"),
+        (np.int64(3), "3"),
+        (np.float64("nan"), "null"),
+        (np.float64(0.5), "0.5"),
+    ],
+    ids=repr,
+)
+def test_json_value_matches_the_csv_spelling(value, text):
+    # a boolean is 1/0 in both formats; a non-finite float is null
+    assert json.dumps(_sanitize_json(value)) == text
 
 
 class TestRowErrors:

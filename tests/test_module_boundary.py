@@ -5,7 +5,8 @@ so the decay-rate check tests the symbol only while ``advect`` does not
 assemble the symbol itself. It takes the physical mode from ``spectrum``
 by name and nothing below it, and that mode does not come from the
 sweeps' branch tracker. The sweeps anchor their branch on the same
-plane-wave-weight helper. A start imports only the modules it runs.
+plane-wave-weight helper. A start imports only the modules it runs, and
+no benchmark item imports a numpy or frspectra module the start did not.
 """
 import ast
 import os
@@ -18,6 +19,7 @@ import pytest
 import frspectra
 
 SRC = Path(frspectra.__file__).parent
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 # The symbol's own construction, which the solver must not reach for.
 SYMBOL_BUILDERS = {"DirectionSymbols", "build_blocks", "checked_eig", "assemble_symbol"}
@@ -99,3 +101,33 @@ assert not hasattr(frspectra, "no_such_name")
 """
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+@pytest.mark.parametrize("workload", ["sweep2d", "sweep3d", "stability", "timedomain"])
+def test_no_item_loads_a_module_after_start(workload):
+    """A module an item imports on first use is paid by the first item of
+    every benchmark pass (``np.unique`` imported ``numpy.ma`` in the first
+    decay-rate check). So after the benchmark worker's start (numpy, the
+    package and its CLI) the ``tiny`` items of a workload load no
+    ``numpy.*`` or ``frspectra.*`` module. ``workloads.py`` is compiled from
+    its source, so nothing is written under ``perfbench/``."""
+    code = f"""
+import sys, types
+from pathlib import Path
+import numpy, frspectra, frspectra.cli
+path = {str(WORKLOADS)!r}
+workloads = types.ModuleType("perfbench_workloads")
+workloads.__file__ = path
+exec(compile(Path(path).read_text(), path, "exec"), workloads.__dict__)
+for item in workloads.make_items({workload!r}, workloads.DEFAULT_SEED, tiny=True):
+    before = set(sys.modules)
+    workloads.run_item(item)
+    new = sorted(m for m in set(sys.modules) - before if m.split(".")[0] in ("numpy", "frspectra"))
+    if new:
+        print(item["label"] + ": " + ", ".join(new))
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert not run.stdout, "modules loaded after start:\n" + run.stdout
