@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .advect import check_decay_rate
+from .advect import AMPLIFICATION_TOL, check_decay_rate
 from .basis import DG, HUYNH_G2, OSFR, make_family
 from .operator import SchemeConfig, StretchedStencil
 from .spectrum import (
@@ -365,6 +365,7 @@ def _run_verify(args):
     print(f"predicted rate 2*Im(omega): {check.predicted:.12e}")
     print(f"measured solver decay rate: {check.measured:.12e}")
     print(f"relative error: {check.rel_error:.3e} (tolerance {check.tol:.1e})")
+    print(f"amplification residual: {check.residual:.3e} (bound {AMPLIFICATION_TOL:.1e})")
     print("PASS" if check.passed else "FAIL")
     return 0 if check.passed else 2
 

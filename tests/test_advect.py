@@ -7,6 +7,7 @@ import pytest
 
 from frspectra import advect
 from frspectra.advect import (
+    AMPLIFICATION_TOL,
     BLOWUP_THRESHOLD,
     AdvectionProblem,
     DivergenceError,
@@ -628,6 +629,15 @@ class TestMarchInputs:
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
             check_decay_rate(2, "huynh-g2", 1.0, 1, tol=tol)
 
+    @pytest.mark.parametrize("cells", [0, -8, 3, 8.5, np.nan, np.inf])
+    def test_decay_check_needs_an_integer_cell_count_of_at_least_4(self, monkeypatch, cells):
+        def solve(*args):
+            raise AssertionError("solved before checking cells")
+
+        monkeypatch.setattr(advect, "make_family", solve)
+        with pytest.raises(ValueError, match="cells must be an integer >= 4"):
+            check_decay_rate(2, "huynh-g2", 1.0, 1, cells=cells)
+
 
 class TestRateChecks:
     @pytest.mark.parametrize(
@@ -731,10 +741,30 @@ class TestRateChecks:
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
     def test_marched_mode_carries_the_plane_wave(self, d, p, alpha):
         # the timedomain benchmark items; every central mode has zero decay,
-        # so only the weight shows that the marched mode is the wave
+        # so the energy cannot show that the marched mode is the wave: the
+        # weight and the amplification residual do
         theta = np.radians(30) if d == 2 else 0.0
         check = check_decay_rate(p, "huynh-g2", alpha, d, theta, 1.0)
         assert check.passed and check.weight > 0.9
+        assert check.config["nsteps"] == 16
+        assert check.residual <= AMPLIFICATION_TOL
+        gain = check.predicted_amplification
+        assert abs(check.amplification - gain) <= AMPLIFICATION_TOL * abs(gain)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_short_march_keeps_the_prediction(self, d, p, alpha):
+        # predicted and k do not depend on the march length, and the fitted
+        # rate of an exact eigenvector moves by roundoff only
+        theta = np.radians(30) if d == 2 else 0.0
+        short = check_decay_rate(p, "huynh-g2", alpha, d, theta, 1.0)
+        long = check_decay_rate(p, "huynh-g2", alpha, d, theta, 1.0, nsteps=256)
+        assert long.passed
+        assert short.predicted.hex() == long.predicted.hex()
+        assert short.k.hex() == long.k.hex()
+        floor = max(abs(long.predicted), 1e-3 * long.k)
+        assert abs(short.measured - long.measured) <= 1e-10 * floor
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("k", [0.0, -1.0, np.nan, np.inf])
@@ -779,6 +809,57 @@ class TestRateChecks:
         k_1d, (w_1d,) = commensurate_wave(1, 0.0, 3.0, (8,), 0.5)
         assert commensurate_wave(d, 0.0, 3.0, (8,) * d, 0.5) == (k_1d, (w_1d,) * d)
         assert commensurate_wave(d, np.pi / 2, 3.0, (8,) * d, 0.5) == (k_1d, (w_1d,) * d)
+
+
+def mutate_mode(monkeypatch, mutate):
+    """Hand eigenmode_state ``mutate(omega, vec, scheme, stencil, theta, phi, k)``
+    in place of the wave-carrying mode (omega, vec)."""
+    exact = advect.physical_eigenvector
+
+    def mutated(*probe):
+        return mutate(*exact(*probe), *probe)
+
+    monkeypatch.setattr(advect, "physical_eigenvector", mutated)
+
+
+def other_mode(omega, vec, *probe):
+    """The wave's eigenvector with the frequency of the nearest other mode."""
+    _, res = dense_mode(*probe)
+    others = [w for w in res.modes if abs(w - omega) > 1e-8]
+    return complex(min(others, key=lambda w: abs(w - omega))), vec
+
+
+class TestAmplificationSeesTheMode:
+    """A wrong frequency or mode fails the amplification test, also where the
+    energy fit passes it."""
+
+    ITEMS = [(d, p) for d in (1, 2) for p in (2, 3, 4)]  # the timedomain benchmark items
+
+    @staticmethod
+    def check(d, p, alpha):
+        check = check_decay_rate(p, "huynh-g2", alpha, d, np.radians(30) if d == 2 else 0.0, 1.0)
+        assert check.residual > AMPLIFICATION_TOL and not check.passed
+        return check
+
+    @pytest.mark.parametrize("d,p", ITEMS)
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_frequency_off_by_1e_9(self, monkeypatch, d, p, alpha):
+        mutate_mode(monkeypatch, lambda omega, vec, *probe: (omega * (1 + 1e-9), vec))
+        check = self.check(d, p, alpha)
+        assert check.rel_error <= check.tol
+
+    @pytest.mark.parametrize("d,p", ITEMS)
+    def test_frequency_of_another_mode(self, monkeypatch, d, p):
+        # central modes all have zero decay; the energy fit fails only where
+        # the time step chosen for the other mode is too long for the marched one
+        mutate_mode(monkeypatch, other_mode)
+        self.check(d, p, 0.5)
+
+    @pytest.mark.parametrize("d,p", ITEMS)
+    def test_central_frequency_with_the_wrong_real_part(self, monkeypatch, d, p):
+        mutate_mode(monkeypatch, lambda omega, vec, *probe: (-omega.conjugate(), vec))
+        check = self.check(d, p, 0.5)
+        assert check.rel_error <= check.tol
 
 
 class TestOrderOfAccuracy:

@@ -505,10 +505,15 @@ class TestVerifyCommand:
         code = run_cli(
             ["verify", "--p", "2", "--d", "1", "--family", "dg", "--khat", "1.0"]
         )
-        out = capsys.readouterr().out
+        out = capsys.readouterr().out.splitlines()
         assert code == 0
-        assert "PASS" in out
-        assert "predicted rate" in out
+        assert out[-1] == "PASS"
+        assert "'nsteps': 16" in out[0]
+        assert out[2].startswith("predicted rate")
+        residual = out[-2]
+        assert residual.startswith("amplification residual: ")
+        assert residual.endswith(" (bound 1.0e-12)")
+        assert float(residual.split()[2]) <= 1e-12
 
     def test_verify_2d_theta30(self, capsys):
         code = run_cli(
