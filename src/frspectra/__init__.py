@@ -32,7 +32,6 @@ from .operator import (
     WaveProbe,
     assemble_symbol,
     build_blocks,
-    direction_symbols,
     operators_for,
     symbol_for,
 )
@@ -43,7 +42,6 @@ from .spectrum import (
     SpectrumResult,
     analyze,
     dispersion_sweep,
-    normalize_wavenumber,
     nyquist_wavenumber,
     track_branches,
     wavenumber_for,
@@ -75,7 +73,7 @@ from .advect import (
 
 # Loaded on first access (PEP 562): no sweep or check runs the mesh generator.
 _MESH_NAMES = {"CUBE_SHAPE_FACTOR", "JitteredMesh", "MeshGenerationError", "generate",
-               "read_mesh", "shape_factor", "write_mesh"}
+               "shape_factor", "write_mesh"}
 
 
 def __getattr__(name):

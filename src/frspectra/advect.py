@@ -285,13 +285,7 @@ class AdvectionProblem:
             return y.reshape(x.shape)
         return left @ y.reshape(len(x), left.shape[1], -1)
 
-    def step(self, state: FieldState, rk: RkScheme, tau: float) -> FieldState:
-        """One explicit RK step, R(tau L) applied to the state: a march of one
-        step (:meth:`_march`), so it raises :class:`DivergenceError` as the
-        march does."""
-        return self._march(state, rk, tau, 1)[0]
-
-    def _march(
+    def march(
         self, state: FieldState, rk: RkScheme, tau: float, nsteps: int
     ) -> tuple[FieldState, np.ndarray]:
         """March nsteps steps; return the final state and the energy before
@@ -325,14 +319,6 @@ class AdvectionProblem:
                 time += tau
         return FieldState(self._from_grid(x), time), energies
 
-    def advance(self, state: FieldState, rk: RkScheme, tau: float, nsteps: int) -> FieldState:
-        return self._march(state, rk, tau, nsteps)[0]
-
-    def energy_history(
-        self, state: FieldState, rk: RkScheme, tau: float, nsteps: int
-    ) -> tuple[FieldState, np.ndarray]:
-        return self._march(state, rk, tau, nsteps)
-
     # -- quadrature functionals ------------------------------------------------
 
     def _cell_sums(self, y: np.ndarray) -> np.ndarray:
@@ -345,9 +331,6 @@ class AdvectionProblem:
 
     def l2_energy(self, values: np.ndarray) -> float:
         return float(self.energy_by_cell(values).sum())
-
-    def l2_error(self, values: np.ndarray, exact_fn) -> float:
-        return np.sqrt(self.l2_energy(values - self.sample(exact_fn)))
 
     def energy_by_cell(self, values: np.ndarray) -> np.ndarray:
         return self._cell_sums(np.square(self._to_grid(values)).sum(axis=0))
@@ -483,8 +466,9 @@ def check_decay_rate(
     fit, relative to the denominator, where 8 steps leave 2e-11. Roundoff in
     the residual grows with the number of steps.
     """
-    if nsteps < 1:  # the fit needs at least two energies
-        raise ValueError(f"number of steps must be >= 1, got {nsteps}")
+    # the fit needs at least two energies
+    if isinstance(nsteps, bool) or not isinstance(nsteps, (int, np.integer)) or nsteps < 1:
+        raise ValueError(f"number of steps must be an integer >= 1, got {nsteps!r}")
     if not (float(cells).is_integer() and cells >= 4):  # nan and inf are not integers
         raise ValueError(f"cells must be an integer >= 4, got {cells}")
     if not (isfinite(k_hat) and 0 < k_hat <= pi):  # above pi the wave aliases
@@ -513,7 +497,7 @@ def check_decay_rate(
         (0.5 * tol * floor * factorial(s + 1) / (2.0 * omega_scale ** (s + 1)))
         ** (1.0 / s),
     )
-    final, energies = problem.energy_history(state0, rk, tau, nsteps)
+    final, energies = problem.march(state0, rk, tau, nsteps)
     times = tau * np.arange(nsteps + 1)
     measured = float(np.polyfit(times, np.log(energies), 1)[0])
     rel = abs(measured - predicted) / floor
@@ -547,26 +531,3 @@ def check_decay_rate(
         },
     )
 
-
-# -- state dump -------------------------------------------------------------------
-
-
-def dump_state(problem: AdvectionProblem, state: FieldState, path) -> None:
-    """Write one record per cell per node: cell index, coordinates, value.
-
-    Columnar text; the header documents the layout, one ``node_x``,
-    ``node_y``, ... column per direction. Records and cell indices run
-    row-major over the :class:`FieldState` axes (cell iy * cells_x + ix in 2D).
-    """
-    d = problem.grid.d
-    coords = problem.sample(lambda *xs: np.broadcast_arrays(*xs)).reshape(d, -1).T
-    per_cell = (problem.scheme.p + 1) ** d
-    names = " ".join(f"node_{axis}" for axis in "xyz"[:d])
-    with open(path, "w") as fh:
-        fh.write("# frspectra state dump v1\n")
-        fh.write(f"# d {d}\n")
-        fh.write(f"# time {state.time!r}\n")
-        fh.write(f"# columns: cell {names} re_value im_value\n")
-        for i, (xs, v) in enumerate(zip(coords.tolist(), state.values.ravel().tolist())):
-            fields = "".join(f"{x!r} " for x in xs)
-            fh.write(f"{i // per_cell} {fields}{v.real!r} {v.imag!r}\n")

@@ -25,10 +25,6 @@ DG = "dg"
 HUYNH_G2 = "huynh-g2"
 OSFR = "osfr"
 
-LEFT = "left"
-RIGHT = "right"
-
-
 @dataclass(frozen=True)
 class PointSet:
     """Solution/quadrature points on [-1, 1].
@@ -206,12 +202,6 @@ def correction_legendre_coeffs(family: CorrectionFamily) -> tuple[np.ndarray, np
     # mirror: L_n(-xi) = (-1)^n L_n(xi)
     c_right = c_left * (-1.0) ** np.arange(p + 2)
     return c_left, c_right
-
-
-def correction_value(family: CorrectionFamily, x, side: str = LEFT) -> np.ndarray:
-    """Evaluate a correction function (not its derivative) at ``x``."""
-    c_left, c_right = correction_legendre_coeffs(family)
-    return npleg.legval(x, c_left if side == LEFT else c_right)
 
 
 def correction_derivatives(

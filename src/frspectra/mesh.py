@@ -165,7 +165,7 @@ def generate(dims, extent=(1.0, 1.0, 1.0), jitter_factor: float = 0.0, seed: int
     size (a scalar means a cube). Interior nodes move by uniform offsets
     in (-jf*h/2, +jf*h/2) per coordinate; the same seed always yields the
     identical mesh. Raises MeshGenerationError naming the first inverted
-    element if the jitter produced one.
+    element if the jitter produced one. The mesh's arrays are read-only.
     """
     dims = tuple(int(n) for n in np.broadcast_to(dims, 3))
     if any(n < 2 for n in dims):
@@ -192,12 +192,7 @@ def generate(dims, extent=(1.0, 1.0, 1.0), jitter_factor: float = 0.0, seed: int
     interior = np.zeros(nodes.shape[:3], dtype=bool)
     interior[1:-1, 1:-1, 1:-1] = True
     nodes = nodes + offsets * interior[..., None]
-    return _audited_mesh(dims, extent, float(jitter_factor), int(seed), nodes)
-
-
-def _audited_mesh(dims, extent, jitter_factor, seed, nodes) -> JitteredMesh:
-    """The mesh with its audited q_h; its arrays are read-only."""
-    mesh = JitteredMesh(dims, extent, jitter_factor, seed, nodes, np.empty(dims))
+    mesh = JitteredMesh(dims, extent, float(jitter_factor), int(seed), nodes, np.empty(dims))
     object.__setattr__(mesh, "per_element_qh", _audit_quality(mesh.element_corners()))
     mesh.nodes.setflags(write=False)
     mesh.per_element_qh.setflags(write=False)
@@ -205,7 +200,7 @@ def _audited_mesh(dims, extent, jitter_factor, seed, nodes) -> JitteredMesh:
 
 
 def write_mesh(mesh: JitteredMesh, path) -> None:
-    """Write the documented plain-text format (lossless round trip)."""
+    """Write the documented plain-text format, node coordinates at full precision."""
     with open(path, "w") as fh:
         fh.write("# frspectra hex mesh v1\n")
         fh.write(f"dims {mesh.dims[0]} {mesh.dims[1]} {mesh.dims[2]}\n")
@@ -226,58 +221,3 @@ def write_mesh(mesh: JitteredMesh, path) -> None:
         for row in conn:
             fh.write(" ".join(str(i) for i in row) + "\n")
 
-
-def _values(lines, i, kind, count, label=None) -> list:
-    """The ``count`` values of type ``kind`` on line i, after its ``label``."""
-    if i >= len(lines):
-        raise ValueError(f"truncated mesh file: line {i + 1} is missing")
-    words = lines[i].split()
-    if label is not None:
-        if words[:1] != [label]:
-            raise ValueError(f"line {i + 1}: expected {label!r}, got {lines[i]!r}")
-        words = words[1:]
-    try:
-        values = [kind(w) for w in words]
-    except ValueError:
-        values = []  # count is >= 1, so this is reported below
-    if len(values) != count:
-        raise ValueError(
-            f"line {i + 1}: expected {count} {kind.__name__} values, got {lines[i]!r}"
-        )
-    return values
-
-
-def read_mesh(path) -> JitteredMesh:
-    """Read the plain-text format written by :func:`write_mesh`, checking it.
-
-    Raises ValueError naming the first problem: a foreign header, a missing
-    or malformed line, a node or element count that disagrees with ``dims``,
-    or a connectivity line other than the one ``dims`` implies. q_h is
-    audited as by :func:`generate`, and the arrays are read-only.
-    """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    header = lines[0] if lines else ""
-    if not header.startswith("# frspectra hex mesh"):
-        raise ValueError(f"not a frspectra mesh file: {header.strip()!r}")
-    dims = tuple(_values(lines, 1, int, 3, "dims"))
-    extent = tuple(_values(lines, 2, float, 3, "extent"))
-    (jf,) = _values(lines, 3, float, 1, "jitter_factor")
-    (seed,) = _values(lines, 4, int, 1, "seed")
-    (n_nodes,) = _values(lines, 5, int, 1, "nodes")
-    nx, ny, nz = dims
-    if min(dims) < 1 or n_nodes != (nx + 1) * (ny + 1) * (nz + 1):
-        raise ValueError(f"nodes {n_nodes} does not match dims {dims}")
-    flat = np.array([_values(lines, 6 + i, float, 3) for i in range(n_nodes)])
-    nodes = flat.reshape(nz + 1, ny + 1, nx + 1, 3).transpose(2, 1, 0, 3)
-    mesh = _audited_mesh(dims, extent, jf, seed, nodes)
-    at = 6 + n_nodes
-    (n_elems,) = _values(lines, at, int, 1, "elements")
-    if n_elems != nx * ny * nz:
-        raise ValueError(f"elements {n_elems} does not match dims {dims}")
-    for i, row in enumerate(mesh.connectivity().tolist()):
-        if _values(lines, at + 1 + i, int, 8) != row:
-            raise ValueError(
-                f"line {at + 2 + i}: element {i} is not connected as dims {dims} imply"
-            )
-    return mesh

@@ -292,23 +292,6 @@ class DirectionSymbols:
         return q
 
 
-def direction_symbols(
-    scheme: SchemeConfig,
-    stencil: StretchedStencil,
-    probe: WaveProbe,
-) -> tuple[np.ndarray, ...]:
-    """The d symbols Q_m for one probe, from the scheme's own blocks.
-
-    One evaluation of :class:`DirectionSymbols`, with the same formula and
-    checks; a direction with a_m = 0 gives an exactly zero Q_m.
-    """
-    symbols = DirectionSymbols(scheme, stencil, probe.theta, probe.phi)
-    n = scheme.p + 1
-    q = np.zeros((scheme.d, n, n), dtype=complex)
-    q[symbols.active] = symbols.evaluate([probe.k])[0]
-    return tuple(q)
-
-
 def assemble_symbol(
     scheme: SchemeConfig,
     stencil: StretchedStencil,
@@ -316,14 +299,16 @@ def assemble_symbol(
 ) -> SemiDiscreteSymbol:
     """Assemble the dense Q for one (k, theta, phi) on the given stencil.
 
-    Q is the Kronecker sum of the per-direction symbols of
-    :func:`direction_symbols`, each tensor-lifted to act along its own
-    direction on the flattened (p+1)^d vector. The coupling blocks come
-    from the scheme (:func:`build_blocks`, built once per scheme).
+    Q is the Kronecker sum of the per-direction symbols Q_m of
+    :class:`DirectionSymbols`, each tensor-lifted to act along its own
+    direction on the flattened (p+1)^d vector; a direction with a_m = 0
+    adds nothing. The coupling blocks come from the scheme
+    (:func:`build_blocks`, built once per scheme).
     """
+    symbols = DirectionSymbols(scheme, stencil, probe.theta, probe.phi)
     q = sum(
         lift_to_dimension(q_m, m, scheme.d)
-        for m, q_m in enumerate(direction_symbols(scheme, stencil, probe))
+        for m, q_m in zip(symbols.active, symbols.evaluate([probe.k])[0])
     )
     return SemiDiscreteSymbol(Q=q, probe=probe, stencil=stencil, scheme=scheme)
 

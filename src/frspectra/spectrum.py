@@ -26,7 +26,6 @@ from .operator import (
     SchemeConfig,
     SemiDiscreteSymbol,
     StretchedStencil,
-    WaveProbe,
     direction_cosines,
 )
 
@@ -63,19 +62,10 @@ def normalization_factor(
     return float(np.max(np.abs(a)) / (p + 1) * np.sqrt(np.sum(np.square(scaled))))
 
 
-def normalize_wavenumber(
-    k: float, probe: WaveProbe, stencil: StretchedStencil, p: int
-) -> float:
-    """Map a physical wavenumber to k_hat in [0, pi]."""
-    if not (np.isfinite(k) and k >= 0):
-        raise ValueError(f"normalization expects a finite k >= 0, got {k}")
-    return k * normalization_factor(probe.theta, probe.phi, stencil, p)
-
-
 def wavenumber_for(
     k_hat: float, theta: float, phi: float, stencil: StretchedStencil, p: int
 ) -> float:
-    """Inverse of :func:`normalize_wavenumber` at fixed angles."""
+    """The physical wavenumber k = k_hat / F of :func:`normalization_factor`."""
     return k_hat / normalization_factor(theta, phi, stencil, p)
 
 
@@ -173,7 +163,9 @@ def analyze(symbol: SemiDiscreteSymbol) -> SpectrumResult:
         modes=omega,
         eigvecs=vecs,
         physical_index=int(np.argmax(np.abs(beta))),
-        k_hat=normalize_wavenumber(abs(k), symbol.probe, symbol.stencil, symbol.scheme.p),
+        k_hat=abs(k) * normalization_factor(
+            symbol.probe.theta, symbol.probe.phi, symbol.stencil, symbol.scheme.p
+        ),
         kappa=kappa,
         beta=beta,
         degenerate=degenerate,

@@ -33,7 +33,7 @@ from .spectrum import (
     checked_eig,
     factored_sweep,
     factored_spectra,
-    normalize_wavenumber,
+    normalization_factor,
     nyquist_wavenumber,
     plane_wave_samples,
     track_branches,
@@ -335,7 +335,9 @@ def fully_discrete_spectrum(
         modes=omega,
         eigvecs=vecs,
         physical_index=int(np.argmax(np.abs(beta))),
-        k_hat=normalize_wavenumber(abs(k), symbol.probe, symbol.stencil, symbol.scheme.p),
+        k_hat=abs(k) * normalization_factor(
+            symbol.probe.theta, symbol.probe.phi, symbol.stencil, symbol.scheme.p
+        ),
         kappa=kappa,
         beta=beta,
         degenerate=False,

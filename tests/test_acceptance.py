@@ -265,13 +265,10 @@ def test_criterion_10_order_of_accuracy():
             state = FieldState(problem.sample(lambda x: np.exp(np.sin(2 * np.pi * x))))
             tau = 0.05 / nc
             nsteps = int(round(0.25 / tau))
-            final = problem.advance(state, RK44, tau, nsteps)
+            final, _ = problem.march(state, RK44, tau, nsteps)
             t_final = nsteps * tau
-            errors.append(
-                problem.l2_error(
-                    final.values, lambda x: np.exp(np.sin(2 * np.pi * (x - t_final)))
-                )
-            )
+            exact = problem.sample(lambda x: np.exp(np.sin(2 * np.pi * (x - t_final))))
+            errors.append(np.sqrt(problem.l2_energy(final.values - exact)))
         order = float(np.polyfit(np.log(cells), -np.log(errors), 1)[0])
         ok &= order >= p + 0.5
         details.append(f"p={p}: order {order:.2f}")

@@ -15,7 +15,6 @@ from frspectra.advect import (
     PeriodicGrid,
     check_decay_rate,
     commensurate_wave,
-    dump_state,
     eigenmode_state,
     physical_eigenvector,
     plane_wave_state,
@@ -351,7 +350,7 @@ class TestStep:
         problem = AdvectionProblem(PeriodicGrid.uniform((8,)), sch)
         state = plane_wave_state(problem, 2 * np.pi * 2 / 8)
         tau = 1e-3
-        _, energies = problem.energy_history(state, RK44, tau, 100)
+        _, energies = problem.march(state, RK44, tau, 100)
         drift = np.abs(np.diff(energies)).max()
         assert drift < 1e-10 * energies[0]
 
@@ -367,7 +366,7 @@ class TestStep:
         state = FieldState(random_state(grid, 3, seed=7))
         total0 = problem.total_integral(state.values)
         for _ in range(50):
-            state = problem.step(state, RK44, 5e-3)
+            state, _ = problem.march(state, RK44, 5e-3, 1)
             assert abs(problem.total_integral(state.values) - total0) < 1e-10
             total0 = problem.total_integral(state.values)
 
@@ -382,11 +381,11 @@ class TestStep:
         values = rng.normal(size=(32, p + 1)) + 1j * rng.normal(size=(32, p + 1))
         state = FieldState(values)
         # below the limit: bounded for 10^4 steps
-        final = problem.advance(state, RK44, 0.95 * res.tau_limit, 10_000)
+        final, _ = problem.march(state, RK44, 0.95 * res.tau_limit, 10_000)
         assert np.abs(final.values).max() < 1e3
         # slightly above: the divergence signal fires
         with pytest.raises(DivergenceError) as info:
-            problem.advance(state, RK44, 1.1 * res.tau_limit, 10_000)
+            problem.march(state, RK44, 1.1 * res.tau_limit, 10_000)
         assert 0 < info.value.step_index <= 10_000
 
     def test_expanding_region_collects_low_k_energy(self):
@@ -399,7 +398,7 @@ class TestStep:
         k = 2 * np.pi * 3 / grid.extent[0]
         state = plane_wave_state(problem, k)
         e0 = problem.energy_by_cell(state.values)
-        final = problem.advance(state, RK44, 2.5e-3, 4)
+        final, _ = problem.march(state, RK44, 2.5e-3, 4)
         e1 = problem.energy_by_cell(final.values)
         w = grid.spacings[0]
         expanding = np.array([w[(i + 1) % w.size] > w[i] for i in range(w.size)])
@@ -435,7 +434,7 @@ class TestGridMarch:
         state, tau = FieldState(values, time=0.5), 0.02
         for rk in (EULER, RK33, RK44):
             ref = reference_step(problem, values, rk, tau)
-            got = problem.step(state, rk, tau)
+            got, _ = problem.march(state, rk, tau, 1)
             assert got.values.dtype == ref.dtype
             assert np.abs(got.values - ref).max() <= 1e-13 * np.abs(ref).max(), rk.name
             assert got.time == 0.5 + tau
@@ -444,11 +443,10 @@ class TestGridMarch:
             for _ in range(50):
                 ref = reference_step(problem, ref, rk, tau)
                 ref_energies.append(reference_energy(problem, ref))
-            final, energies = problem.energy_history(state, rk, tau, 50)
+            final, energies = problem.march(state, rk, tau, 50)
             assert final.values.dtype == ref.dtype
             assert np.abs(final.values - ref).max() <= 1e-13 * np.abs(ref).max(), rk.name
             assert np.abs(energies / ref_energies - 1.0).max() <= 1e-12, rk.name
-            assert np.array_equal(problem.advance(state, rk, tau, 50).values, final.values)
 
     @pytest.mark.parametrize("grid", MARCH_GRIDS, ids=MARCH_IDS)
     @pytest.mark.parametrize("rk", [EULER, RK33, RK44], ids=lambda rk: rk.name)
@@ -486,14 +484,10 @@ class TestGridMarch:
             monkeypatch.setattr(AdvectionProblem, name, counting(name))
         problem = march_problem(NONUNIFORM_2D, 2)
         state = FieldState(random_state(NONUNIFORM_2D, 2, seed=3))
-        marches = [(problem.advance, 7), (problem.energy_history, 5), (problem.advance, 0)]
-        for march, nsteps in marches:
+        for nsteps in (7, 5, 0, 1):
             calls.update(dict.fromkeys(calls, 0))
-            march(state, RK44, 0.02, nsteps)
+            problem.march(state, RK44, 0.02, nsteps)
             assert calls == {"_rk_update": 1, "_apply_update": nsteps, "_apply": 0}
-        calls.update(dict.fromkeys(calls, 0))
-        problem.step(state, RK44, 0.02)
-        assert calls == {"_rk_update": 1, "_apply_update": 1, "_apply": 0}
 
     @pytest.mark.parametrize("tau,scale", [(1e40, 1.0), (1e80, 1.0), (1e-3, 1e200)])
     @pytest.mark.parametrize("grid", [PeriodicGrid.uniform((8,)), PeriodicGrid.uniform((8, 8))],
@@ -503,23 +497,22 @@ class TestGridMarch:
         # |z|^2 and a 1e200 state in the initial energy; each used to warn
         problem = march_problem(grid, 2)
         state = FieldState(scale * random_state(grid, 2, seed=5))
-        for march in (problem.advance, problem.energy_history):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(DivergenceError) as info:
-                    march(state, RK44, tau, 3)
-            assert info.value.step_index == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as info:
+                problem.march(state, RK44, tau, 3)
+        assert info.value.step_index == 1
 
     @pytest.mark.parametrize("grid", [PeriodicGrid.uniform((8,)), PeriodicGrid.uniform((8, 8))],
                              ids=["1d", "2d"])
     def test_step_overflow_diverges_at_step_1_without_warning(self, grid):
-        # a single step is a march of one step and reports overflow the same way
+        # a march of one step reports overflow the same way
         problem = march_problem(grid, 2)
         state = FieldState(1e300 * random_state(grid, 2, seed=5))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError) as info:
-                problem.step(state, RK44, 1e3)
+                problem.march(state, RK44, 1e3, 1)
         assert info.value.step_index == 1
 
     @pytest.mark.parametrize("grid", MARCH_GRIDS, ids=MARCH_IDS)
@@ -528,8 +521,7 @@ class TestGridMarch:
         values = random_state(grid, 3, seed=4)
         marches = [
             lambda v: problem.rhs(v),
-            lambda v: problem.step(FieldState(v), RK44, 0.02).values,
-            lambda v: problem.advance(FieldState(v), RK44, 0.02, 5).values,
+            lambda v: problem.march(FieldState(v), RK44, 0.02, 5)[0].values,
         ]
         for march in marches:
             # L is real, so a real state marches as the real part of the complex one
@@ -550,7 +542,7 @@ class TestGridMarch:
         else:
             pytest.fail("the reference march did not diverge")
         with pytest.raises(DivergenceError) as info:
-            problem.advance(FieldState(values), RK44, tau, 10_000)
+            problem.march(FieldState(values), RK44, tau, 10_000)
         assert info.value.step_index == expected
 
     @pytest.mark.parametrize("grid", MARCH_GRIDS, ids=MARCH_IDS)
@@ -577,19 +569,13 @@ class TestMarchInputs:
     def test_time_step_must_be_finite_and_positive(self, problem_and_state, tau):
         problem, state = problem_and_state
         with pytest.raises(ValueError, match="finite and > 0"):
-            problem.step(state, RK44, tau)
-        with pytest.raises(ValueError, match="finite and > 0"):
-            problem.advance(state, RK44, tau, 5)
-        with pytest.raises(ValueError, match="finite and > 0"):
-            problem.energy_history(state, RK44, tau, 3)
+            problem.march(state, RK44, tau, 5)
 
     def test_step_count_must_not_be_negative(self, problem_and_state):
         problem, state = problem_and_state
         with pytest.raises(ValueError, match=">= 0"):
-            problem.advance(state, RK44, 1e-3, -3)
-        with pytest.raises(ValueError, match=">= 0"):
-            problem.energy_history(state, RK44, 1e-3, -3)
-        final, energies = problem.energy_history(state, RK44, 1e-3, 0)
+            problem.march(state, RK44, 1e-3, -3)
+        final, energies = problem.march(state, RK44, 1e-3, 0)
         assert np.array_equal(final.values, state.values) and final.time == state.time
         assert energies.shape == (1,)
 
@@ -597,19 +583,23 @@ class TestMarchInputs:
         problem, state = problem_and_state
         values = state.values.copy()
         values[3, 1] = np.nan
-        for march in (problem.advance, problem.energy_history):
-            with pytest.raises(DivergenceError) as info:
-                march(FieldState(values), RK44, 1e-3, 5)
-            assert info.value.step_index == 1
+        with pytest.raises(DivergenceError) as info:
+            problem.march(FieldState(values), RK44, 1e-3, 5)
+        assert info.value.step_index == 1
 
-    def test_decay_check_needs_a_step_before_solving(self, monkeypatch):
+    @pytest.mark.parametrize("nsteps", [0, -1, 2.5, 16.0, np.nan, np.inf, True, "16"])
+    def test_decay_check_needs_an_integer_step_count_of_at_least_1(self, monkeypatch, nsteps):
         def solve(*args):
             raise AssertionError("solved before checking nsteps")
 
         monkeypatch.setattr(advect, "make_family", solve)
-        for nsteps in (0, -1):
-            with pytest.raises(ValueError, match=">= 1"):
-                check_decay_rate(2, "huynh-g2", 1.0, 1, nsteps=nsteps)
+        with pytest.raises(ValueError, match="number of steps must be an integer >= 1"):
+            check_decay_rate(2, "huynh-g2", 1.0, 1, nsteps=nsteps)
+
+    def test_decay_check_accepts_any_integer_step_count(self):
+        assert check_decay_rate(2, "huynh-g2", 1.0, 1, nsteps=np.int64(16)) == check_decay_rate(
+            2, "huynh-g2", 1.0, 1
+        )
 
     @pytest.mark.parametrize("k_hat", [0.0, -1.0, np.nan, np.inf, np.pi * (1 + 1e-12), 50.0])
     def test_decay_check_needs_k_hat_in_0_to_pi(self, monkeypatch, k_hat):
@@ -874,49 +864,10 @@ class TestOrderOfAccuracy:
             state = FieldState(problem.sample(lambda x: np.exp(np.sin(2 * np.pi * x))))
             tau = 0.05 / nc
             nsteps = int(round(0.25 / tau))
-            final = problem.advance(state, RK44, tau, nsteps)
+            final, _ = problem.march(state, RK44, tau, nsteps)
             t = nsteps * tau
-            errors.append(
-                problem.l2_error(final.values, lambda x: np.exp(np.sin(2 * np.pi * (x - t))))
-            )
+            exact = problem.sample(lambda x: np.exp(np.sin(2 * np.pi * (x - t))))
+            errors.append(np.sqrt(problem.l2_energy(final.values - exact)))
         order = np.polyfit(np.log(cells), -np.log(errors), 1)[0]
         assert order >= p + 0.5
 
-
-class TestDump:
-    def test_dump_roundtrip_values(self, tmp_path):
-        problem = AdvectionProblem(PeriodicGrid.uniform((4,)), scheme(1))
-        state = plane_wave_state(problem, 2 * np.pi / 4)
-        path = tmp_path / "state.txt"
-        dump_state(problem, state, path)
-        rows = np.loadtxt(path)
-        assert rows.shape == (4 * 2, 4)  # cell, x, re, im
-        values = rows[:, 2] + 1j * rows[:, 3]
-        assert np.abs(values - state.values.ravel()).max() < 1e-15
-
-    def test_dump_2d_records(self, tmp_path):
-        sch = scheme(1, 1.0, 2)
-        problem = AdvectionProblem(NONUNIFORM_2D, sch, (np.cos(0.4), np.sin(0.4)))
-        state = FieldState(random_state(NONUNIFORM_2D, 1, seed=5))
-        path = tmp_path / "state2d.txt"
-        dump_state(problem, state, path)
-        rows = np.loadtxt(path)
-        x, y = problem.node_coordinates(0), problem.node_coordinates(1)
-        ncy, ncx = state.values.shape[:2]
-        expected = [
-            (cy * ncx + cx, x[cx, i], y[cy, j], state.values[cy, cx, j, i])
-            for cy in range(ncy) for cx in range(ncx) for j in range(2) for i in range(2)
-        ]
-        assert rows.shape == (len(expected), 5)
-        for row, (cell, xi, yj, v) in zip(rows, expected):
-            assert row.tolist() == [cell, xi, yj, v.real, v.imag]
-
-    def test_dump_2d_header(self, tmp_path):
-        sch = scheme(1, 1.0, 2)
-        problem = AdvectionProblem(PeriodicGrid.uniform((4, 4)), sch, (1.0, 0.0))
-        state = FieldState(np.zeros((4, 4, 2, 2), dtype=complex))
-        path = tmp_path / "state2d.txt"
-        dump_state(problem, state, path)
-        head = path.read_text().splitlines()[:4]
-        assert head[0].startswith("# frspectra state dump")
-        assert "cell node_x node_y re_value im_value" in head[3]

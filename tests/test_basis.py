@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import legendre as npleg
 
 from frspectra.basis import (
     GAUSS_LEGENDRE,
@@ -16,7 +17,7 @@ from frspectra.basis import (
     CorrectionFamily,
     build_operators,
     correction_derivatives,
-    correction_value,
+    correction_legendre_coeffs,
     iota_huynh,
     iota_min,
     lagrange_derivative_matrix,
@@ -154,17 +155,17 @@ class TestCorrectionFunctions:
             families.append(CorrectionFamily.huynh_g2(p))
             families.append(CorrectionFamily.osfr(p, 0.5 * iota_huynh(p)))
         for fam in families:
-            assert abs(correction_value(fam, -1.0, "left") - 1.0) < 1e-12
-            assert abs(correction_value(fam, 1.0, "left")) < 1e-12
-            assert abs(correction_value(fam, 1.0, "right") - 1.0) < 1e-12
-            assert abs(correction_value(fam, -1.0, "right")) < 1e-12
+            c_left, c_right = correction_legendre_coeffs(fam)
+            assert abs(npleg.legval(-1.0, c_left) - 1.0) < 1e-12
+            assert abs(npleg.legval(1.0, c_left)) < 1e-12
+            assert abs(npleg.legval(1.0, c_right) - 1.0) < 1e-12
+            assert abs(npleg.legval(-1.0, c_right)) < 1e-12
 
     def test_dg_p2_is_right_radau(self):
         fam = CorrectionFamily.dg(2)
         probes = np.array([-0.9, -0.3, 0.1, 0.6, 0.95])
-        assert np.abs(
-            correction_value(fam, probes, "left") - right_radau_values(2, probes)
-        ).max() < 1e-12
+        c_left, _ = correction_legendre_coeffs(fam)
+        assert np.abs(npleg.legval(probes, c_left) - right_radau_values(2, probes)).max() < 1e-12
 
     @pytest.mark.parametrize("p", range(1, 7))
     def test_huynh_equals_osfr_at_iota_hu(self, p):

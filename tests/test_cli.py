@@ -534,11 +534,11 @@ class TestMeshCommand:
         )
         assert code == 0
         assert "q_h mean=" in capsys.readouterr().out
-        from frspectra.mesh import read_mesh
+        from frspectra.mesh import generate, write_mesh
 
-        mesh = read_mesh(out)
-        assert mesh.dims == (4, 4, 4)
-        assert mesh.seed == 11
+        expected = tmp_path / "expected.txt"
+        write_mesh(generate(4, 1.0, 0.3, 11), expected)
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_mesh_deterministic(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

@@ -7,6 +7,7 @@ by name and nothing below it, and that mode does not come from the
 sweeps' branch tracker. The sweeps anchor their branch on the same
 plane-wave-weight helper. A start imports only the modules it runs, and
 no benchmark item imports a numpy or frspectra module the start did not.
+Every public function and method has a production caller.
 """
 import ast
 import os
@@ -19,7 +20,8 @@ import pytest
 import frspectra
 
 SRC = Path(frspectra.__file__).parent
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 # The symbol's own construction, which the solver must not reach for.
 SYMBOL_BUILDERS = {"DirectionSymbols", "build_blocks", "checked_eig", "assemble_symbol"}
@@ -131,3 +133,78 @@ for item in workloads.make_items({workload!r}, workloads.DEFAULT_SEED, tiny=True
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert not run.stdout, "modules loaded after start:\n" + run.stdout
+
+
+# Public definitions that production code does not call, kept on purpose.
+UNCALLED_BY_DESIGN = {
+    # documented constructors of grids and stencils
+    "PeriodicGrid.mirrored_geometric",
+    "PeriodicGrid.explicit",
+    "StretchedStencil.stretched",
+    # the mesh audit's rule for one element
+    "shape_factor",
+    # framework hook: argparse calls it on a usage error
+    "_Parser.error",
+}
+
+
+def _public_definitions():
+    """(qualified name, name, is_method) of every public top-level function
+    and every public method of a top-level class in the package."""
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.FunctionDef) and not top.name.startswith("_"):
+                yield top.name, top.name, False
+            elif isinstance(top, ast.ClassDef):
+                for node in top.body:
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                        yield f"{top.name}.{node.name}", node.name, True
+
+
+def _production_loads(oracles):
+    """(names, attributes) loaded in the package outside the oracles' own
+    bodies, in ``scripts/`` and in ``perfbench/`` outside its tests."""
+    names, attributes = set(), set()
+    paths = [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    for path in paths:
+        if path.name.startswith("test_"):
+            continue
+        for top in ast.parse(path.read_text()).body:
+            if path.parent == SRC and isinstance(top, ast.FunctionDef) and top.name in oracles:
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    attributes.add(node.attr)
+    return names, attributes
+
+
+def test_every_public_definition_has_a_production_caller():
+    """A function or method only tests call is code that production carries
+    for nothing. A method counts as called when loaded as an attribute, a
+    function when loaded by name or as an attribute; the dense oracles and
+    the functions the benchmark tracer wraps by name are exempt."""
+    from test_benchmark_names import LAYER_FUNCTIONS
+    from test_oracle_boundary import ORACLES
+
+    names, attributes = _production_loads(ORACLES)
+    exempt = ORACLES | UNCALLED_BY_DESIGN | {attr for _, attr in LAYER_FUNCTIONS}
+    uncalled = sorted(
+        qualified for qualified, name, is_method in _public_definitions()
+        if qualified not in exempt
+        and name not in attributes and (is_method or name not in names)
+    )
+    assert not uncalled, f"public definitions with no production caller: {uncalled}"
+    assert not UNCALLED_BY_DESIGN - {q for q, _, _ in _public_definitions()}  # no stale entry
+
+
+def test_caller_walk_reads_each_production_tree():
+    """The walk above is not vacuous: it reads the package and ``perfbench/``
+    and skips the oracles' bodies, the only loads of ``lift_to_dimension``."""
+    from test_oracle_boundary import ORACLES
+
+    names, attributes = _production_loads(ORACLES)
+    assert "march" in attributes  # check_decay_rate's march
+    assert "symbol_for" in names  # perfbench/make_reference.py only
+    assert "lift_to_dimension" not in names | attributes

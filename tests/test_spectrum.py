@@ -15,7 +15,6 @@ from frspectra.operator import (
     WaveProbe,
     assemble_symbol,
     direction_cosines,
-    direction_symbols,
     symbol_for,
 )
 from frspectra.spectrum import (
@@ -29,7 +28,6 @@ from frspectra.spectrum import (
     dispersion_sweep,
     factored_spectra,
     normalization_factor,
-    normalize_wavenumber,
     nyquist_wavenumber,
     physical_eigenvector,
     track_branches,
@@ -196,13 +194,12 @@ class TestBranchTracking:
 class TestNormalization:
     def test_grid_aligned_reduction(self):
         stencil = StretchedStencil(2, (0.7, 1.3), (1.0, 1.0))
-        assert abs(normalize_wavenumber(2.0, WaveProbe(k=2.0), stencil, 3) - 2.0 * 0.7 / 4) < 1e-14
+        assert abs(2.0 * normalization_factor(0.0, 0.0, stencil, 3) - 2.0 * 0.7 / 4) < 1e-14
 
     def test_forty_five_degidentity_golden(self):
         # frozen evaluation of the normalization at 45 degrees, unit spacings
         stencil = StretchedStencil.uniform(2)
-        probe = WaveProbe(k=1.0, theta=np.pi / 4)
-        factor = normalize_wavenumber(1.0, probe, stencil, 3)
+        factor = normalization_factor(np.pi / 4, 0.0, stencil, 3)
         expected = (1 / np.sqrt(2)) * 0.25 * np.sqrt(0.5 + 0.5)
         assert abs(factor - expected) < 1e-15
 
@@ -216,7 +213,7 @@ class TestNormalization:
     def test_round_trip(self):
         stencil = StretchedStencil(2, (1.1, 0.6), (1.2, 0.8))
         k = wavenumber_for(1.3, 0.5, 0.0, stencil, 4)
-        assert abs(normalize_wavenumber(k, WaveProbe(k=k, theta=0.5), stencil, 4) - 1.3) < 1e-12
+        assert abs(k * normalization_factor(0.5, 0.0, stencil, 4) - 1.3) < 1e-12
 
     @given(
         k=st.floats(0.0, 50.0),
@@ -228,16 +225,7 @@ class TestNormalization:
         stencil = StretchedStencil.uniform(2)
         factor = normalization_factor(theta, 0.0, stencil, p)
         assert factor > 0
-        assert abs(normalize_wavenumber(k, WaveProbe(k=max(k, 0.0), theta=theta), stencil, p) - k * factor) < 1e-12
-
-    def test_rejects_negative_k(self):
-        with pytest.raises(ValueError):
-            normalize_wavenumber(-1.0, WaveProbe(k=1.0), StretchedStencil.uniform(1), 2)
-
-    @pytest.mark.parametrize("k", [np.nan, np.inf])
-    def test_rejects_non_finite_k(self, k):
-        with pytest.raises(ValueError, match="finite"):
-            normalize_wavenumber(k, WaveProbe(k=1.0), StretchedStencil.uniform(1), 2)
+        assert abs(wavenumber_for(k * factor, theta, 0.0, stencil, p) - k) <= 1e-12 * max(k, 1.0)
 
     def test_sweep_rejects_bad_grid(self):
         sch = scheme(2)
@@ -575,7 +563,7 @@ class TestFactoredSpectra:
         sch = scheme(2, 0.8, 3)
         stencil = self.stretched(3)
         probe = WaveProbe(k=1.7, theta=0.5, phi=0.4)
-        q_x, q_y, q_z = direction_symbols(sch, stencil, probe)
+        q_x, q_y, q_z = DirectionSymbols(sch, stencil, 0.5, 0.4).evaluate([probe.k])[0]
         eye = np.eye(3)
         lifted = (
             np.kron(eye, np.kron(eye, q_x))
