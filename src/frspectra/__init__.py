@@ -42,7 +42,6 @@ from .spectrum import (
     SpectrumResult,
     analyze,
     dispersion_sweep,
-    nyquist_wavenumber,
     track_branches,
     wavenumber_for,
 )

@@ -13,6 +13,7 @@ orchestrates sweeps and serialization.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache, partial
 from itertools import product
@@ -322,10 +323,13 @@ def _run_sweep(args, row_columns, rows_for, khat_grid=(None,)):
         except _ROW_ERRORS as exc:
             return key, [{"khat": kh, "status": f"error:{type(exc).__name__}"} for kh in khat_grid]
 
-    if args.threads > 1:
+    # no more threads than combos or CPUs this process may run on
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(args.threads, len(combos), cpus or 1)
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             groups = list(pool.map(worker, combos))
     else:
         groups = [worker(c) for c in combos]

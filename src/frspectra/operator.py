@@ -239,14 +239,25 @@ class DirectionSymbols:
     delta_m): expansion (gamma_m > 1) lifts kt into the upper half-plane,
     hence growth. For alpha < 1 C_plus keeps a real phase and this fails.
 
+    Factoring out the speed, Q_m(k) = a_m S_m(k a_m) with the unit-speed
+    symbol
+
+        S_m(q) = -[ (2/d_up) C_minus e^{-i q d_up} + (2/delta_m) C_zero
+                  + (2/d_dn) C_plus e^{+i q delta_m} ],
+
+    which depends on the scheme, delta_m and gamma_m alone, not on the
+    angle. So the eigenvalues of Q_m are a_m times those of S_m at q = k
+    a_m, with the same eigenvectors; :meth:`unit` evaluates S_m.
+
     Building one runs every check that does not depend on k (scheme and
     stencil dimensions, and the angles through :class:`WaveProbe`), finds
     the directions the wave moves in (``active``: a_m != 0, with |a_m| at
     or below machine epsilon set to exactly 0) and forms their
     metric-scaled blocks once.
-    :meth:`evaluate` then costs one broadcast expression at any k. Scaling
-    the blocks first keeps the operation order of the formula above, so
-    each entry is bit-identical to the unfactored expression.
+    :meth:`evaluate` and :meth:`unit` then cost one broadcast expression at
+    any k. :meth:`evaluate` scales the blocks first and keeps the operation
+    order of the formula for Q_m above, so each entry of the dense oracles
+    is bit-identical to the unfactored expression.
     """
 
     def __init__(
@@ -272,6 +283,23 @@ class DirectionSymbols:
         self._c_minus = (2.0 / self._d_up) * blocks.c_minus
         self._c_zero = (2.0 / d_c) * blocks.c_zero
         self._c_plus = (2.0 / (d_c * gamma)) * blocks.c_plus
+
+    def unit(self, q: np.ndarray) -> np.ndarray:
+        """S_m(q) of the active directions, shape (n_q, len(active), p+1, p+1).
+
+        ``q`` holds one phase wavenumber q_m = k a_m per active direction,
+        shape (n_q, len(active)); Q_m(k) = a_m S_m(k a_m). A non-finite
+        entry raises ``ValueError``.
+        """
+        q = np.asarray(q, dtype=float)[..., None, None]
+        s = -(
+            self._c_minus * np.exp(-1j * q * self._d_up)
+            + self._c_zero
+            + self._c_plus * np.exp(1j * q * self._d_c)
+        )
+        if not np.isfinite(s).all():
+            raise ValueError("symbol assembly produced non-finite entries")
+        return s
 
     def evaluate(self, ks: np.ndarray) -> np.ndarray:
         """Q_m(k) of the active directions, shape (n_k, len(active), p+1, p+1).

@@ -13,9 +13,9 @@ concurrently as long as results are gathered in a deterministic order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
-from math import isfinite
+from dataclasses import dataclass, replace
+from functools import lru_cache, reduce
+from math import isfinite, sqrt
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,10 +56,15 @@ def normalization_factor(
     angles; k_hat spans [0, pi] up to the angle-dependent Nyquist limit.
     """
     a = direction_cosines(theta, phi, stencil.d)
-    scaled = [
-        stencil.delta[m] * a[m] / stencil.gamma[m] for m in range(stencil.d)
-    ]
-    return float(np.max(np.abs(a)) / (p + 1) * np.sqrt(np.sum(np.square(scaled))))
+    return float(np.max(np.abs(a)) / (p + 1) * _stretched_length(a.tolist(), stencil))
+
+
+def _stretched_length(a: list[float], stencil: StretchedStencil) -> float:
+    """sqrt(sum_m (delta_m a_m / gamma_m)^2), the length behind k_hat."""
+    return sqrt(sum(
+        (delta * a_m / gamma) * (delta * a_m / gamma)
+        for delta, a_m, gamma in zip(stencil.delta, a, stencil.gamma)
+    ))
 
 
 def wavenumber_for(
@@ -67,13 +72,6 @@ def wavenumber_for(
 ) -> float:
     """The physical wavenumber k = k_hat / F of :func:`normalization_factor`."""
     return k_hat / normalization_factor(theta, phi, stencil, p)
-
-
-def nyquist_wavenumber(
-    theta: float, phi: float, stencil: StretchedStencil, p: int
-) -> float:
-    """Largest supported physical wavenumber (k_hat = pi) at these angles."""
-    return np.pi / normalization_factor(theta, phi, stencil, p)
 
 
 def plane_wave_samples(symbol: SemiDiscreteSymbol) -> np.ndarray:
@@ -356,12 +354,41 @@ def _kronecker_sum(lam_1d: np.ndarray) -> np.ndarray:
     return lam.reshape(n_k, -1)
 
 
+def _unit_spectra(s: np.ndarray, with_kappa: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigenvalues of a stack of unit-speed symbols S, and kappa of each
+    unit-column eigenvector matrix when ``with_kappa`` is set, else None."""
+    lam, vecs = checked_eig(s, vectors=with_kappa)
+    if not with_kappa:
+        return lam, None
+    sv = np.linalg.svd(vecs, compute_uv=False)
+    with np.errstate(divide="ignore"):
+        return lam, sv[..., 0] / sv[..., -1]
+
+
+@lru_cache(maxsize=32)
+def _line_spectra(
+    scheme: SchemeConfig, delta: float, gamma: float, q_bytes: bytes, with_kappa: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`_unit_spectra` of one direction's S(q) over a grid of q, read-only.
+
+    S depends on the scheme, delta and gamma alone, so the key holds those
+    and the bytes of q. A hit returns the arrays of the identical
+    computation, so it never changes an output.
+    """
+    line = DirectionSymbols(replace(scheme, d=1), StretchedStencil(1, (delta,), (gamma,)), 0.0, 0.0)
+    out = _unit_spectra(line.unit(np.frombuffer(q_bytes)[:, None])[:, 0], with_kappa)
+    for arr in out:
+        if arr is not None:
+            arr.setflags(write=False)
+    return out
+
+
 def factored_spectra(
     symbols: DirectionSymbols,
-    ks: np.ndarray,
+    k_hat: np.ndarray,
     with_kappa: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eigenvalues of Q(k) at each k from per-direction 1D eigensolves.
+    """Eigenvalues of Q at each normalized wavenumber from per-direction 1D eigensolves.
 
     Q is the Kronecker sum of the direction symbols Q_m, so its eigenvalues
     are the sums of one eigenvalue of each Q_m and its eigenvectors are
@@ -373,11 +400,20 @@ def factored_spectra(
     others p+1 times, with the identity basis (kappa_m = 1), so it is left
     out.
 
-    ``symbols`` is the configuration's
-    :class:`~frspectra.operator.DirectionSymbols`, built once by the
-    caller, so a call costs one evaluation of its formula at ``ks`` and one
-    batched eigensolve for every k, whether there are many or one; without
-    ``with_kappa`` it is eigenvalue-only (``eigvals``, the bits of ``eig``).
+    Each Q_m(k) = a_m S_m(k a_m), with S_m the unit-speed symbol of
+    :class:`~frspectra.operator.DirectionSymbols`: its eigenvalues are a_m
+    eig(S_m(q_m)) and its eigenvectors, hence kappa_m, those of S_m, at
+    q_m = k a_m = k_hat (p+1) (a_m / max|a|) / ||delta a / gamma|| for k =
+    k_hat / F (:func:`normalization_factor`). On a uniform stencil the
+    leading direction has q_m = k_hat (p+1) / ||a|| at every angle, so the
+    1D spectra of a grid (more than one k_hat) are memoized per process in
+    a bounded LRU cache of read-only arrays, keyed on the scheme, delta_m,
+    gamma_m, the bytes of q_m and ``with_kappa``. A hit returns the arrays
+    of the identical computation, so it never changes an output. A single
+    k_hat, such as a CFL refinement probe, never repeats across angles and
+    is solved uncached, in one batched eigensolve over the active
+    directions. Without ``with_kappa`` a solve is eigenvalue-only
+    (``eigvals``, the bits of ``eig``).
 
     Returns the eigenvalues, shape (n_k, (p+1)^len(active)) in the order
     of the lifted basis of the active directions (:func:`_kronecker_sum`),
@@ -385,14 +421,24 @@ def factored_spectra(
     :func:`analyze` of :func:`~frspectra.operator.assemble_symbol` is the
     reference.
     """
-    lam_1d, vecs = checked_eig(symbols.evaluate(ks), vectors=with_kappa)
-    lam = _kronecker_sum(lam_1d)
-    if not with_kappa:
-        return lam, None
-    sv = np.linalg.svd(vecs, compute_uv=False)
-    with np.errstate(divide="ignore"):
-        kappa = (sv[..., 0] / sv[..., -1]).prod(axis=1)
-    return lam, kappa
+    a, stencil, active = symbols.velocity.tolist(), symbols.stencil, symbols.active.tolist()
+    a_max, length = max(map(abs, a)), _stretched_length(a, stencil)
+    rates = [(symbols.scheme.p + 1) * (a[m] / a_max) / length for m in active]  # q_m / k_hat
+    k_hat = np.asarray(k_hat, dtype=float)
+    if k_hat.size == 1:
+        lam_1d, kappa_1d = _unit_spectra(symbols.unit(k_hat[:, None] * rates), with_kappa)
+    else:
+        parts = [
+            _line_spectra(
+                symbols.scheme, stencil.delta[m], stencil.gamma[m], (k_hat * rate).tobytes(),
+                with_kappa,
+            )
+            for m, rate in zip(active, rates)
+        ]
+        lam_1d = np.stack([lam for lam, _ in parts], axis=1)
+        kappa_1d = np.stack([kappa for _, kappa in parts], axis=1) if with_kappa else None
+    lam = _kronecker_sum(symbols.velocity[active][:, None] * lam_1d)
+    return lam, kappa_1d.prod(axis=1) if with_kappa else None
 
 
 def tracked_frequencies(lam: np.ndarray) -> np.ndarray:
@@ -476,6 +522,9 @@ def factored_sweep(
     ``lam[0]``. Each k is solved once, as far as the output reads: the anchor
     ``ks[0]`` by :func:`wave_modes`, whose picks give the physical column
     (their Kronecker index), the ladder for eigenvalues, the grid with kappa.
+    The ladder and the grid go to :func:`factored_spectra` as normalized
+    wavenumbers, so at every angle of a uniform stencil the leading
+    direction's 1D spectra come from its per-process cache.
     """
     if k_hat is None:
         k_hat = default_k_hat_grid()
@@ -491,8 +540,8 @@ def factored_sweep(
     symbols = DirectionSymbols(scheme, stencil, theta, phi)
     lam_1d, _, picks = wave_modes(symbols, ks[0])
     physical = sum(idx * (scheme.p + 1) ** col for col, idx in enumerate(picks))
-    ladder, _ = factored_spectra(symbols, ks[1:n_lead])
-    lam, kappa = factored_spectra(symbols, ks[n_lead:], with_kappa=True)
+    ladder, _ = factored_spectra(symbols, lead[1:])
+    lam, kappa = factored_spectra(symbols, k_hat, with_kappa=True)
     modes = frequencies(ks, np.concatenate((_kronecker_sum(lam_1d[None]), ladder, lam)))
     _check_anchor(modes, physical, ks[0])
     return ModeSweep(

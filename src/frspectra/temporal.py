@@ -34,7 +34,6 @@ from .spectrum import (
     factored_sweep,
     factored_spectra,
     normalization_factor,
-    nyquist_wavenumber,
     plane_wave_samples,
     track_branches,
 )
@@ -128,7 +127,14 @@ class CflResult:
     ``stable`` is False when the semi-discrete spectrum already has
     eigenvalues in the right half plane (e.g. expanding grids), in which
     case the limits are reported as 0 rather than raising: such schemes
-    are formally unstable yet boundedly usable.
+    are formally unstable yet boundedly usable. On an expanding stencil
+    with upwind fluxes that is almost all metric growth: Q acts on
+    width-weighted values, which grow at Re lambda_ex = sum_m a_m
+    ln(gamma_m) / delta_m whatever the scheme (in a census of 130
+    expanding 1D and 2D cases the largest Re lambda exceeded it by at most
+    1.1e-2 at alpha = 1, but by up to 26 at alpha = 0.5, where most of the
+    growth is the scheme's). Nor is the frozen stencil's verdict the limit
+    of a periodic stretched grid, whose cells expand and contract in turn.
     """
 
     cfl_limit: float
@@ -169,10 +175,10 @@ def cfl_limit(
     """Largest stable CFL number at fixed incidence angles.
 
     Bisects on tau the supremum over sampled k in (0, k_nyquist] of the
-    spectral radius of R(tau, k); the k grid is uniform with ``nk`` points
-    (an integer >= 1) plus golden-section refinement around the running
-    maximum. The bisection converges to relative width ``rel_tol``, which
-    must be finite and in (0, 1).
+    spectral radius of R(tau, k); the k grid is uniform in k_hat, ``nk``
+    points (an integer >= 1) in (0, pi], plus golden-section refinement in
+    k_hat around the running maximum. The bisection converges to relative
+    width ``rel_tol``, which must be finite and in (0, 1).
 
     The search runs twice at most. The first pass decides each step by
     the grid alone (the grid's spectral radius above 1 + ``RHO_TOL``);
@@ -193,16 +199,21 @@ def cfl_limit(
     exact), so it is not tested again. The grid evaluation and the
     refinement are both cached per tau, so the second pass evaluates no
     step's grid again. The reported ``worst_k`` is the refined peak at
-    the final upper end.
+    the final upper end, as a physical wavenumber k = k_hat / F
+    (:func:`~frspectra.spectrum.normalization_factor`).
 
     The spectrum of R is the stability polynomial applied to tau times the
     eigenvalues of Q, taken from per-direction 1D eigensolves
-    (:func:`~frspectra.spectrum.factored_spectra`). The direction symbols
-    are built once per search (:class:`~frspectra.operator.DirectionSymbols`),
-    so the whole k grid costs one batched call and each wavenumber the
-    golden-section refinement visits one formula evaluation and one
-    single-k ``eigvals`` call. Only those eigenvalues are cached per k,
-    since the refinement revisits many k points at other tau.
+    (:func:`~frspectra.spectrum.factored_spectra`, Q_m(k) = a_m S_m(k
+    a_m)) with the direction symbols built once per search
+    (:class:`~frspectra.operator.DirectionSymbols`). The k_hat grid is the
+    same at every angle, so on a uniform stencil the leading direction's
+    grid spectrum comes from the memo of ``factored_spectra`` after the
+    first search at that scheme; a hit holds the arrays of the identical
+    computation, so it never changes the result. Each wavenumber the
+    refinement visits costs one formula evaluation and one single-k
+    ``eigvals`` call over the active directions, cached per k within the
+    search only, since the refinement revisits many k points at other tau.
     """
     if not (isfinite(rel_tol) and 0.0 < rel_tol < 1.0):
         raise ValueError(f"rel_tol must be finite and in (0, 1), got {rel_tol}")
@@ -210,9 +221,9 @@ def cfl_limit(
         raise ValueError(f"nk must be an integer >= 1, got {nk!r}")
     theta, phi = probe_angles if isinstance(probe_angles, tuple) else (probe_angles, 0.0)
     symbols = DirectionSymbols(scheme, stencil, theta, phi)
-    k_nq = nyquist_wavenumber(theta, phi, stencil, scheme.p)
-    ks = np.linspace(0.0, k_nq, nk + 1)[1:]
-    lam_grid = factored_spectra(symbols, ks)[0]
+    factor = normalization_factor(theta, phi, stencil, scheme.p)
+    k_hat = np.linspace(0.0, np.pi, nk + 1)[1:]  # up to the Nyquist limit
+    lam_grid = factored_spectra(symbols, k_hat)[0]
 
     @cache
     def eigenvalues(k: float) -> np.ndarray:
@@ -228,7 +239,7 @@ def cfl_limit(
     lam_scale = float(np.abs(lam_grid).max())
     re_max = float(lam_grid.real.max())
     if re_max > RHO_TOL * max(1.0, lam_scale):
-        worst = float(ks[int(np.argmax(lam_grid.real.max(axis=1)))])
+        worst = float(k_hat[int(np.argmax(lam_grid.real.max(axis=1)))]) / factor
         return CflResult(0.0, 0.0, worst, stable=False, theta=theta, phi=phi)
 
     @cache
@@ -239,9 +250,9 @@ def cfl_limit(
     def sup_rho(tau: float) -> tuple[float, float]:
         rho_grid = grid_rho(tau)
         j = int(np.argmax(rho_grid))
-        best_k, best_rho = float(ks[j]), float(rho_grid[j])
-        lo = ks[j - 1] if j > 0 else ks[0] * 0.5
-        hi = ks[j + 1] if j + 1 < ks.size else k_nq
+        best_k, best_rho = float(k_hat[j]), float(rho_grid[j])
+        lo = k_hat[j - 1] if j > 0 else k_hat[0] * 0.5
+        hi = k_hat[j + 1] if j + 1 < k_hat.size else np.pi
         k_ref, rho_ref = _golden_max(lambda k: rho(tau, k), lo, hi)
         if rho_ref > best_rho:
             best_k, best_rho = float(k_ref), rho_ref
@@ -290,7 +301,7 @@ def cfl_limit(
     return CflResult(
         cfl_limit=tau_lo * cfl_per_tau,
         tau_limit=tau_lo,
-        worst_k=sup_rho(tau_hi)[1],
+        worst_k=sup_rho(tau_hi)[1] / factor,
         stable=tau_lo > 0.0,
         cfl_crossing=tau_lo * crossing_per_tau,
         theta=theta,

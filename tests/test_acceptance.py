@@ -16,7 +16,7 @@ import pytest
 import frspectra as fr
 from frspectra.advect import AdvectionProblem, FieldState, PeriodicGrid, check_decay_rate
 from frspectra.mesh import CUBE_SHAPE_FACTOR, generate, shape_factor
-from frspectra.spectrum import dispersion_sweep, nyquist_wavenumber
+from frspectra.spectrum import dispersion_sweep, wavenumber_for
 from frspectra.temporal import RK44, cfl_limit, fully_discrete_sweep
 
 
@@ -34,7 +34,7 @@ def eigen_sweep_worst(alpha, reducer):
         for p in range(1, 6):
             scheme = fr.SchemeConfig(p, fr.CorrectionFamily.huynh_g2(p), alpha, d)
             for theta in angles:
-                k_nq = nyquist_wavenumber(theta, 0.0, stencil, p)
+                k_nq = wavenumber_for(np.pi, theta, 0.0, stencil, p)
                 for k in np.linspace(k_nq / 64, k_nq, 64):
                     probe = fr.WaveProbe(k=k, theta=theta)
                     lam = np.linalg.eigvals(

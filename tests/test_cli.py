@@ -313,6 +313,44 @@ class TestDispersionCommand:
         assert run_cli(base + [str(four), "--threads", "4"]) == 0
         assert one.read_bytes() == four.read_bytes()
 
+    def test_pool_starts_no_more_workers_than_cpus_or_combos(self, monkeypatch):
+        import concurrent.futures
+
+        class Started(Exception):
+            pass
+
+        sizes = []
+
+        def recording_pool(max_workers=None):
+            sizes.append(max_workers)
+            raise Started  # start no thread and no sweep
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        base = ["dispersion", "--d", "2", "--p", "2", "--khat", "1.0"]
+        with pytest.raises(Started):  # 9001 combos
+            run_cli(base + ["--theta", "0:90:0.01", "--threads", "100000"])
+        with pytest.raises(Started):  # 2 combos
+            run_cli(base + ["--theta", "0:90:90", "--threads", "8"])
+        assert sizes == [3, 2]
+
+    def test_one_available_cpu_runs_inline(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        base = [
+            "dispersion", "--d", "2", "--p", "2", "--family", "dg",
+            "--theta", "0:90:45", "--khat", "1.0", "-o",
+        ]
+        assert run_cli(base + [str(tmp_path / "t1.csv")]) == 0
+
+        def no_pool(max_workers=None):
+            pytest.fail(f"started a pool of {max_workers} on one CPU")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert run_cli(base + [str(tmp_path / "t4.csv"), "--threads", "4"]) == 0
+        assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t4.csv").read_bytes()
+
     def test_json_mirror_matches_csv(self, tmp_path):
         args = [
             "dispersion", "--d", "1", "--p", "2", "--family", "dg",

@@ -16,7 +16,7 @@ from frspectra.operator import (
     operators_for,
     symbol_for,
 )
-from frspectra.spectrum import nyquist_wavenumber
+from frspectra.spectrum import wavenumber_for
 
 
 def scheme(p, alpha, d=1, kind="huynh"):
@@ -258,7 +258,7 @@ class TestSymbolBatch:
         sch = scheme(3, alpha, d)
         stencil = StretchedStencil.stretched(self.GAMMA[:d], (1.0, 0.8, 1.3)[:d])
         for theta, phi in self.ANGLES[d]:
-            k_nq = nyquist_wavenumber(theta, phi, stencil, sch.p)
+            k_nq = wavenumber_for(np.pi, theta, phi, stencil, sch.p)
             ks = np.array([0.0, -1.7, 1e-4, 0.9, k_nq * (1 - 1e-12), k_nq, -k_nq])
             symbols = DirectionSymbols(sch, stencil, theta, phi)  # built once
             active = symbols.active.tolist()

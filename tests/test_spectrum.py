@@ -28,7 +28,6 @@ from frspectra.spectrum import (
     dispersion_sweep,
     factored_spectra,
     normalization_factor,
-    nyquist_wavenumber,
     physical_eigenvector,
     track_branches,
     wavenumber_for,
@@ -205,10 +204,10 @@ class TestNormalization:
 
     def test_nyquist_grows_as_inverse_cosine(self):
         stencil = StretchedStencil.uniform(2)
-        base = nyquist_wavenumber(0.0, 0.0, stencil, 3)
+        base = wavenumber_for(np.pi, 0.0, 0.0, stencil, 3)
         for deg in (10, 25, 40, 45):
             th = np.radians(deg)
-            assert abs(nyquist_wavenumber(th, 0.0, stencil, 3) - base / np.cos(th)) < 1e-9
+            assert abs(wavenumber_for(np.pi, th, 0.0, stencil, 3) - base / np.cos(th)) < 1e-9
 
     def test_round_trip(self):
         stencil = StretchedStencil(2, (1.1, 0.6), (1.2, 0.8))
@@ -577,7 +576,8 @@ class TestFactoredSpectra:
         sch = scheme(3, 1.0, d)
         stencil = self.stretched(d)
         ks = np.array([0.3, 1.9, 4.2])
-        lam, _ = factored_spectra(DirectionSymbols(sch, stencil, theta, phi), ks)
+        k_hat = ks * normalization_factor(theta, phi, stencil, sch.p)
+        lam, _ = factored_spectra(DirectionSymbols(sch, stencil, theta, phi), k_hat)
         for k, factored in zip(ks, lam):
             probe = WaveProbe(k=k, theta=theta, phi=phi)
             dense = np.linalg.eigvals(assemble_symbol(sch, stencil, probe).Q)
@@ -594,7 +594,8 @@ class TestFactoredSpectra:
         dense = analyze(assemble_symbol(sch, stencil, WaveProbe(k=k, theta=theta, phi=phi)))
         assert not dense.degenerate
         symbols = DirectionSymbols(sch, stencil, theta, phi)
-        _, kappa = factored_spectra(symbols, np.array([k]), True)
+        k_hat = k * normalization_factor(theta, phi, stencil, sch.p)
+        _, kappa = factored_spectra(symbols, np.array([k_hat]), True)
         assert abs(kappa[0] - dense.kappa) < 1e-8 * dense.kappa
 
     @pytest.mark.parametrize(

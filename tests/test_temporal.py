@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from frspectra.basis import CorrectionFamily
-from frspectra import temporal
+from frspectra import spectrum, temporal
 from frspectra.operator import (
     DirectionSymbols,
     SchemeConfig,
@@ -20,7 +20,6 @@ from frspectra.spectrum import (
     dispersion_sweep,
     factored_spectra,
     normalization_factor,
-    nyquist_wavenumber,
     track_branches,
 )
 from frspectra.temporal import (
@@ -72,12 +71,15 @@ def reference_cfl_limit(scheme, stencil, probe_angles, rk, nk=257, rel_tol=1e-4)
     """The CFL search with a refined supremum at every bisection step.
 
     Kept verbatim as the oracle for :func:`~frspectra.temporal.cfl_limit`,
-    which refines only when the k grid cannot decide a step.
+    which refines only when the k grid cannot decide a step. Both search in
+    k_hat through the same ``factored_spectra``, on the grid and at every
+    probe, and report ``worst_k`` as k = k_hat / F, so their search logic
+    is compared by exact ``==``.
     """
     theta, phi = probe_angles if isinstance(probe_angles, tuple) else (probe_angles, 0.0)
     symbols = DirectionSymbols(scheme, stencil, theta, phi)
-    k_nq = nyquist_wavenumber(theta, phi, stencil, scheme.p)
-    ks = np.linspace(0.0, k_nq, nk + 1)[1:]
+    factor = normalization_factor(theta, phi, stencil, scheme.p)
+    ks = np.linspace(0.0, np.pi, nk + 1)[1:]
     lam_grid = factored_spectra(symbols, ks)[0]
 
     @cache
@@ -95,7 +97,7 @@ def reference_cfl_limit(scheme, stencil, probe_angles, rk, nk=257, rel_tol=1e-4)
     lam_scale = float(np.abs(lam_grid).max())
     re_max = float(lam_grid.real.max())
     if re_max > RHO_TOL * max(1.0, lam_scale):
-        worst = float(ks[int(np.argmax(lam_grid.real.max(axis=1)))])
+        worst = float(ks[int(np.argmax(lam_grid.real.max(axis=1)))]) / factor
         return CflResult(0.0, 0.0, worst, stable=False, theta=theta, phi=phi)
 
     def sup_rho(tau: float) -> tuple[float, float]:
@@ -103,11 +105,11 @@ def reference_cfl_limit(scheme, stencil, probe_angles, rk, nk=257, rel_tol=1e-4)
         j = int(np.argmax(rho_grid))
         best_k, best_rho = float(ks[j]), float(rho_grid[j])
         lo = ks[j - 1] if j > 0 else ks[0] * 0.5
-        hi = ks[j + 1] if j + 1 < ks.size else k_nq
+        hi = ks[j + 1] if j + 1 < ks.size else np.pi
         k_ref, rho_ref = _golden_max(lambda k: rho(tau, k), lo, hi)
         if rho_ref > best_rho:
             best_k, best_rho = k_ref, rho_ref
-        return best_rho, best_k
+        return best_rho, best_k / factor
 
     def exceeds(tau: float) -> bool:
         return sup_rho(tau)[0] > 1.0 + RHO_TOL
@@ -297,10 +299,11 @@ class TestCflLimit:
 
         monkeypatch.setattr(temporal, "factored_spectra", recording)
         cfl_limit(sch, stencil, (0.5, 0.0), RK44)
-        grid_ks, grid_lam = calls[0]
+        factor = normalization_factor(0.5, 0.0, stencil, sch.p)
+        grid_ks, grid_lam = calls[0][0] / factor, calls[0][1]
         rows = [int(np.argmin(np.abs(grid_ks - k))) for k in (0.4, 2.5, 7.0)]
         evaluated = [(grid_ks[j], grid_lam[j]) for j in rows]
-        evaluated += [(ks[0], lam[0]) for ks, lam in calls[1:4]]
+        evaluated += [(k_hat[0] / factor, lam[0]) for k_hat, lam in calls[1:4]]
         for k, lam in evaluated:
             dense = np.linalg.eigvals(symbol_for(sch, stencil, WaveProbe(k=k, theta=0.5)).Q)
             for tau in (0.05, 0.2):
@@ -316,15 +319,16 @@ class TestCflLimit:
         stencil = StretchedStencil.stretched(gamma)
         factored = cfl_limit(sch, stencil, angles, RK44)
 
-        def dense_spectra(symbols, ks, with_kappa=False):
+        def dense_spectra(symbols, k_hat, with_kappa=False):
             scheme, stencil, theta, phi = (
                 symbols.scheme, symbols.stencil, symbols.theta, symbols.phi
             )
+            factor = normalization_factor(theta, phi, stencil, scheme.p)
             return np.array([
                 np.linalg.eigvals(
                     assemble_symbol(scheme, stencil, WaveProbe(k=k, theta=theta, phi=phi)).Q
                 )
-                for k in ks
+                for k in np.asarray(k_hat) / factor
             ]), None
 
         monkeypatch.setattr(temporal, "factored_spectra", dense_spectra)
@@ -359,11 +363,12 @@ class TestCflLimit:
         assert cfl_limit(sch, stencil, 0.0, RK44, nk=1).stable
 
     def test_one_eigvals_call_per_distinct_probe_k(self, monkeypatch):
-        # the set-up is shared, but every wavenumber still gets its own solve
+        # the set-up is shared, but every wavenumber still gets its own solve:
+        # the grid one per direction, each probe one over both directions
         sizes, probed, eigvals = [], [], np.linalg.eigvals
 
         def counting(q):
-            sizes.append(q.shape[0])
+            sizes.append(q.shape[:-2])
             return eigvals(q)
 
         def golden(f, a, b, **kw):
@@ -374,11 +379,16 @@ class TestCflLimit:
 
         monkeypatch.setattr(np.linalg, "eigvals", counting)
         monkeypatch.setattr(temporal, "_golden_max", golden)
-        res = cfl_limit(scheme(4, 1.0, 2), StretchedStencil.stretched((0.9, 0.95)), (0.5, 0.0), RK44)
+        spectrum._line_spectra.cache_clear()
+        args = (scheme(4, 1.0, 2), StretchedStencil.stretched((0.9, 0.95)), (0.5, 0.0), RK44)
+        res = cfl_limit(*args)
         assert res.stable
-        assert sizes[0] == 257  # the whole k grid in one call
-        assert sizes[1:] == [1] * len(set(probed))
+        assert sizes[:2] == [(257,)] * 2  # the whole k grid in one call per direction
+        assert sizes[2:] == [(1, 2)] * len(set(probed))
         assert len(probed) > len(set(probed)) > 0  # revisits come from the cache
+        sizes.clear()
+        assert cfl_limit(*args) == res
+        assert (257,) not in sizes  # the grid's 1D spectra come from the memo
 
     def test_expanding_grid_flagged_zero(self):
         res = cfl_limit(scheme(4), StretchedStencil.stretched((1.2,)), 0.0, RK44)
@@ -566,7 +576,8 @@ class TestCflShortCircuit:
         # worst_k is its cached refinement
         tau_hi = min(tau for _, tau, _ in log if tau > res.tau_limit)
         assert tau_hi - res.tau_limit <= 1e-4 * tau_hi
-        assert res.worst_k == refined[tau_hi][1] and type(res.worst_k) is float
+        factor = normalization_factor(0.5, 0.0, args[1], p)
+        assert res.worst_k == refined[tau_hi][1] / factor and type(res.worst_k) is float
         if p == 4:  # confirmed: one refinement at each bracket end, both after the grids
             assert rho_g <= 1.0 + RHO_TOL and tau_g == res.tau_limit
             assert names == ["grid_rho"] * first + ["sup_rho"] * 2
