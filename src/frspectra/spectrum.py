@@ -387,6 +387,7 @@ def factored_spectra(
     symbols: DirectionSymbols,
     k_hat: np.ndarray,
     with_kappa: bool = False,
+    memo: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigenvalues of Q at each normalized wavenumber from per-direction 1D eigensolves.
 
@@ -405,15 +406,16 @@ def factored_spectra(
     eig(S_m(q_m)) and its eigenvectors, hence kappa_m, those of S_m, at
     q_m = k a_m = k_hat (p+1) (a_m / max|a|) / ||delta a / gamma|| for k =
     k_hat / F (:func:`normalization_factor`). On a uniform stencil the
-    leading direction has q_m = k_hat (p+1) / ||a|| at every angle, so the
-    1D spectra of a grid (more than one k_hat) are memoized per process in
-    a bounded LRU cache of read-only arrays, keyed on the scheme, delta_m,
-    gamma_m, the bytes of q_m and ``with_kappa``. A hit returns the arrays
-    of the identical computation, so it never changes an output. A single
-    k_hat, such as a CFL refinement probe, never repeats across angles and
-    is solved uncached, in one batched eigensolve over the active
-    directions. Without ``with_kappa`` a solve is eigenvalue-only
-    (``eigvals``, the bits of ``eig``).
+    leading direction has q_m = k_hat (p+1) / ||a|| at every angle, so with
+    ``memo`` (the default, for grids) each direction's 1D spectra are
+    memoized per process in a bounded LRU cache of read-only arrays, keyed
+    on the scheme, delta_m, gamma_m, the bytes of q_m and ``with_kappa``. A
+    hit returns the arrays of the identical computation, so it never
+    changes an output. Wavenumbers that never repeat across angles, such as
+    the probes of a CFL refinement, are passed with ``memo=False``: they are
+    solved in one batched eigensolve over the active directions and never
+    enter or evict the memo. Without ``with_kappa`` a solve is
+    eigenvalue-only (``eigvals``, the bits of ``eig``).
 
     Returns the eigenvalues, shape (n_k, (p+1)^len(active)) in the order
     of the lifted basis of the active directions (:func:`_kronecker_sum`),
@@ -425,7 +427,7 @@ def factored_spectra(
     a_max, length = max(map(abs, a)), _stretched_length(a, stencil)
     rates = [(symbols.scheme.p + 1) * (a[m] / a_max) / length for m in active]  # q_m / k_hat
     k_hat = np.asarray(k_hat, dtype=float)
-    if k_hat.size == 1:
+    if not memo:
         lam_1d, kappa_1d = _unit_spectra(symbols.unit(k_hat[:, None] * rates), with_kappa)
     else:
         parts = [

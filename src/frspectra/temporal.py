@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import isfinite, sqrt
+from sys import float_info
 
 import numpy as np
 
@@ -55,11 +56,18 @@ class RkScheme:
             raise ValueError("an explicit RK scheme has at least one stage (degree >= 1)")
 
     def stability(self, z: np.ndarray) -> np.ndarray:
-        """Evaluate R(z) elementwise in Horner form, starting from c_s z + c_{s-1}
-        (no per-call array set-up; a complex z gives a complex result)."""
-        out = self.coeffs[-1]
-        for c in self.coeffs[-2::-1]:
-            out = out * z + c
+        """Evaluate R(z) elementwise in Horner form, in place on one fresh array.
+
+        out = z c_s + c_{s-1}, then out *= z and out += c for each lower
+        coefficient: the IEEE operations of out = out * z + c in the same
+        order, so the same bits. z is never written, so a read-only array
+        is fine; a scalar gives a scalar and a complex z a complex result.
+        """
+        out = z * self.coeffs[-1]
+        out += self.coeffs[-2]
+        for c in self.coeffs[-3::-1]:
+            out *= z
+            out += c
         return out
 
 
@@ -146,22 +154,38 @@ class CflResult:
     phi: float = 0.0
 
 
-def _golden_max(f, a: float, b: float, iters: int = 30) -> tuple[float, float]:
-    """Deterministic golden-section maximization of f on [a, b]."""
+def _golden_sections(f, brackets: dict, iters: int = 30) -> dict:
+    """Deterministic golden-section maximizations on several brackets in lockstep.
+
+    ``brackets`` maps a key to its interval (a, b), and ``f(keys, points)``
+    returns the values at one list of points per key. The first call
+    evaluates both interior points of every bracket and each of the
+    ``iters`` steps one new point per bracket, so a bracket visits the
+    points, and takes the branches, of a maximization of its own. Returns
+    (x, f(x)) at the best point, per key.
+    """
     invphi = (sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
+    keys = list(brackets)
+    a, b = (list(ends) for ends in zip(*brackets.values()))
+    x1 = [hi - invphi * (hi - lo) for lo, hi in zip(a, b)]
+    x2 = [lo + invphi * (hi - lo) for lo, hi in zip(a, b)]
+    f1, f2 = (list(values) for values in zip(*f(keys, [list(pair) for pair in zip(x1, x2)])))
     for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+        up = [u < v for u, v in zip(f1, f2)]  # the maximum lies right of x1
+        for i in range(len(keys)):
+            if up[i]:
+                a[i], x1[i], f1[i] = x1[i], x2[i], f2[i]
+                x2[i] = a[i] + invphi * (b[i] - a[i])
+            else:
+                b[i], x2[i], f2[i] = x2[i], x1[i], f1[i]
+                x1[i] = b[i] - invphi * (b[i] - a[i])
+        new = [[x2[i] if up[i] else x1[i]] for i in range(len(keys))]
+        for i, (value,) in enumerate(f(keys, new)):
+            if up[i]:
+                f2[i] = value
+            else:
+                f1[i] = value
+    return {key: (x1[i], f1[i]) if f1[i] >= f2[i] else (x2[i], f2[i]) for i, key in enumerate(keys)}
 
 
 def cfl_limit(
@@ -176,47 +200,32 @@ def cfl_limit(
 
     Bisects on tau the supremum over sampled k in (0, k_nyquist] of the
     spectral radius of R(tau, k); the k grid is uniform in k_hat, ``nk``
-    points (an integer >= 1) in (0, pi], plus golden-section refinement in
-    k_hat around the running maximum. The bisection converges to relative
-    width ``rel_tol``, which must be finite and in (0, 1).
+    points (an integer >= 1) in (0, pi], plus a golden-section refinement in
+    k_hat around the grid's peak. The bisection converges to relative width
+    ``rel_tol``, which must be finite and in [eps, 1), eps the float
+    epsilon: below it, two adjacent floats may be too far apart to end it.
 
-    The search runs twice at most. The first pass decides each step by
-    the grid alone (the grid's spectral radius above 1 + ``RHO_TOL``);
-    the full test also exceeds when the golden-section refinement does.
-    The refinement then runs once, at the first pass's lower end tau_lo.
-    If tau_lo passes it too, the first pass's bracket is the answer. Every
-    step the first pass found not exceeding is <= tau_lo, so under the
-    monotone decision that bisection already assumes, the full test
-    passes there as well. At every other step the grid exceeds, and so
-    does the full test, since the refinement can only raise the grid
-    maximum. Both tests thus take the same branch at every step, so a
-    pass with the full test would visit the same steps and return the
-    same bracket. If the refinement overturns tau_lo, or the first pass
-    finds no upper end or halves below 1e-300, the same search runs again
-    with the full test, which refines only the steps whose grid stays
-    within the bound. When the bracket doubles tau at least once, its
-    lower end is the previous, already non-exceeding tau (doubling is
-    exact), so it is not tested again. The grid evaluation and the
-    refinement are both cached per tau, so the second pass evaluates no
-    step's grid again. The reported ``worst_k`` is the refined peak at
-    the final upper end, as a physical wavenumber k = k_hat / F
+    A first pass decides each step by the grid alone. The refinement can
+    only raise the grid's maximum, and every step that pass found stable is
+    at or below its lower end tau_lo. So if tau_lo passes the refinement
+    too, a pass that refined every step the grid leaves undecided would
+    take the same branches (under the monotone decision bisection assumes)
+    and return the same bracket. The refinements at tau_lo, this confirm,
+    and at the upper end, for ``worst_k``, run in lockstep
+    (:func:`_golden_sections`), one eigensolve call per step for both. If
+    the confirm fails, or the first pass finds no upper end or halves below
+    1e-300, the search runs again with that full test. Each step's grid and
+    refinement and each probed k_hat's eigenvalues are cached per search,
+    so nothing is solved twice. ``worst_k`` is the refined peak at the
+    final upper end, as k = k_hat / F
     (:func:`~frspectra.spectrum.normalization_factor`).
 
-    The spectrum of R is the stability polynomial applied to tau times the
-    eigenvalues of Q, taken from per-direction 1D eigensolves
-    (:func:`~frspectra.spectrum.factored_spectra`, Q_m(k) = a_m S_m(k
-    a_m)) with the direction symbols built once per search
-    (:class:`~frspectra.operator.DirectionSymbols`). The k_hat grid is the
-    same at every angle, so on a uniform stencil the leading direction's
-    grid spectrum comes from the memo of ``factored_spectra`` after the
-    first search at that scheme; a hit holds the arrays of the identical
-    computation, so it never changes the result. Each wavenumber the
-    refinement visits costs one formula evaluation and one single-k
-    ``eigvals`` call over the active directions, cached per k within the
-    search only, since the refinement revisits many k points at other tau.
+    Eigenvalues come from :func:`~frspectra.spectrum.factored_spectra`. The
+    grid's enter its memo, so at every angle of a uniform stencil the
+    leading direction's are solved once; the probes are solved uncached.
     """
-    if not (isfinite(rel_tol) and 0.0 < rel_tol < 1.0):
-        raise ValueError(f"rel_tol must be finite and in (0, 1), got {rel_tol}")
+    if not (isfinite(rel_tol) and float_info.epsilon <= rel_tol < 1.0):
+        raise ValueError(f"rel_tol must be finite and in [{float_info.epsilon}, 1), got {rel_tol}")
     if isinstance(nk, bool) or not isinstance(nk, (int, np.integer)) or nk < 1:
         raise ValueError(f"nk must be an integer >= 1, got {nk!r}")
     theta, phi = probe_angles if isinstance(probe_angles, tuple) else (probe_angles, 0.0)
@@ -224,13 +233,17 @@ def cfl_limit(
     factor = normalization_factor(theta, phi, stencil, scheme.p)
     k_hat = np.linspace(0.0, np.pi, nk + 1)[1:]  # up to the Nyquist limit
     lam_grid = factored_spectra(symbols, k_hat)[0]
+    lam_probe = {}  # k_hat -> eigenvalues; the refinement revisits k_hat at other steps
 
-    @cache
-    def eigenvalues(k: float) -> np.ndarray:
-        return factored_spectra(symbols, np.array([k]))[0][0]
-
-    def rho(tau: float, k: float) -> float:
-        return float(np.abs(rk.stability(tau * eigenvalues(k))).max())
+    def rho(taus: list[float], ks: list[list[float]]) -> list[list[float]]:
+        # the spectral radius at each step's points; the wavenumbers this
+        # search has not solved yet are solved together, in one call
+        flat = [k for row in ks for k in row]
+        new = [k for k in dict.fromkeys(flat) if k not in lam_probe]
+        if new:
+            lam_probe.update(zip(new, factored_spectra(symbols, np.array(new), memo=False)[0]))
+        z = np.repeat(taus, len(ks[0]))[:, None] * np.array([lam_probe[k] for k in flat])
+        return np.abs(rk.stability(z)).max(axis=1).reshape(len(ks), -1).tolist()
 
     ratios = [symbols.velocity[m] / stencil.delta[m] for m in range(scheme.d)]
     cfl_per_tau = float(sum(ratios))
@@ -246,17 +259,23 @@ def cfl_limit(
     def grid_rho(tau: float) -> np.ndarray:
         return np.abs(rk.stability(tau * lam_grid)).max(axis=1)
 
-    @cache
-    def sup_rho(tau: float) -> tuple[float, float]:
-        rho_grid = grid_rho(tau)
-        j = int(np.argmax(rho_grid))
-        best_k, best_rho = float(k_hat[j]), float(rho_grid[j])
-        lo = k_hat[j - 1] if j > 0 else k_hat[0] * 0.5
-        hi = k_hat[j + 1] if j + 1 < k_hat.size else np.pi
-        k_ref, rho_ref = _golden_max(lambda k: rho(tau, k), lo, hi)
-        if rho_ref > best_rho:
-            best_k, best_rho = float(k_ref), rho_ref
-        return best_rho, best_k
+    refined = {}  # step -> (rho, k_hat) at its refined peak
+
+    def sup_rho(*taus: float) -> list[tuple[float, float]]:
+        # the refined peak at each step; the steps not refined yet run their
+        # golden sections, around the grid's peak, in lockstep
+        peaks = {tau: int(np.argmax(grid_rho(tau))) for tau in taus if tau not in refined}
+        if peaks:
+            brackets = {
+                tau: (k_hat[j - 1] if j > 0 else k_hat[0] * 0.5,
+                      k_hat[j + 1] if j + 1 < nk else np.pi)
+                for tau, j in peaks.items()
+            }
+            for tau, (k_ref, rho_ref) in _golden_sections(rho, brackets).items():
+                j = peaks[tau]
+                best = (float(grid_rho(tau)[j]), float(k_hat[j]))
+                refined[tau] = (rho_ref, float(k_ref)) if rho_ref > best[0] else best
+        return [refined[tau] for tau in taus]
 
     def exceeds_grid(tau: float) -> bool:
         return grid_rho(tau).max() > 1.0 + RHO_TOL
@@ -264,7 +283,7 @@ def cfl_limit(
     def exceeds(tau: float) -> bool:
         # refinement only ever raises the grid maximum, so it runs only
         # when the grid alone cannot decide
-        return exceeds_grid(tau) or sup_rho(tau)[0] > 1.0 + RHO_TOL
+        return exceeds_grid(tau) or sup_rho(tau)[0][0] > 1.0 + RHO_TOL
 
     def bracket(test) -> tuple[float, float] | None:
         # the final (tau_lo, tau_hi) under one step test; tau_lo is 0 when
@@ -291,7 +310,9 @@ def cfl_limit(
         return tau_lo, tau_hi
 
     found = bracket(exceeds_grid)
-    if found is None or found[0] == 0.0 or exceeds(found[0]):
+    # the grid passes at tau_lo, so its refinement alone confirms it;
+    # tau_hi's, for worst_k, runs in the same lockstep
+    if found is None or found[0] == 0.0 or sup_rho(*found)[0][0] > 1.0 + RHO_TOL:
         found = bracket(exceeds)
         if found is None:
             raise RuntimeError("failed to bracket the stability boundary from above")
@@ -301,7 +322,7 @@ def cfl_limit(
     return CflResult(
         cfl_limit=tau_lo * cfl_per_tau,
         tau_limit=tau_lo,
-        worst_k=sup_rho(tau_hi)[1] / factor,
+        worst_k=sup_rho(tau_hi)[0][1] / factor,
         stable=tau_lo > 0.0,
         cfl_crossing=tau_lo * crossing_per_tau,
         theta=theta,
