@@ -9,8 +9,6 @@ __version__ = "0.1.0"
 
 from .basis import (
     DG,
-    GAUSS_LEGENDRE,
-    GAUSS_LOBATTO,
     HUYNH_G2,
     OSFR,
     BasisOperators,
@@ -70,19 +68,3 @@ from .advect import (
     plane_wave_state,
 )
 
-# Loaded on first access (PEP 562): no sweep or check runs the mesh generator.
-_MESH_NAMES = {"CUBE_SHAPE_FACTOR", "JitteredMesh", "MeshGenerationError", "generate",
-               "shape_factor", "write_mesh"}
-
-
-def __getattr__(name):
-    if name != "mesh" and name not in _MESH_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    mesh = import_module(".mesh", __name__)
-    return mesh if name == "mesh" else getattr(mesh, name)
-
-
-def __dir__():
-    return sorted({*globals(), "mesh", *_MESH_NAMES})

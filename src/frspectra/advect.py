@@ -110,10 +110,6 @@ class PeriodicGrid:
         return cls(len(arrays), arrays)
 
     @property
-    def extent(self) -> tuple[float, ...]:
-        return tuple(float(w.sum()) for w in self.spacings)
-
-    @property
     def cells_per_dir(self) -> tuple[int, ...]:
         return tuple(w.size for w in self.spacings)
 
@@ -153,7 +149,7 @@ class AdvectionProblem:
         self.grid = grid
         self.scheme = scheme
         self.velocity = velocity
-        self.points = make_points(scheme.p, scheme.rule)
+        self.points = make_points(scheme.p)
         self.ops = operators_for(scheme)
         d, n = grid.d, scheme.p + 1
         # FieldState axes (plane, cells..., nodes...) -> (plane, c_{d-1}, n_{d-1}, ..., c_0, n_0)

@@ -1,10 +1,10 @@
 """Polynomial building blocks on the reference interval [-1, 1].
 
-Provides quadrature point sets, Lagrange interpolation in barycentric form
-(stable at high order; no monomial coefficients anywhere), and the
-one-parameter family of energy-stable correction functions together with
-the endpoint-derivative vectors needed to build flux reconstruction
-operators.
+Provides the Gauss-Legendre solution points, Lagrange interpolation in
+barycentric form (stable at high order; no monomial coefficients
+anywhere), and the one-parameter family of energy-stable correction
+functions together with the endpoint-derivative vectors needed to build
+flux reconstruction operators.
 
 All objects are immutable after construction and safe to share between
 threads.
@@ -18,21 +18,17 @@ from math import factorial, isfinite
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-GAUSS_LEGENDRE = "gauss-legendre"
-GAUSS_LOBATTO = "gauss-lobatto"
-
 DG = "dg"
 HUYNH_G2 = "huynh-g2"
 OSFR = "osfr"
 
 @dataclass(frozen=True)
 class PointSet:
-    """Solution/quadrature points on [-1, 1].
+    """Gauss-Legendre solution points on [-1, 1].
 
     Attributes:
         order: polynomial order p; there are p + 1 nodes.
-        nodes: strictly increasing array of p + 1 nodes in [-1, 1],
-            symmetric about 0 for the rules provided here.
+        nodes: the p + 1 interior nodes, strictly increasing and symmetric about 0.
         weights: quadrature weights matching ``nodes``.
     """
 
@@ -42,34 +38,14 @@ class PointSet:
 
 
 @cache
-def make_points(p: int, rule: str = GAUSS_LEGENDRE) -> PointSet:
-    """Build a point set of order ``p`` for the requested quadrature rule.
+def make_points(p: int) -> PointSet:
+    """The p + 1 Gauss-Legendre points of order ``p`` >= 0.
 
-    Gauss-Legendre nodes are interior; Gauss-Lobatto includes both
-    endpoints and therefore needs p >= 1. Cached: a repeated call returns
-    the same immutable point set (its arrays are read-only).
+    Cached: a repeated call returns the same point set, with read-only arrays.
     """
     if p < 0:
         raise ValueError(f"polynomial order must be >= 0, got {p}")
-    if rule == GAUSS_LEGENDRE:
-        if p == 0:
-            nodes, weights = np.zeros(1), np.full(1, 2.0)
-        else:
-            nodes, weights = npleg.leggauss(p + 1)
-    elif rule == GAUSS_LOBATTO:
-        if p < 1:
-            raise ValueError("Gauss-Lobatto needs p >= 1")
-        if p == 1:
-            interior = np.zeros(0)
-        else:
-            # interior Lobatto nodes are the roots of dP_p/dx
-            dcoef = npleg.legder(np.eye(p + 1)[p])
-            interior = np.sort(npleg.legroots(dcoef).real)
-        nodes = np.concatenate(([-1.0], interior, [1.0]))
-        lp = npleg.legval(nodes, np.eye(p + 1)[p])
-        weights = 2.0 / (p * (p + 1) * lp**2)
-    else:
-        raise ValueError(f"unknown quadrature rule {rule!r}")
+    nodes, weights = npleg.leggauss(p + 1)
     # enforce exact symmetry about the origin
     nodes = 0.5 * (nodes - nodes[::-1])
     weights = 0.5 * (weights + weights[::-1])

@@ -1,11 +1,12 @@
 """Command-line front end: parameter sweeps with deterministic CSV/JSON output.
 
-Commands: dispersion (alias condition), cfl, fully-discrete, verify, mesh.
-Numeric flags accept either a single value or an inclusive range
-``start:stop:step``. Angles are given in degrees. Output is byte-identical
-for identical invocations (the JSON mirror carries a ``created`` timestamp
-that comparisons should exclude). Exit codes: 0 ok, 1 user error, 2
-numerical failure (failed rows are marked and the run continues).
+Commands: dispersion (omega_hat and the modal conditioning kappa), cfl,
+fully-discrete, verify, mesh. Numeric flags accept either a single value
+or an inclusive range ``start:stop:step``. Angles are given in degrees.
+Output is byte-identical for identical invocations (the JSON mirror
+carries a ``created`` timestamp that comparisons should exclude). Exit
+codes: 0 ok, 1 user error, 2 numerical failure (failed rows are marked and
+the run continues).
 
 Every emitted value is recomputable through library calls; the CLI only
 orchestrates sweeps and serialization.
@@ -404,7 +405,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="frspectra", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    disp = sub.add_parser("dispersion", aliases=["condition"], help="physical-mode sweep")
+    disp = sub.add_parser("dispersion", help="physical-mode sweep")
     _add_sweep_flags(disp)
     disp.set_defaults(func=_run_spectrum_command)
 

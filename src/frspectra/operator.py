@@ -25,7 +25,6 @@ from math import cos, isfinite, sin
 import numpy as np
 
 from .basis import (
-    GAUSS_LEGENDRE,
     BasisOperators,
     CorrectionFamily,
     build_operators,
@@ -39,15 +38,15 @@ _EPS = float(np.finfo(float).eps)
 class SchemeConfig:
     """Flux reconstruction scheme: order, correction family, upwinding, dims.
 
-    alpha = 1 is fully upwind, alpha = 0.5 central; values outside
-    [0.5, 1] are rejected.
+    The solution points are the p + 1 Gauss-Legendre points of
+    :func:`~frspectra.basis.make_points`. alpha = 1 is fully upwind,
+    alpha = 0.5 central; values outside [0.5, 1] are rejected.
     """
 
     p: int
     family: CorrectionFamily
     alpha: float
     d: int = 1
-    rule: str = GAUSS_LEGENDRE
 
     def __post_init__(self):
         if not 0.5 <= self.alpha <= 1.0:
@@ -67,7 +66,7 @@ def operators_for(scheme: SchemeConfig) -> BasisOperators:
     Built once per scheme: a repeated call (or a value-equal scheme)
     returns the same object, whose arrays are read-only.
     """
-    ops = build_operators(make_points(scheme.p, scheme.rule), scheme.family)
+    ops = build_operators(make_points(scheme.p), scheme.family)
     for arr in vars(ops).values():
         arr.setflags(write=False)
     return ops

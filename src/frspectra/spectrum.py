@@ -54,17 +54,24 @@ def normalization_factor(
     theta <= 45 degrees. Implemented exactly as stated, including the
     leading max{} factor, so normalized results stay comparable across
     angles; k_hat spans [0, pi] up to the angle-dependent Nyquist limit.
+    Raises ValueError where the square root overflows or underflows.
     """
     a = direction_cosines(theta, phi, stencil.d)
     return float(np.max(np.abs(a)) / (p + 1) * _stretched_length(a.tolist(), stencil))
 
 
 def _stretched_length(a: list[float], stencil: StretchedStencil) -> float:
-    """sqrt(sum_m (delta_m a_m / gamma_m)^2), the length behind k_hat."""
-    return sqrt(sum(
+    """sqrt(sum_m (delta_m a_m / gamma_m)^2), the length behind k_hat.
+
+    Raises ValueError unless finite and > 0: an inf would put every k at 0.
+    """
+    length = sqrt(sum(
         (delta * a_m / gamma) * (delta * a_m / gamma)
         for delta, a_m, gamma in zip(stencil.delta, a, stencil.gamma)
     ))
+    if not (isfinite(length) and length > 0):
+        raise ValueError(f"the stencil's normalization length is {length}, not finite and > 0")
+    return length
 
 
 def wavenumber_for(
@@ -82,7 +89,7 @@ def plane_wave_samples(symbol: SemiDiscreteSymbol) -> np.ndarray:
     the operator ordering.
     """
     scheme, stencil, probe = symbol.scheme, symbol.stencil, symbol.probe
-    nodes = make_points(scheme.p, scheme.rule).nodes
+    nodes = make_points(scheme.p).nodes
     vel = probe.velocity(scheme.d)
     phase = np.zeros((1,) * scheme.d)
     for m in range(scheme.d):
@@ -304,9 +311,9 @@ def _check_anchor(modes: np.ndarray, physical: int, k0: float) -> None:
             )
 
 
-def default_k_hat_grid(n: int = 64, lo: float = 0.01 * np.pi) -> np.ndarray:
-    """Log-spaced normalized wavenumbers up to the Nyquist limit."""
-    return np.geomspace(lo, np.pi, n)
+def default_k_hat_grid() -> np.ndarray:
+    """64 log-spaced normalized wavenumbers from 0.01 pi up to the Nyquist limit."""
+    return np.geomspace(0.01 * np.pi, np.pi, 64)
 
 
 def _anchor_ladder(first_k_hat: float) -> np.ndarray:
@@ -470,7 +477,7 @@ def wave_modes(
     anchor row is the Kronecker sum of these eigenvalues, so k is solved once.
     """
     lam, vecs = checked_eig(symbols.evaluate(np.array([k]))[0])
-    xi = make_points(symbols.scheme.p, symbols.scheme.rule).nodes
+    xi = make_points(symbols.scheme.p).nodes
     picks = []
     for col, m in enumerate(symbols.active):
         a, delta, gamma = symbols.velocity[m], symbols.stencil.delta[m], symbols.stencil.gamma[m]

@@ -112,7 +112,7 @@ class TestUserErrors:
             ["verify", "--khat", "20"],
             ["verify", "--khat", "3.2"],
             ["dispersion", "--d", "1", "--khat", "0:1:0.5"],
-            ["condition", "--d", "1", "--khat", "-1"],
+            ["dispersion", "--d", "1", "--khat", "-1"],
             ["fully-discrete", "--d", "1", "--tau", "0.1", "--khat", "0"],
             ["dispersion", "--dx", "0"],
             ["dispersion", "--dy", "0"],
@@ -134,7 +134,7 @@ class TestUserErrors:
             ["dispersion", "--d", "1", "--threads", "0"],
             ["cfl", "--d", "1", "--threads", "-1"],
             ["fully-discrete", "--d", "1", "--tau", "0.1", "--threads", "0"],
-            ["condition", "--d", "1", "--threads", "-1"],
+            ["dispersion", "--d", "1", "--threads", "-1"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -150,7 +150,7 @@ class TestUserErrors:
         [
             ["dispersion", "--d", "1", "--p", "3", "--khat", "4"],
             ["fully-discrete", "--d", "1", "--p", "3", "--tau", "0.1", "--khat", "4"],
-            ["condition", "--d", "1", "--khat", "0.5:3.5:1"],
+            ["dispersion", "--d", "1", "--khat", "0.5:3.5:1"],
             ["dispersion", "--d", "1", "--khat", "0"],
         ],
         ids=lambda argv: " ".join(argv),
@@ -384,15 +384,11 @@ class TestDispersionCommand:
         db["metadata"].pop("created")
         assert da == db
 
-    def test_condition_is_dispersion_by_another_name(self, capsys):
-        args = ["--d", "2", "--p", "2", "--gx", "1.1", "--theta", "0:90:45", "--khat", "0.5:1:0.5"]
-        csv = []
-        for command in ("dispersion", "condition"):
-            assert main([command, *args]) == 0
-            csv.append(capsys.readouterr().out)
-        assert csv[0] and csv[0] == csv[1]
-        assert main(["condition", *args, "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["command"] == "condition"
+    def test_condition_is_no_longer_a_command(self, capsys):
+        # kappa is a column of dispersion; the alias command is gone
+        assert main(["condition", "--d", "1", "--khat", "1.0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid choice: 'condition'" in captured.err
 
     def test_osfr_requires_iota(self, capsys):
         code = run_cli(["dispersion", "--d", "1", "--family", "osfr", "--theta", "0"])
@@ -463,19 +459,37 @@ def test_json_value_matches_the_csv_spelling(value, text):
     assert json.dumps(_sanitize_json(value)) == text
 
 
+# iota below the stable bound fails while the scheme is built
+_OSFR = ["--d", "1", "--p", "3", "--family", "osfr", "--iota", "-100.0", "--theta", "0"]
+# sqrt(sum_m (delta_m a_m / gamma_m)^2) overflows: every q_m = k_hat * rate was 0,
+# so the rows read -inf (dispersion) or the k = 0 limit (cfl), marked "ok"
+_HUGE = ["--d", "2", "--dx", "1e200", "--dy", "1e200", "--theta", "30"]
+# ... and with these it underflows to 0, which divided by zero
+_TINY = ["--d", "2", "--dx", "1e-300", "--dy", "1e-300", "--gx", "1e300", "--gy", "1e300",
+         "--theta", "30"]
+
+
 class TestRowErrors:
     @pytest.mark.parametrize(
         "argv, khats",
         [
-            (["cfl"], [""]),
-            (["fully-discrete", "--tau", "0.01", "--khat", "0.5:1.5:0.5"], [0.5, 1.0, 1.5]),
+            (["cfl", *_OSFR], [""]),
+            (["fully-discrete", "--tau", "0.01", "--khat", "0.5:1.5:0.5", *_OSFR], [0.5, 1.0, 1.5]),
+            (["dispersion", "--khat", "0.5:1.5:0.5", *_HUGE], [0.5, 1.0, 1.5]),
+            (["cfl", *_HUGE], [""]),
+            (["dispersion", "--khat", "0.5:1.5:0.5", *_TINY], [0.5, 1.0, 1.5]),
         ],
-        ids=["cfl", "fully-discrete"],
+        ids=[
+            "cfl",
+            "fully-discrete",
+            "dispersion-overflowing-length",
+            "cfl-overflowing-length",
+            "dispersion-underflowing-length",
+        ],
     )
     def test_error_row_per_khat_and_exit_2(self, argv, khats, capsys):
-        # the dispersion case is test_row_error_marker_and_exit_2
-        osfr = ["--d", "1", "--p", "3", "--family", "osfr", "--iota", "-100.0", "--theta", "0"]
-        assert main(argv + osfr) == 2
+        # the dispersion osfr case is test_row_error_marker_and_exit_2
+        assert main(argv) == 2
         header, *lines = capsys.readouterr().out.splitlines()
         rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
         assert [row["status"] for row in rows] == ["error:ValueError"] * len(khats)

@@ -214,6 +214,15 @@ class TestNormalization:
         k = wavenumber_for(1.3, 0.5, 0.0, stencil, 4)
         assert abs(k * normalization_factor(0.5, 0.0, stencil, 4) - 1.3) < 1e-12
 
+    @pytest.mark.parametrize(
+        "delta, gamma", [(1e200, 1.0), (1e-300, 1e300)], ids=["overflow", "underflow"]
+    )
+    def test_length_beyond_the_floats_raises(self, delta, gamma):
+        # an infinite length put every wavenumber at k = 0; a zero one has no k
+        stencil = StretchedStencil(2, (delta, delta), (gamma, gamma))
+        with pytest.raises(ValueError, match="normalization length"):
+            normalization_factor(np.pi / 6, 0.0, stencil, 3)
+
     @given(
         k=st.floats(0.0, 50.0),
         theta=st.floats(0.0, np.pi / 2),
@@ -256,21 +265,6 @@ class TestThreeDimensions:
             sch, stencil, np.pi / 4, np.arctan(1 / np.sqrt(2)), k_hat
         ).kappa[0]
         assert oblique > aligned
-
-
-class TestAlternativeRule:
-    def test_lobatto_scheme_consistent(self):
-        from frspectra.basis import GAUSS_LOBATTO
-        from frspectra.basis import CorrectionFamily
-
-        sch = SchemeConfig(3, CorrectionFamily.huynh_g2(3), 1.0, 1, rule=GAUSS_LOBATTO)
-        stencil = StretchedStencil.uniform(1)
-        sweep = dispersion_sweep(sch, stencil, k_hat=np.array([1e-4, 0.5, 1.0]))
-        assert abs(sweep.omega_physical[0] / sweep.k[0] - 1.0) < 1e-6
-        # upwind stability holds on the alternative point set too
-        sym = symbol_for(sch, stencil, WaveProbe(k=2.0))
-        lam = np.linalg.eigvals(sym.Q)
-        assert lam.real.max() < 1e-10
 
 
 class TestScaleInvariance:
