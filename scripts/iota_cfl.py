@@ -42,7 +42,7 @@ def run(argv=None):
         curve = []
         for iota in iotas:
             scheme = SchemeConfig(p, CorrectionFamily.osfr(p, float(iota)), 1.0, 2)
-            res = cfl_limit(scheme, stencil, (radians(deg), 0.0), rk)
+            res = cfl_limit(scheme, stencil, rk, radians(deg))
             curve.append(res.cfl_crossing)
             rows.append((deg, float(iota), res.cfl_limit, res.cfl_crossing, int(res.stable)))
         best[deg] = iotas[int(np.argmax(curve))]

@@ -52,6 +52,8 @@ BLOWUP_THRESHOLD = 1e10
 # bound on check_decay_rate's amplification residual; a census of 376 checks
 # read at most 7.3e-15 at the default 16 steps and 8.0e-14 at 256
 AMPLIFICATION_TOL = 1e-12
+DECAY_CELLS = 8  # cells per direction of check_decay_rate's grid
+DECAY_STEPS = 16  # steps of check_decay_rate's march
 
 
 class DivergenceError(RuntimeError):
@@ -353,7 +355,7 @@ def plane_wave_state(problem: AdvectionProblem, k: float) -> FieldState:
 
 
 def eigenmode_state(
-    problem: AdvectionProblem, k: float, theta: float = 0.0, phi: float = 0.0
+    problem: AdvectionProblem, k: float, theta: float = 0.0
 ) -> tuple[FieldState, complex]:
     """Initial data projected exactly onto the wave-carrying mode.
 
@@ -365,14 +367,14 @@ def eigenmode_state(
     the angles and wavenumber components commensurate with the box
     (:func:`commensurate_wave`).
     """
-    if not np.allclose(problem.velocity, direction_cosines(theta, phi, problem.grid.d), 0, 1e-12):
+    if not np.allclose(problem.velocity, direction_cosines(theta, 0.0, problem.grid.d), 0, 1e-12):
         raise ValueError(f"velocity {problem.velocity} is not the unit direction of the angles")
     widths = problem.grid.spacings  # not np.unique, whose first call imports numpy.ma
     if any((w != w[0]).any() for w in widths):
         raise ValueError("eigenmode initial data requires a uniform grid")
     delta = tuple(float(w[0]) for w in widths)
     stencil = StretchedStencil(problem.grid.d, delta, (1.0,) * problem.grid.d)
-    omega, vec = physical_eigenvector(problem.scheme, stencil, theta, phi, k)
+    omega, vec = physical_eigenvector(problem.scheme, stencil, theta, 0.0, k)
     d, n = problem.grid.d, problem.scheme.p + 1
     phases = [np.exp(1j * k * a * problem.grid.origins(m)) for m, a in enumerate(problem.velocity)]
     cellwise = reduce(np.multiply.outer, phases[::-1])
@@ -380,24 +382,24 @@ def eigenmode_state(
 
 
 def commensurate_wave(
-    d: int, theta: float, k_target: float, cells, delta_x: float = 1.0
+    d: int, theta: float, k_target: float, cells
 ) -> tuple[float, tuple[float, ...]]:
     """Snap (k, cell widths) so the inclined wave is periodic on the box.
 
     Over the directions the wave moves in (a_m != 0), each rounds its mode
-    count k a_m cells_m delta_x / (2 pi) to an integer >= 1. The first
-    fixes k on cells of width ``delta_x``; each later one gets the width
-    that makes its component exact, so the incidence angle stays exact.
-    Returns k and the per-direction widths as Python floats.
+    count k a_m cells_m / (2 pi) to an integer >= 1. The first fixes k on
+    cells of unit width; each later one gets the width that makes its
+    component exact, so the incidence angle stays exact. Returns k and the
+    per-direction widths as Python floats.
     """
     cells = np.atleast_1d(cells)
     vel = direction_cosines(theta, 0.0, d)
-    k, widths = float(k_target), [float(delta_x)] * d
+    k, widths = float(k_target), [1.0] * d
     for i, m in enumerate(np.flatnonzero(vel)):
         a, n = float(vel[m]), int(cells[m])
-        count = max(1, round(k * a * n * delta_x / (2 * pi)))
+        count = max(1, round(k * a * n / (2 * pi)))
         if i == 0:
-            k = 2 * pi * count / (a * n * delta_x)
+            k = 2 * pi * count / (a * n)
         else:
             widths[m] = 2 * pi * count / (k * a * n)
     return k, tuple(widths)
@@ -431,8 +433,6 @@ def check_decay_rate(
     theta: float = 0.0,
     k_hat: float = 1.0,
     rk: RkScheme = RK44,
-    cells: int = 8,
-    nsteps: int = 16,
     tol: float = 1e-6,
     iota: float | None = None,
 ) -> RateCheck:
@@ -456,17 +456,14 @@ def check_decay_rate(
       scale of the mode. The only systematic deviation is the RK truncation
       bias, which the automatic time-step choice keeps below ``tol``.
 
-    A short march suffices for both. The energy of an exact eigenvector is an
-    exact exponential, so the fitted rate depends on the march length only
-    through roundoff, which settles by 16 steps: within 3e-12 of the 256-step
-    fit, relative to the denominator, where 8 steps leave 2e-11. Roundoff in
-    the residual grows with the number of steps.
+    The grid has ``DECAY_CELLS`` cells per direction and the march
+    ``DECAY_STEPS`` steps. A short march suffices for both tests. The energy
+    of an exact eigenvector is an exact exponential, so the fitted rate
+    depends on the march length only through roundoff, which settles by 16
+    steps: within 3e-12 of the 256-step fit, relative to the denominator,
+    where 8 steps leave 2e-11. Roundoff in the residual grows with the
+    number of steps.
     """
-    # the fit needs at least two energies
-    if isinstance(nsteps, bool) or not isinstance(nsteps, (int, np.integer)) or nsteps < 1:
-        raise ValueError(f"number of steps must be an integer >= 1, got {nsteps!r}")
-    if not (float(cells).is_integer() and cells >= 4):  # nan and inf are not integers
-        raise ValueError(f"cells must be an integer >= 4, got {cells}")
     if not (isfinite(k_hat) and 0 < k_hat <= pi):  # above pi the wave aliases
         raise ValueError(f"k_hat must be finite and in (0, pi], got {k_hat}")
     if not (isfinite(tol) and tol > 0):
@@ -474,7 +471,8 @@ def check_decay_rate(
     family = make_family(family_kind, p, iota)
     scheme = SchemeConfig(p, family, alpha, d)
     k_target = wavenumber_for(k_hat, theta, 0.0, StretchedStencil.uniform(d), p)
-    cells_per_dir = (cells,) * d
+    cells_per_dir = (DECAY_CELLS,) * d
+    nsteps = DECAY_STEPS
     k, delta = commensurate_wave(d, theta, k_target, cells_per_dir)
     stencil = StretchedStencil(d, delta, (1.0,) * d)
     grid = PeriodicGrid.uniform(cells_per_dir, delta)
@@ -522,7 +520,7 @@ def check_decay_rate(
             "theta": theta,
             "rk": rk.name,
             "tau": tau,
-            "cells": cells,
+            "cells": DECAY_CELLS,
             "nsteps": nsteps,
         },
     )

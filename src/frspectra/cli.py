@@ -14,7 +14,6 @@ orchestrates sweeps and serialization.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from functools import cache, partial
 from itertools import product
@@ -177,7 +176,7 @@ def _write_file(path, write):
         raise UserInputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _spec_echo(args, skip=("output", "threads", "func", "command")):
+def _spec_echo(args, skip=("output", "func", "command")):
     return {
         k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None
     }
@@ -203,7 +202,6 @@ def _add_sweep_flags(sub, with_khat=True):
             default=None,
             help="normalized wavenumbers, value or range; default 64 log-spaced",
         )
-    sub.add_argument("--threads", type=int, default=1)
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("-o", "--output", default=None)
 
@@ -293,7 +291,7 @@ def _run_cfl(args):
 
     def rows_for(scheme, stencil, theta, phi):
         # every CFL column but khat and status is a CflResult field
-        return [{**vars(cfl_limit(scheme, stencil, (theta, phi), rk)), "status": "ok"}]
+        return [{**vars(cfl_limit(scheme, stencil, rk, theta, phi)), "status": "ok"}]
 
     return _run_sweep(args, _CFL_COLUMNS, rows_for)
 
@@ -307,10 +305,8 @@ def _run_sweep(args, row_columns, rows_for, khat_grid=(None,)):
     its scheme is built from, or the input iota when no family can be built.
     """
     combos = _sweep_combos(args)
-    if args.threads < 1:
-        raise UserInputError(f"--threads: must be >= 1, got {args.threads}")
 
-    def worker(c):
+    def run_combo(c):
         key = {**c, "aspect": c["dy"] / c["dx"]}
         try:
             family = make_family(c["family"], c["p"], c["iota"])
@@ -324,16 +320,7 @@ def _run_sweep(args, row_columns, rows_for, khat_grid=(None,)):
         except _ROW_ERRORS as exc:
             return key, [{"khat": kh, "status": f"error:{type(exc).__name__}"} for kh in khat_grid]
 
-    # no more threads than combos or CPUs this process may run on
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(args.threads, len(combos), cpus or 1)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(worker, combos))
-    else:
-        groups = [worker(c) for c in combos]
+    groups = [run_combo(c) for c in combos]
     _emit(groups, row_columns, args, _spec_echo(args))
     return 2 if any(r["status"] != "ok" for _, rows in groups for r in rows) else 0
 

@@ -99,6 +99,11 @@ class StretchedStencil:
             raise ValueError(f"spacings must be finite and > 0, got {self.delta}")
         if any(g <= 0 or not isfinite(g) for g in self.gamma):
             raise ValueError(f"expansion factors must be finite and > 0, got {self.gamma}")
+        # the upstream and downstream widths delta/gamma and gamma*delta
+        widths = [w for dx, g in zip(map(float, self.delta), map(float, self.gamma))
+                  for w in (dx / g, dx * g)]
+        if any(w <= 0 or not isfinite(w) for w in widths):
+            raise ValueError(f"neighbour widths must be finite and > 0, got {widths}")
 
     @classmethod
     def uniform(cls, d: int, delta: float = 1.0) -> "StretchedStencil":

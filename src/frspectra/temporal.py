@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import isfinite, sqrt
-from sys import float_info
 
 import numpy as np
 
@@ -40,6 +39,8 @@ from .spectrum import (
 )
 
 RHO_TOL = 1e-9  # spectral-radius allowance absorbing roundoff
+CFL_GRID_POINTS = 257  # uniform k_hat points of the CFL search in (0, pi]
+CFL_REL_TOL = 1e-4  # relative width at which the CFL bisection stops
 
 
 @dataclass(frozen=True)
@@ -150,8 +151,6 @@ class CflResult:
     worst_k: float
     stable: bool
     cfl_crossing: float = 0.0
-    theta: float = 0.0
-    phi: float = 0.0
 
 
 def _golden_sections(f, brackets: dict, iters: int = 30) -> dict:
@@ -191,19 +190,17 @@ def _golden_sections(f, brackets: dict, iters: int = 30) -> dict:
 def cfl_limit(
     scheme: SchemeConfig,
     stencil: StretchedStencil,
-    probe_angles: tuple[float, float] | float,
     rk: RkScheme,
-    nk: int = 257,
-    rel_tol: float = 1e-4,
+    theta: float = 0.0,
+    phi: float = 0.0,
 ) -> CflResult:
-    """Largest stable CFL number at fixed incidence angles.
+    """Largest stable CFL number at fixed incidence angles (radians).
 
     Bisects on tau the supremum over sampled k in (0, k_nyquist] of the
-    spectral radius of R(tau, k); the k grid is uniform in k_hat, ``nk``
-    points (an integer >= 1) in (0, pi], plus a golden-section refinement in
-    k_hat around the grid's peak. The bisection converges to relative width
-    ``rel_tol``, which must be finite and in [eps, 1), eps the float
-    epsilon: below it, two adjacent floats may be too far apart to end it.
+    spectral radius of R(tau, k); the k grid is uniform in k_hat,
+    ``CFL_GRID_POINTS`` points in (0, pi], plus a golden-section refinement
+    in k_hat around the grid's peak. The bisection converges to relative
+    width ``CFL_REL_TOL``.
 
     A first pass decides each step by the grid alone. The refinement can
     only raise the grid's maximum, and every step that pass found stable is
@@ -224,14 +221,9 @@ def cfl_limit(
     grid's enter its memo, so at every angle of a uniform stencil the
     leading direction's are solved once; the probes are solved uncached.
     """
-    if not (isfinite(rel_tol) and float_info.epsilon <= rel_tol < 1.0):
-        raise ValueError(f"rel_tol must be finite and in [{float_info.epsilon}, 1), got {rel_tol}")
-    if isinstance(nk, bool) or not isinstance(nk, (int, np.integer)) or nk < 1:
-        raise ValueError(f"nk must be an integer >= 1, got {nk!r}")
-    theta, phi = probe_angles if isinstance(probe_angles, tuple) else (probe_angles, 0.0)
     symbols = DirectionSymbols(scheme, stencil, theta, phi)
     factor = normalization_factor(theta, phi, stencil, scheme.p)
-    k_hat = np.linspace(0.0, np.pi, nk + 1)[1:]  # up to the Nyquist limit
+    k_hat = np.linspace(0.0, np.pi, CFL_GRID_POINTS + 1)[1:]  # up to the Nyquist limit
     lam_grid = factored_spectra(symbols, k_hat)[0]
     lam_probe = {}  # k_hat -> eigenvalues; the refinement revisits k_hat at other steps
 
@@ -253,7 +245,7 @@ def cfl_limit(
     re_max = float(lam_grid.real.max())
     if re_max > RHO_TOL * max(1.0, lam_scale):
         worst = float(k_hat[int(np.argmax(lam_grid.real.max(axis=1)))]) / factor
-        return CflResult(0.0, 0.0, worst, stable=False, theta=theta, phi=phi)
+        return CflResult(0.0, 0.0, worst, stable=False)
 
     @cache
     def grid_rho(tau: float) -> np.ndarray:
@@ -268,7 +260,7 @@ def cfl_limit(
         if peaks:
             brackets = {
                 tau: (k_hat[j - 1] if j > 0 else k_hat[0] * 0.5,
-                      k_hat[j + 1] if j + 1 < nk else np.pi)
+                      k_hat[j + 1] if j + 1 < CFL_GRID_POINTS else np.pi)
                 for tau, j in peaks.items()
             }
             for tau, (k_ref, rho_ref) in _golden_sections(rho, brackets).items():
@@ -301,7 +293,7 @@ def cfl_limit(
                 tau_lo /= 2.0
                 if tau_lo < 1e-300:
                     return 0.0, tau_hi
-        while (tau_hi - tau_lo) > rel_tol * tau_hi:
+        while (tau_hi - tau_lo) > CFL_REL_TOL * tau_hi:
             mid = 0.5 * (tau_lo + tau_hi)
             if test(mid):
                 tau_hi = mid
@@ -325,8 +317,6 @@ def cfl_limit(
         worst_k=sup_rho(tau_hi)[0][1] / factor,
         stable=tau_lo > 0.0,
         cfl_crossing=tau_lo * crossing_per_tau,
-        theta=theta,
-        phi=phi,
     )
 
 

@@ -116,7 +116,7 @@ def test_criterion_5a_cfl_minimum_at_diagonal():
         for ratio in (0.5, 1.0, 2.0):
             stencil = fr.StretchedStencil(2, (1.0, ratio), (1.0, 1.0))
             values = [
-                cfl_limit(scheme, stencil, (theta, 0.0), RK44).cfl_crossing
+                cfl_limit(scheme, stencil, RK44, theta).cfl_crossing
                 for theta in thetas
             ]
             argmin_deg = 5 * int(np.argmin(values))
@@ -136,13 +136,13 @@ def test_criterion_5b_quasi_1d_cfl_below_1d():
     for p in (3, 4):
         family = fr.CorrectionFamily.huynh_g2(p)
         one_d = cfl_limit(
-            fr.SchemeConfig(p, family, 1.0, 1), fr.StretchedStencil.uniform(1), 0.0, RK44
+            fr.SchemeConfig(p, family, 1.0, 1), fr.StretchedStencil.uniform(1), RK44
         )
         two_d = cfl_limit(
             fr.SchemeConfig(p, family, 1.0, 2),
             fr.StretchedStencil.uniform(2),
-            (0.0, 0.0),
             RK44,
+            0.0,
         )
         results[p] = (two_d.cfl_limit, one_d.cfl_limit)
     strictly_below = all(two < 0.99 * one for two, one in results.values())

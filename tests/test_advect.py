@@ -374,7 +374,7 @@ class TestStep:
         p = 2
         sch = scheme(p)
         stencil = StretchedStencil.uniform(1)
-        res = cfl_limit(sch, stencil, 0.0, RK44)
+        res = cfl_limit(sch, stencil, RK44)
         grid = PeriodicGrid.uniform((32,))
         problem = AdvectionProblem(grid, sch)
         rng = np.random.default_rng(11)
@@ -532,7 +532,7 @@ class TestGridMarch:
     def test_divergence_step_matches_reference(self):
         p, grid = 2, PeriodicGrid.uniform((32,))
         problem = march_problem(grid, p)
-        tau = 1.1 * cfl_limit(scheme(p), StretchedStencil.uniform(1), 0.0, RK44).tau_limit
+        tau = 1.1 * cfl_limit(scheme(p), StretchedStencil.uniform(1), RK44).tau_limit
         values = random_state(grid, p, seed=11)
         ref = values
         for expected in range(1, 10_001):
@@ -587,20 +587,6 @@ class TestMarchInputs:
             problem.march(FieldState(values), RK44, 1e-3, 5)
         assert info.value.step_index == 1
 
-    @pytest.mark.parametrize("nsteps", [0, -1, 2.5, 16.0, np.nan, np.inf, True, "16"])
-    def test_decay_check_needs_an_integer_step_count_of_at_least_1(self, monkeypatch, nsteps):
-        def solve(*args):
-            raise AssertionError("solved before checking nsteps")
-
-        monkeypatch.setattr(advect, "make_family", solve)
-        with pytest.raises(ValueError, match="number of steps must be an integer >= 1"):
-            check_decay_rate(2, "huynh-g2", 1.0, 1, nsteps=nsteps)
-
-    def test_decay_check_accepts_any_integer_step_count(self):
-        assert check_decay_rate(2, "huynh-g2", 1.0, 1, nsteps=np.int64(16)) == check_decay_rate(
-            2, "huynh-g2", 1.0, 1
-        )
-
     @pytest.mark.parametrize("k_hat", [0.0, -1.0, np.nan, np.inf, np.pi * (1 + 1e-12), 50.0])
     def test_decay_check_needs_k_hat_in_0_to_pi(self, monkeypatch, k_hat):
         def solve(*args):
@@ -619,14 +605,19 @@ class TestMarchInputs:
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
             check_decay_rate(2, "huynh-g2", 1.0, 1, tol=tol)
 
-    @pytest.mark.parametrize("cells", [0, -8, 3, 8.5, np.nan, np.inf])
-    def test_decay_check_needs_an_integer_cell_count_of_at_least_4(self, monkeypatch, cells):
-        def solve(*args):
-            raise AssertionError("solved before checking cells")
+    def test_decay_check_accepts_any_integer_step_count(self, monkeypatch):
+        default = check_decay_rate(2, "huynh-g2", 1.0, 1)
+        monkeypatch.setattr(advect, "DECAY_STEPS", np.int64(16))
+        assert check_decay_rate(2, "huynh-g2", 1.0, 1) == default
 
-        monkeypatch.setattr(advect, "make_family", solve)
-        with pytest.raises(ValueError, match="cells must be an integer >= 4"):
-            check_decay_rate(2, "huynh-g2", 1.0, 1, cells=cells)
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("cells", [4, 5, 16])
+    def test_decay_check_holds_on_any_cell_count_of_at_least_4(self, monkeypatch, d, cells):
+        # the wave is snapped to the box, so the prediction holds on any grid
+        theta = np.radians(30) if d == 2 else 0.0
+        monkeypatch.setattr(advect, "DECAY_CELLS", cells)
+        res = check_decay_rate(3, "huynh-g2", 1.0, d, theta, 1.0)
+        assert res.config["cells"] == cells and res.passed
 
 
 class TestRateChecks:
@@ -744,13 +735,14 @@ class TestRateChecks:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("p", [2, 3, 4])
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
-    def test_short_march_keeps_the_prediction(self, d, p, alpha):
+    def test_short_march_keeps_the_prediction(self, d, p, alpha, monkeypatch):
         # predicted and k do not depend on the march length, and the fitted
         # rate of an exact eigenvector moves by roundoff only
         theta = np.radians(30) if d == 2 else 0.0
         short = check_decay_rate(p, "huynh-g2", alpha, d, theta, 1.0)
-        long = check_decay_rate(p, "huynh-g2", alpha, d, theta, 1.0, nsteps=256)
-        assert long.passed
+        monkeypatch.setattr(advect, "DECAY_STEPS", 256)
+        long = check_decay_rate(p, "huynh-g2", alpha, d, theta, 1.0)
+        assert long.config["nsteps"] == 256 and long.passed
         assert short.predicted.hex() == long.predicted.hex()
         assert short.k.hex() == long.k.hex()
         floor = max(abs(long.predicted), 1e-3 * long.k)
@@ -782,23 +774,30 @@ class TestRateChecks:
         my = k * np.sin(np.radians(30)) * 8 * delta[1] / (2 * np.pi)
         assert abs(mx - round(mx)) < 1e-12
         assert abs(my - round(my)) < 1e-12
-
-    def test_commensurate_wave_scales_with_delta_x(self):
-        theta = np.radians(30)
-        k, delta = commensurate_wave(2, theta, 30.0, (8, 8), delta_x=0.1)
-        assert delta[0] == 0.1
-        assert abs(delta[1] / delta[0] - 1.0) < 0.2
-        for a, width in zip((np.cos(theta), np.sin(theta)), delta):
-            modes = k * a * 8 * width / (2 * np.pi)
-            assert abs(modes - round(modes)) < 1e-12
         assert type(k) is float and all(type(w) is float for w in delta)
+
+    @pytest.mark.parametrize(
+        "d, theta_deg", [(1, 0), (2, 0), (2, 30), (2, 90), (3, 45), (3, 90)]
+    )
+    def test_commensurate_wave_first_moving_direction_has_unit_width(self, d, theta_deg):
+        # k is fixed on cells of width 1 along the first direction the wave
+        # moves in; a direction it does not move in keeps width 1 too
+        theta = np.radians(theta_deg)
+        vel = direction_cosines(theta, 0.0, d)
+        k, delta = commensurate_wave(d, theta, 3.0, (8,) * d)
+        moving = np.flatnonzero(vel)
+        assert delta[moving[0]] == 1.0
+        assert all(delta[m] == 1.0 for m in range(d) if vel[m] == 0.0)
+        for m in moving:
+            modes = k * vel[m] * 8 * delta[m] / (2 * np.pi)
+            assert modes >= 1 - 1e-12 and abs(modes - round(modes)) < 1e-12
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_commensurate_wave_grid_aligned_is_1d(self, d):
         # the wave moves along x at theta = 0 and along y at theta = 90 degrees
-        k_1d, (w_1d,) = commensurate_wave(1, 0.0, 3.0, (8,), 0.5)
-        assert commensurate_wave(d, 0.0, 3.0, (8,) * d, 0.5) == (k_1d, (w_1d,) * d)
-        assert commensurate_wave(d, np.pi / 2, 3.0, (8,) * d, 0.5) == (k_1d, (w_1d,) * d)
+        k_1d, (w_1d,) = commensurate_wave(1, 0.0, 3.0, (8,))
+        assert commensurate_wave(d, 0.0, 3.0, (8,) * d) == (k_1d, (w_1d,) * d)
+        assert commensurate_wave(d, np.pi / 2, 3.0, (8,) * d) == (k_1d, (w_1d,) * d)
 
 
 def mutate_mode(monkeypatch, mutate):

@@ -131,10 +131,6 @@ class TestUserErrors:
             ["dispersion", "--p", "0"],
             ["cfl", "--p", "0:2:1"],
             ["fully-discrete", "--tau", "0.1", "--p", "-1"],
-            ["dispersion", "--d", "1", "--threads", "0"],
-            ["cfl", "--d", "1", "--threads", "-1"],
-            ["fully-discrete", "--d", "1", "--tau", "0.1", "--threads", "0"],
-            ["dispersion", "--d", "1", "--threads", "-1"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -144,6 +140,16 @@ class TestUserErrors:
         assert captured.out == ""
         assert "frspectra:" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "command", [["dispersion"], ["cfl"], ["fully-discrete", "--tau", "0.1"]], ids=lambda c: c[0]
+    )
+    def test_threads_is_an_unrecognized_argument(self, command, capsys):
+        # sweeps run serially: no flag of any sweep chooses a thread pool
+        assert main([*command, "--d", "1", "--threads", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "frspectra: unrecognized arguments: --threads 2" in captured.err
 
     @pytest.mark.parametrize(
         "argv",
@@ -302,55 +308,6 @@ class TestDispersionCommand:
         assert float(row["im_omega_hat"]) == sweep.omega_hat_physical[0].imag
         assert float(row["kappa"]) == sweep.kappa[0]
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        base = [
-            "dispersion", "--d", "2", "--p", "2", "--family", "dg",
-            "--theta", "0:90:45", "--khat", "1.0", "--format", "csv", "-o",
-        ]
-        one = tmp_path / "t1.csv"
-        four = tmp_path / "t4.csv"
-        assert run_cli(base + [str(one), "--threads", "1"]) == 0
-        assert run_cli(base + [str(four), "--threads", "4"]) == 0
-        assert one.read_bytes() == four.read_bytes()
-
-    def test_pool_starts_no_more_workers_than_cpus_or_combos(self, monkeypatch):
-        import concurrent.futures
-
-        class Started(Exception):
-            pass
-
-        sizes = []
-
-        def recording_pool(max_workers=None):
-            sizes.append(max_workers)
-            raise Started  # start no thread and no sweep
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        base = ["dispersion", "--d", "2", "--p", "2", "--khat", "1.0"]
-        with pytest.raises(Started):  # 9001 combos
-            run_cli(base + ["--theta", "0:90:0.01", "--threads", "100000"])
-        with pytest.raises(Started):  # 2 combos
-            run_cli(base + ["--theta", "0:90:90", "--threads", "8"])
-        assert sizes == [3, 2]
-
-    def test_one_available_cpu_runs_inline(self, tmp_path, monkeypatch):
-        import concurrent.futures
-
-        base = [
-            "dispersion", "--d", "2", "--p", "2", "--family", "dg",
-            "--theta", "0:90:45", "--khat", "1.0", "-o",
-        ]
-        assert run_cli(base + [str(tmp_path / "t1.csv")]) == 0
-
-        def no_pool(max_workers=None):
-            pytest.fail(f"started a pool of {max_workers} on one CPU")
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert run_cli(base + [str(tmp_path / "t4.csv"), "--threads", "4"]) == 0
-        assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t4.csv").read_bytes()
-
     def test_json_mirror_matches_csv(self, tmp_path):
         args = [
             "dispersion", "--d", "1", "--p", "2", "--family", "dg",
@@ -464,9 +421,13 @@ _OSFR = ["--d", "1", "--p", "3", "--family", "osfr", "--iota", "-100.0", "--thet
 # sqrt(sum_m (delta_m a_m / gamma_m)^2) overflows: every q_m = k_hat * rate was 0,
 # so the rows read -inf (dispersion) or the k = 0 limit (cfl), marked "ok"
 _HUGE = ["--d", "2", "--dx", "1e200", "--dy", "1e200", "--theta", "30"]
-# ... and with these it underflows to 0, which divided by zero
+# ... and with these the upstream width delta/gamma underflows to 0, which the
+# stencil rejects before the length, also 0, is divided by
 _TINY = ["--d", "2", "--dx", "1e-300", "--dy", "1e-300", "--gx", "1e300", "--gy", "1e300",
          "--theta", "30"]
+# the downstream width gamma*delta overflows, which the stencil rejects before
+# any symbol is assembled
+_WIDE = ["--d", "1", "--dx", "1e200", "--gx", "1e200"]
 
 
 class TestRowErrors:
@@ -478,6 +439,11 @@ class TestRowErrors:
             (["dispersion", "--khat", "0.5:1.5:0.5", *_HUGE], [0.5, 1.0, 1.5]),
             (["cfl", *_HUGE], [""]),
             (["dispersion", "--khat", "0.5:1.5:0.5", *_TINY], [0.5, 1.0, 1.5]),
+            (["cfl", "--d", "1", "--dx", "1e-300", "--gx", "1e300"], [""]),
+            (["dispersion", "--khat", "1", *_WIDE], [1.0]),
+            (["cfl", *_WIDE], [""]),
+            (["fully-discrete", "--tau", "0.01", "--khat", "0.5:1.5:0.5", *_TINY], [0.5, 1.0, 1.5]),
+            (["fully-discrete", "--tau", "0.01", "--khat", "1", *_WIDE], [1.0]),
         ],
         ids=[
             "cfl",
@@ -485,6 +451,11 @@ class TestRowErrors:
             "dispersion-overflowing-length",
             "cfl-overflowing-length",
             "dispersion-underflowing-length",
+            "cfl-underflowing-upstream-width",
+            "dispersion-overflowing-downstream-width",
+            "cfl-overflowing-downstream-width",
+            "fully-discrete-underflowing-upstream-width",
+            "fully-discrete-overflowing-downstream-width",
         ],
     )
     def test_error_row_per_khat_and_exit_2(self, argv, khats, capsys):

@@ -7,7 +7,8 @@ by name and nothing below it, and that mode does not come from the
 sweeps' branch tracker. The sweeps anchor their branch on the same
 plane-wave-weight helper. A start imports only the modules it runs, and
 no benchmark item imports a numpy or frspectra module the start did not.
-Every public function and method has a production caller.
+Every public function and method has a production caller, and every
+defaulted parameter of one a production call that passes it.
 """
 import ast
 import os
@@ -199,6 +200,116 @@ def test_every_public_definition_has_a_production_caller():
     )
     assert not uncalled, f"public definitions with no production caller: {uncalled}"
     assert not UNCALLED_BY_DESIGN - {q for q, _, _ in _public_definitions()}  # no stale entry
+
+
+def _defaulted_parameters():
+    """(qualified name, callee name, {parameter: positional index or None}) of
+    the defaulted parameters of every public function, public method and
+    ``__init__`` of a top-level class; a constructor is called by its class
+    name, and the index of a method counts from after ``self``/``cls``."""
+    def defaulted(fn, bound):
+        args = fn.args.posonlyargs + fn.args.args
+        first = len(args) - len(fn.args.defaults)
+        out = {arg.arg: i - bound for i, arg in enumerate(args) if i >= first}
+        out.update({arg.arg: None for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                    if default is not None})
+        return out
+
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.FunctionDef) and not top.name.startswith("_"):
+                yield top.name, top.name, defaulted(top, 0)
+            elif isinstance(top, ast.ClassDef):
+                for node in top.body:
+                    if not isinstance(node, ast.FunctionDef):
+                        continue
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                    if node.name == "__init__":
+                        yield f"{top.name}.__init__", top.name, defaulted(node, 1)
+                    elif not node.name.startswith("_"):
+                        yield f"{top.name}.{node.name}", node.name, defaulted(node, int(not static))
+
+
+def _production_calls(oracles):
+    """Callee name -> the parameters production calls pass it: positional
+    indices, keyword names, and ``"*"`` for a ``*args`` or ``**kwargs`` call.
+
+    The same trees as :func:`_production_loads`. ``partial(f, ...)`` passes its
+    arguments to ``f``, and a call of a name assigned a ``partial`` of ``f``
+    counts as a call of ``f``.
+    """
+    def callee(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    passed = {}
+    paths = [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    for path in paths:
+        if path.name.startswith("test_"):
+            continue
+        tree = ast.parse(path.read_text())
+        partials = {}  # local name -> the functions it is a partial of
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) and (
+                callee(node.value.func) == "partial"
+            ):
+                for target in node.targets:
+                    partials.setdefault(callee(target), []).append(callee(node.value.args[0]))
+        for top in tree.body:
+            if path.parent == SRC and isinstance(top, ast.FunctionDef) and top.name in oracles:
+                continue
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                name, args = callee(node.func), node.args
+                if name == "partial":
+                    name, args = callee(args[0]), args[1:]
+                got = set(range(len(args))) | {k.arg for k in node.keywords}
+                if any(isinstance(a, ast.Starred) for a in args) or None in got:
+                    got.add("*")
+                for target in partials.get(name, [name]):
+                    passed.setdefault(target, set()).update(got)
+    return passed
+
+
+def test_every_defaulted_parameter_has_a_production_caller_that_passes_it():
+    """A default only tests override is a knob production carries for nothing.
+
+    A parameter counts as passed when some production call of its callee
+    name passes it by keyword or at its position. Two blind spots make this
+    a floor, not a proof: a method is matched by its attribute name alone,
+    so a call of any other class's method of that name counts (as for a
+    function loaded as an attribute in the test above); and a ``*args`` or
+    ``**kwargs`` call counts as passing everything, so
+    ``perfbench/workloads.py``'s ``check_decay_rate(**item["kwargs"])``
+    would hide a parameter of ``check_decay_rate`` that no item sets.
+    """
+    from test_oracle_boundary import ORACLES
+
+    passed = _production_calls(ORACLES)
+    unpassed = sorted(
+        f"{qualified}({param})"
+        for qualified, name, params in _defaulted_parameters()
+        if qualified not in ORACLES | UNCALLED_BY_DESIGN and "*" not in passed.get(name, ())
+        for param, index in params.items()
+        if param not in passed.get(name, ()) and index not in passed.get(name, ())
+    )
+    assert not unpassed, f"defaulted parameters no production call passes: {unpassed}"
+
+
+def test_parameter_walk_sees_keywords_positions_and_partials():
+    """The walk above is not vacuous: it sees ``verify``'s ``tol=``, the CFL
+    command's positional angles, and the sweeps' ``k_hat`` through ``partial``
+    and ``theta`` through the local name the CLI binds the partial to."""
+    from test_oracle_boundary import ORACLES
+
+    passed = _production_calls(ORACLES)
+    params = {qualified: p for qualified, _, p in _defaulted_parameters()}
+    assert "tol" in passed["check_decay_rate"] and "tol" in params["check_decay_rate"]
+    assert params["cfl_limit"] == {"theta": 3, "phi": 4} and {3, 4} <= passed["cfl_limit"]
+    for sweep in ("dispersion_sweep", "fully_discrete_sweep"):
+        assert {"k_hat", "theta", "phi"} <= passed[sweep]
+    assert params["AdvectionProblem.__init__"] == {"velocity": 2}
+    assert "*" not in passed["cfl_limit"]
 
 
 def test_caller_walk_reads_each_production_tree():

@@ -1,4 +1,6 @@
 """Block assembly and symbol tests against hand-computed oracles."""
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,49 @@ class TestConfigValidation:
             StretchedStencil(1, (-1.0,), (1.0,))
         with pytest.raises(ValueError):
             StretchedStencil(1, (1.0,), (0.0,))
+
+    @pytest.mark.parametrize(
+        "d, delta, gamma",
+        [
+            (1, (1e200,), (1e200,)),  # gamma*delta overflows
+            (1, (1e-300,), (1e300,)),  # delta/gamma underflows to 0
+            (1, (1e300,), (1e-300,)),  # delta/gamma overflows
+            (1, (1e-200,), (1e-200,)),  # gamma*delta underflows to 0
+            (1, (5e-324,), (2.0,)),  # half the least subnormal rounds to 0
+            (2, (1.0, 1e200), (1.0, 1e200)),  # only the second direction
+            (3, (1.0, 1.0, 1e-300), (1.0, 1.0, 1e300)),  # only the third
+            (2, (np.float64(1e200), 1.0), (np.float64(1e200), 1.0)),  # numpy entries
+        ],
+        ids=[
+            "downstream-overflow",
+            "upstream-underflow",
+            "upstream-overflow",
+            "downstream-underflow",
+            "least-subnormal",
+            "second-direction",
+            "third-direction",
+            "numpy-floats",
+        ],
+    )
+    def test_neighbour_widths_must_be_finite_and_positive(self, d, delta, gamma):
+        # each entry is valid alone; the widths delta/gamma and gamma*delta of
+        # the neighbours are not floats > 0 (a numpy warning fails the test)
+        with pytest.raises(ValueError, match="neighbour widths must be finite and > 0"):
+            StretchedStencil(d, delta, gamma)
+
+    @pytest.mark.parametrize(
+        "delta, gamma",
+        [
+            (1e150, 1e150),
+            (1e-150, 1e150),
+            (sys.float_info.max, 1.0),
+            (5e-324, 1.0),
+        ],
+        ids=["downstream-1e300", "upstream-1e-300", "largest-float", "least-subnormal"],
+    )
+    def test_neighbour_widths_up_to_the_float_range_accepted(self, delta, gamma):
+        stencil = StretchedStencil(1, (delta,), (gamma,))
+        assert (stencil.delta, stencil.gamma) == ((delta,), (gamma,))
 
     def test_probe_validation(self):
         with pytest.raises(ValueError):
@@ -280,8 +325,8 @@ class TestSymbolBatch:
             symbols.evaluate(np.array([0.5, bad, 1.0]))
 
     def test_non_finite_entries_rejected(self):
-        # a finite but subnormal spacing makes the metric factor 2/(delta*gamma) overflow
-        stencil = StretchedStencil(2, (1, 1), (1e-310, 1))
+        # a finite but subnormal spacing makes the metric factor 2/delta overflow
+        stencil = StretchedStencil(2, (1e-310, 1), (1, 1))
         with pytest.raises(ValueError, match="non-finite entries"), np.errstate(all="ignore"):
             DirectionSymbols(scheme(2, 1.0, 2), stencil, 0.3, 0.0).evaluate(np.array([1.0]))
 

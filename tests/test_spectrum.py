@@ -215,7 +215,7 @@ class TestNormalization:
         assert abs(k * normalization_factor(0.5, 0.0, stencil, 4) - 1.3) < 1e-12
 
     @pytest.mark.parametrize(
-        "delta, gamma", [(1e200, 1.0), (1e-300, 1e300)], ids=["overflow", "underflow"]
+        "delta, gamma", [(1e200, 1.0), (1e-170, 1.0)], ids=["overflow", "underflow"]
     )
     def test_length_beyond_the_floats_raises(self, delta, gamma):
         # an infinite length put every wavenumber at k = 0; a zero one has no k
@@ -706,7 +706,7 @@ class TestIdleDirection:
                 return sweep_outcome(
                     lambda: fully_discrete_sweep(sch, stencil, RK44, 0.05, theta, phi)
                 )
-            return sweep_outcome(lambda: cfl_limit(sch, stencil, (theta, phi), RK44, nk=33))
+            return sweep_outcome(lambda: cfl_limit(sch, stencil, RK44, theta, phi))
 
         assert outcome(d, *full, gamma[:d]) == outcome(d_low, theta_low, phi_low, gamma_low)
 

@@ -103,7 +103,7 @@ def cli_bytes(tmp_path, argv, name):
 @pytest.mark.parametrize("command", ["dispersion", "cfl"])
 def test_memo_never_changes_an_output(tmp_path, command):
     """The bytes of a sweep are those of a cold memo, whether the memo is
-    warm from other angles or from another scheme, at any thread count."""
+    warm from other angles or from another scheme."""
     config = [command, "--d", "2", "--p", "2"]
     sweep, one_angle = config + ["--theta", "0:90:15"], config + ["--theta", "30"]
     spectrum._line_spectra.cache_clear()
@@ -116,9 +116,6 @@ def test_memo_never_changes_an_output(tmp_path, command):
     spectrum._line_spectra.cache_clear()
     cli_bytes(tmp_path, config + ["--family", "dg", "--theta", "0:90:15"], "dg.csv")
     assert cli_bytes(tmp_path, sweep, "after_scheme.csv") == cold
-    assert cli_bytes(tmp_path, sweep + ["--threads", "4"], "warm4.csv") == cold
-    spectrum._line_spectra.cache_clear()
-    assert cli_bytes(tmp_path, sweep + ["--threads", "4"], "cold4.csv") == cold
 
 
 def test_memo_holds_read_only_arrays_and_is_bounded():

@@ -75,19 +75,19 @@ def _golden_max(f, a, b, iters=30):
     return _golden_sections(values, {0: (a, b)}, iters)[0]
 
 
-def reference_cfl_limit(scheme, stencil, probe_angles, rk, nk=257, rel_tol=1e-4):
+def reference_cfl_limit(scheme, stencil, rk, theta=0.0, phi=0.0):
     """The CFL search with a refined supremum at every bisection step.
 
     Kept verbatim as the oracle for :func:`~frspectra.temporal.cfl_limit`,
     which refines only when the k grid cannot decide a step. Both search in
     k_hat through the same ``factored_spectra``, on the grid and at every
     probe, and report ``worst_k`` as k = k_hat / F, so their search logic
-    is compared by exact ``==``.
+    is compared by exact ``==``. It reads the grid size and the bisection
+    width from the module's constants when called, as the search does.
     """
-    theta, phi = probe_angles if isinstance(probe_angles, tuple) else (probe_angles, 0.0)
     symbols = DirectionSymbols(scheme, stencil, theta, phi)
     factor = normalization_factor(theta, phi, stencil, scheme.p)
-    ks = np.linspace(0.0, np.pi, nk + 1)[1:]
+    ks = np.linspace(0.0, np.pi, temporal.CFL_GRID_POINTS + 1)[1:]
     lam_grid = factored_spectra(symbols, ks)[0]
 
     @cache
@@ -106,7 +106,7 @@ def reference_cfl_limit(scheme, stencil, probe_angles, rk, nk=257, rel_tol=1e-4)
     re_max = float(lam_grid.real.max())
     if re_max > RHO_TOL * max(1.0, lam_scale):
         worst = float(ks[int(np.argmax(lam_grid.real.max(axis=1)))]) / factor
-        return CflResult(0.0, 0.0, worst, stable=False, theta=theta, phi=phi)
+        return CflResult(0.0, 0.0, worst, stable=False)
 
     def sup_rho(tau: float) -> tuple[float, float]:
         rho_grid = np.abs(rk.stability(tau * lam_grid)).max(axis=1)
@@ -135,8 +135,8 @@ def reference_cfl_limit(scheme, stencil, probe_angles, rk, nk=257, rel_tol=1e-4)
         if tau_lo < 1e-300:
             # unstable for every positive step despite a left-half-plane
             # spectrum; report as a flagged zero limit
-            return CflResult(0.0, 0.0, sup_rho(tau_hi)[1], stable=False, theta=theta, phi=phi)
-    while (tau_hi - tau_lo) > rel_tol * tau_hi:
+            return CflResult(0.0, 0.0, sup_rho(tau_hi)[1], stable=False)
+    while (tau_hi - tau_lo) > temporal.CFL_REL_TOL * tau_hi:
         mid = 0.5 * (tau_lo + tau_hi)
         if exceeds(mid):
             tau_hi = mid
@@ -149,8 +149,6 @@ def reference_cfl_limit(scheme, stencil, probe_angles, rk, nk=257, rel_tol=1e-4)
         worst_k=worst_k,
         stable=True,
         cfl_crossing=tau_lo * crossing_per_tau,
-        theta=theta,
-        phi=phi,
     )
 
 
@@ -199,7 +197,7 @@ def search_log(monkeypatch):
     return log
 
 
-GRID = 257  # the default k grid of cfl_limit
+GRID = temporal.CFL_GRID_POINTS  # the k grid of cfl_limit
 
 
 class RecordingRk:
@@ -310,7 +308,7 @@ class TestCflLimit:
     def test_boundary_brackets(self):
         sch = scheme(3)
         stencil = StretchedStencil.uniform(1)
-        res = cfl_limit(sch, stencil, 0.0, RK44)
+        res = cfl_limit(sch, stencil, RK44)
         assert res.stable
         lam = {}
 
@@ -329,8 +327,8 @@ class TestCflLimit:
 
     def test_scale_invariance(self):
         sch = scheme(3, 1.0, 2)
-        r1 = cfl_limit(sch, StretchedStencil.uniform(2, 1.0), (0.4, 0.0), RK44)
-        r2 = cfl_limit(sch, StretchedStencil.uniform(2, 3.0), (0.4, 0.0), RK44)
+        r1 = cfl_limit(sch, StretchedStencil.uniform(2, 1.0), RK44, 0.4)
+        r2 = cfl_limit(sch, StretchedStencil.uniform(2, 3.0), RK44, 0.4)
         assert abs(r1.cfl_limit - r2.cfl_limit) < 1e-3 * r1.cfl_limit
         assert abs(r2.tau_limit - 3.0 * r1.tau_limit) < 1e-3 * r2.tau_limit
 
@@ -347,7 +345,7 @@ class TestCflLimit:
             return out
 
         monkeypatch.setattr(temporal, "factored_spectra", recording)
-        cfl_limit(sch, stencil, (0.5, 0.0), RK44)
+        cfl_limit(sch, stencil, RK44, 0.5)
         factor = normalization_factor(0.5, 0.0, stencil, sch.p)
         grid_ks, grid_lam = calls[0][0] / factor, calls[0][1]
         rows = [int(np.argmin(np.abs(grid_ks - k))) for k in (0.4, 2.5, 7.0)]
@@ -366,7 +364,7 @@ class TestCflLimit:
     def test_limit_matches_dense_eigenvalue_search(self, monkeypatch, d, gamma, angles):
         sch = scheme(3 if d == 2 else 2, 1.0, d)
         stencil = StretchedStencil.stretched(gamma)
-        factored = cfl_limit(sch, stencil, angles, RK44)
+        factored = cfl_limit(sch, stencil, RK44, *angles)
 
         def dense_spectra(symbols, k_hat, with_kappa=False, memo=True):
             scheme, stencil, theta, phi = (
@@ -381,37 +379,30 @@ class TestCflLimit:
             ]), None
 
         monkeypatch.setattr(temporal, "factored_spectra", dense_spectra)
-        dense = cfl_limit(sch, stencil, angles, RK44)
+        dense = cfl_limit(sch, stencil, RK44, *angles)
         assert factored.stable and dense.stable
         assert abs(factored.tau_limit - dense.tau_limit) < 1e-12 * dense.tau_limit
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"rel_tol": 0.0},  # looped forever
-            {"rel_tol": -1.0},  # looped forever
-            {"rel_tol": np.nan},  # skipped the bisection
-            {"rel_tol": np.inf},
-            {"rel_tol": 1.0},
-            {"rel_tol": 1e-16},  # below one ulp of tau_hi: looped forever
-            {"rel_tol": 5e-324},
-            {"nk": 0},  # failed inside numpy's reshape
-            {"nk": -3},
-            {"nk": 2.5},
-            {"nk": True},
-        ],
-        ids=repr,
-    )
-    def test_rejects_unusable_tolerance_or_grid(self, kwargs):
-        with pytest.raises(ValueError, match="rel_tol|nk"):
-            cfl_limit(scheme(2), StretchedStencil.uniform(1), 0.0, RK44, **kwargs)
-
-    def test_accepts_any_integer_grid_size(self):
+    def test_accepts_any_integer_grid_size(self, monkeypatch):
+        # the grid size is read when the search runs: a numpy integer gives
+        # the default's result, and one point still finds a stable limit
         sch, stencil = scheme(2), StretchedStencil.uniform(1)
-        assert cfl_limit(sch, stencil, 0.0, RK44, nk=np.int64(257)) == cfl_limit(
-            sch, stencil, 0.0, RK44
-        )
-        assert cfl_limit(sch, stencil, 0.0, RK44, nk=1).stable
+        default = cfl_limit(sch, stencil, RK44)
+        monkeypatch.setattr(temporal, "CFL_GRID_POINTS", np.int64(257))
+        assert cfl_limit(sch, stencil, RK44) == default
+        monkeypatch.setattr(temporal, "CFL_GRID_POINTS", 1)
+        assert cfl_limit(sch, stencil, RK44).stable
+
+    @pytest.mark.parametrize("rel_tol", [1e-2, 1e-3, 1e-6])
+    def test_bisection_stops_at_the_module_tolerance(self, rel_tol, monkeypatch):
+        # the limit is the stable end of a bracket of relative width
+        # CFL_REL_TOL, which holds the limit of any finer bisection
+        args = (scheme(3, 1.0, 2), StretchedStencil.stretched((0.9, 0.95)), RK44, 0.5)
+        monkeypatch.setattr(temporal, "CFL_REL_TOL", 1e-10)
+        fine = cfl_limit(*args).tau_limit
+        monkeypatch.setattr(temporal, "CFL_REL_TOL", rel_tol)
+        coarse = cfl_limit(*args).tau_limit
+        assert coarse <= fine <= coarse / (1.0 - rel_tol)
 
     def test_one_eigvals_call_per_lockstep_step(self, monkeypatch):
         # the grid is solved in one call per direction; the refinement of
@@ -432,7 +423,7 @@ class TestCflLimit:
         monkeypatch.setattr(np.linalg, "eigvals", counting)
         monkeypatch.setattr(temporal, "_golden_sections", sections)
         spectrum._line_spectra.cache_clear()
-        args = (scheme(4, 1.0, 2), StretchedStencil.stretched((0.9, 0.95)), (0.5, 0.0), RK44)
+        args = (scheme(4, 1.0, 2), StretchedStencil.stretched((0.9, 0.95)), RK44, 0.5)
         res = cfl_limit(*args)
         assert res.stable
         assert sizes[:2] == [(257,)] * 2  # the whole k grid in one call per direction
@@ -449,10 +440,10 @@ class TestCflLimit:
         # stencil the leading direction's grid is the same at every angle
         sch, stencil = SchemeConfig(4, CorrectionFamily.dg(4), 1.0, 2), StretchedStencil.uniform(2)
         spectrum._line_spectra.cache_clear()
-        assert cfl_limit(sch, stencil, (0.5, 0.0), RK44).stable
+        assert cfl_limit(sch, stencil, RK44, 0.5).stable
         first = spectrum._line_spectra.cache_info()
         assert (first.hits, first.misses, first.currsize) == (0, 2, 2)  # one grid per direction
-        assert cfl_limit(sch, stencil, (0.3, 0.0), RK44).stable
+        assert cfl_limit(sch, stencil, RK44, 0.3).stable
         again = spectrum._line_spectra.cache_info()
         assert (again.hits, again.misses, again.currsize) == (1, 3, 3)  # the other direction's
 
@@ -464,7 +455,7 @@ class TestCflLimit:
     )
     def test_no_step_above_the_bound_below_the_first_grid_wavenumber(self):
         sch, stencil = SchemeConfig(5, CorrectionFamily.dg(5), 1.0, 2), StretchedStencil.uniform(2)
-        res = cfl_limit(sch, stencil, 0.4, RK44)
+        res = cfl_limit(sch, stencil, RK44, 0.4)
         if res.tau_limit != 0.05619324217242684:  # a moved step is a plain failure, not this one
             pytest.fail(f"the search moved to tau = {res.tau_limit!r}")
         k_hat = np.geomspace(1e-6, np.pi / 257, 400)
@@ -474,7 +465,7 @@ class TestCflLimit:
         assert rho.max() <= 1.0 + RHO_TOL
 
     def test_expanding_grid_flagged_zero(self):
-        res = cfl_limit(scheme(4), StretchedStencil.stretched((1.2,)), 0.0, RK44)
+        res = cfl_limit(scheme(4), StretchedStencil.stretched((1.2,)), RK44)
         assert not res.stable
         assert res.cfl_limit == 0.0 and res.tau_limit == 0.0
 
@@ -483,7 +474,7 @@ class TestCflLimit:
         # bisected limit must match |1 + i tau y| = 1 + tol on the worst mode
         sch = scheme(2, 0.5)
         stencil = StretchedStencil.uniform(1)
-        res = cfl_limit(sch, stencil, 0.0, EULER)
+        res = cfl_limit(sch, stencil, EULER)
         y_max = 0.0
         for k in np.linspace(1e-3, 3 * np.pi, 601):
             y_max = max(
@@ -497,7 +488,7 @@ class TestCflLimit:
         # RK33 is marginally stable on the imaginary axis up to sqrt(3)
         sch = scheme(2, 0.5)
         stencil = StretchedStencil.uniform(1)
-        res = cfl_limit(sch, stencil, 0.0, RK33)
+        res = cfl_limit(sch, stencil, RK33)
         y_max = 0.0
         for k in np.linspace(1e-3, 3 * np.pi, 601):
             y_max = max(
@@ -509,7 +500,7 @@ class TestCflLimit:
     def test_rho_monotone_beyond_boundary(self):
         sch = scheme(3)
         stencil = StretchedStencil.uniform(1)
-        res = cfl_limit(sch, stencil, 0.0, RK44)
+        res = cfl_limit(sch, stencil, RK44)
         k = res.worst_k
         lam = np.linalg.eigvals(symbol_for(sch, stencil, WaveProbe(k=k)).Q)
         rhos = [
@@ -522,7 +513,7 @@ class TestCflLimit:
         sch = scheme(4, 1.0, 2)
         vals = {}
         for deg in range(0, 91, 5):
-            res = cfl_limit(sch, StretchedStencil.uniform(2), (np.radians(deg), 0.0), RK44)
+            res = cfl_limit(sch, StretchedStencil.uniform(2), RK44, np.radians(deg))
             vals[deg] = res.cfl_crossing
         argmin = min(vals, key=vals.get)
         assert abs(argmin - 45) <= 5
@@ -543,7 +534,7 @@ class TestCflShortCircuit:
     def test_equals_reference(self, rk, p, alpha, gamma, monkeypatch):
         d = len(gamma)
         angles = (0.5, 0.0) if d == 2 else (0.5, 0.4)
-        args = (scheme(p, alpha, d), StretchedStencil(d, (1.0, 0.5, 0.8)[:d], gamma), angles, rk)
+        args = (scheme(p, alpha, d), StretchedStencil(d, (1.0, 0.5, 0.8)[:d], gamma), rk, *angles)
         calls = counting_stability(monkeypatch)
         res = cfl_limit(*args)
         if alpha == 0.5 and gamma != (1.0,) * d:
@@ -559,7 +550,7 @@ class TestCflShortCircuit:
     )
     def test_central_flux_reaches_the_bisection(self, delta, angles, expected, monkeypatch):
         d = len(delta)
-        args = (scheme(3, 0.5, d), StretchedStencil(d, delta, (1.0,) * d), angles, RK44)
+        args = (scheme(3, 0.5, d), StretchedStencil(d, delta, (1.0,) * d), RK44, *angles)
         calls = counting_stability(monkeypatch)
         res = cfl_limit(*args)
         # 16 grid steps, then both ends' golden sections in 1 + 30 lockstep steps
@@ -568,15 +559,32 @@ class TestCflShortCircuit:
         assert res == reference_cfl_limit(*args)
 
     def test_expanding_grid_equals_reference(self):
-        args = (scheme(2, 1.0, 2), StretchedStencil(2, (1.0, 0.5), (1.2, 1.0)), (0.5, 0.0), RK44)
+        args = (scheme(2, 1.0, 2), StretchedStencil(2, (1.0, 0.5), (1.2, 1.0)), RK44, 0.5)
         res = cfl_limit(*args)
         assert not res.stable
         assert res == reference_cfl_limit(*args)
 
     def test_3d_equals_reference(self):
-        args = (scheme(2, 1.0, 3), StretchedStencil.stretched((0.95, 1.0, 0.9)), (0.5, 0.4), RK44)
+        args = (scheme(2, 1.0, 3), StretchedStencil.stretched((0.95, 1.0, 0.9)), RK44, 0.5, 0.4)
         res = cfl_limit(*args)
-        assert res.stable and res.phi == 0.4
+        assert res.stable
+        assert res == reference_cfl_limit(*args)
+
+    @pytest.mark.parametrize("nk", [1, 2, 3, 33, 1025])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (scheme(2, 1.0, 1), StretchedStencil.uniform(1), RK44),
+            (scheme(3, 1.0, 2), StretchedStencil.stretched((0.9, 0.95)), RK33, 0.5),
+        ],
+        ids=["1d-uniform", "2d-stretched"],
+    )
+    def test_any_grid_size_equals_reference(self, args, nk, monkeypatch):
+        # the refinement's bracket at the first and last grid point, which a
+        # grid of one to three points always reaches
+        monkeypatch.setattr(temporal, "CFL_GRID_POINTS", nk)
+        res = cfl_limit(*args)
+        assert res.stable
         assert res == reference_cfl_limit(*args)
 
     def test_halving_bracket_equals_reference(self):
@@ -584,17 +592,17 @@ class TestCflShortCircuit:
         # allowance, so the first trial step 1/max|lambda| already exceeds
         events = []
         sch, stencil = scheme(2, 0.5, 2), StretchedStencil.uniform(2)
-        res = cfl_limit(sch, stencil, (0.5, 0.0), RecordingRk(EULER, events))
+        res = cfl_limit(sch, stencil, RecordingRk(EULER, events), 0.5)
         assert events[0][0] == "grid" and events[0][1] > 1.0 + RHO_TOL
         assert res.stable
-        assert res == reference_cfl_limit(sch, stencil, (0.5, 0.0), EULER)
+        assert res == reference_cfl_limit(sch, stencil, EULER, 0.5)
 
     def test_halving_to_the_floor_is_a_flagged_zero(self):
         class AmplifiesEverywhere:  # |R| = 2 at every step and wavenumber
             def stability(self, z):
                 return 2.0 + 0.0 * z
 
-        args = (scheme(2, 1.0, 2), StretchedStencil.uniform(2), (0.5, 0.0), AmplifiesEverywhere())
+        args = (scheme(2, 1.0, 2), StretchedStencil.uniform(2), AmplifiesEverywhere(), 0.5)
         res = cfl_limit(*args)
         assert not res.stable and res.tau_limit == res.cfl_limit == res.cfl_crossing == 0.0
         assert res == reference_cfl_limit(*args)
@@ -617,19 +625,19 @@ class TestCflShortCircuit:
         ids=["euler-upwind", "rk44-dg"],
     )
     def test_overturned_lower_end_runs_the_full_search(self, sch, theta, rk, monkeypatch):
-        stencil, angles = StretchedStencil(2, (1.0, 0.5), (1.0, 1.0)), (theta, 0.0)
+        stencil = StretchedStencil(2, (1.0, 0.5), (1.0, 1.0))
         log = search_log(monkeypatch)
-        res = cfl_limit(sch, stencil, angles, rk)
+        res = cfl_limit(sch, stencil, rk, theta)
         refined = [(tau, out) for name, tau, out in log if name == "sup_rho"]
         # the first refinement, at the grid-only lower end, exceeds the bound,
         # so the full search runs and refines below that end
         assert refined[0][1][0] > 1.0 + RHO_TOL and len(refined) > 2
         assert res.stable and res.tau_limit < refined[0][0]
-        assert res == reference_cfl_limit(sch, stencil, angles, rk)
+        assert res == reference_cfl_limit(sch, stencil, rk, theta)
 
     @staticmethod
     def check_schedule(monkeypatch, p):
-        args = (scheme(p, 1.0, 2), StretchedStencil.stretched((0.9, 0.95)), (0.5, 0.0))
+        sch, stencil = scheme(p, 1.0, 2), StretchedStencil.stretched((0.9, 0.95))
         grids = []
         solves, calls = {"cfl_limit": 0, "reference": 0}, {"cfl_limit": 0, "reference": 0}
 
@@ -643,9 +651,9 @@ class TestCflShortCircuit:
 
         monkeypatch.setattr(temporal, "factored_spectra", counting("cfl_limit", factored_spectra))
         log = search_log(monkeypatch)
-        res = cfl_limit(*args, RecordingRk(RK44, grids))
+        res = cfl_limit(sch, stencil, RecordingRk(RK44, grids), 0.5)
         monkeypatch.setitem(globals(), "factored_spectra", counting("reference", factored_spectra))
-        assert res == reference_cfl_limit(*args, RK44)
+        assert res == reference_cfl_limit(sch, stencil, RK44, 0.5)
 
         # no tau has its grid evaluated twice, and each refinement runs once
         names = [name for name, _, _ in log]
@@ -668,7 +676,7 @@ class TestCflShortCircuit:
         rho_grid = next(out for name, tau, out in log if name == "grid_rho" and tau == tau_hi)
         j = int(np.argmax(rho_grid))
         k_peak = k_ref if rho_ref > rho_grid[j] else np.linspace(0.0, np.pi, GRID + 1)[j + 1]
-        factor = normalization_factor(0.5, 0.0, args[1], p)
+        factor = normalization_factor(0.5, 0.0, stencil, p)
         assert res.worst_k == k_peak / factor and type(res.worst_k) is float
         if p == 4:  # confirmed: both bracket ends refine in lockstep, after the grids
             assert rho_g <= 1.0 + RHO_TOL and tau_g == res.tau_limit
