@@ -59,12 +59,10 @@ from .temporal import (
 from .advect import (
     AdvectionProblem,
     DivergenceError,
-    FieldState,
     PeriodicGrid,
     RateCheck,
     check_decay_rate,
     commensurate_wave,
     eigenmode_state,
-    plane_wave_state,
 )
 

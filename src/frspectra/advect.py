@@ -21,8 +21,10 @@ Time marching keeps the state on the solution-point grid: an array of
 shape (N_{d-1}, ..., N_0) with N_m = cells_m*(p+1) and index c*(p+1)+n
 along axis m, behind a leading plane axis that holds the real and
 imaginary parts (one plane for a real state). There L_m acts along one
-axis as one matrix product. :class:`FieldState` keeps its (cells..., nodes...)
-layout; the public methods convert at the boundary only.
+axis as one matrix product. The public methods take and return nodal values
+as an array with d cell axes, then d node axes (p+1 each), both in reverse
+direction order: 1D (cells, p+1), 2D (cells_y, cells_x, p+1, p+1) with the
+xi (x) node index last. They convert at the boundary only.
 
 An RK step applies the stability polynomial R(z) = sum_j c_j z^j of degree
 s to tau L. The terms of the Kronecker sum L = L_0 (+) L_1 commute, so
@@ -54,6 +56,7 @@ BLOWUP_THRESHOLD = 1e10
 AMPLIFICATION_TOL = 1e-12
 DECAY_CELLS = 8  # cells per direction of check_decay_rate's grid
 DECAY_STEPS = 16  # steps of check_decay_rate's march
+DECAY_TOL = 1e-6  # bound on check_decay_rate's relative rate error
 
 
 class DivergenceError(RuntimeError):
@@ -120,19 +123,6 @@ class PeriodicGrid:
         return np.concatenate(([0.0], np.cumsum(w)))[:-1]
 
 
-@dataclass(frozen=True)
-class FieldState:
-    """Nodal values with the current time.
-
-    Values have d cell axes, then d node axes (p+1 each), both in reverse
-    direction order: 1D (cells, p+1), 2D (cells_y, cells_x, p+1, p+1) with
-    the xi (x) node index last.
-    """
-
-    values: np.ndarray
-    time: float = 0.0
-
-
 class AdvectionProblem:
     """Grid + scheme + velocity with precomputed element operators."""
 
@@ -154,7 +144,8 @@ class AdvectionProblem:
         self.points = make_points(scheme.p)
         self.ops = operators_for(scheme)
         d, n = grid.d, scheme.p + 1
-        # FieldState axes (plane, cells..., nodes...) -> (plane, c_{d-1}, n_{d-1}, ..., c_0, n_0)
+        self._layout = (*grid.cells_per_dir[::-1], *(n,) * d)  # (cells..., nodes...)
+        # (plane, cells..., nodes...) -> (plane, c_{d-1}, n_{d-1}, ..., c_0, n_0)
         self._order = (0, *(1 + np.arange(2 * d).reshape(2, d).T.ravel()).tolist())
         self._inverse = tuple(np.argsort(self._order).tolist())
         self._split = tuple(s for c in grid.cells_per_dir[::-1] for s in (c, n))
@@ -168,30 +159,17 @@ class AdvectionProblem:
             [np.outer(0.5 * w, self.points.weights).ravel() for w in grid.spacings[::-1]],
         )
 
-    # -- geometry -----------------------------------------------------------
-
-    def node_coordinates(self, m: int) -> np.ndarray:
-        """Physical node coordinates along direction m, shape (cells, p+1)."""
-        w = self.grid.spacings[m]
-        return self.grid.origins(m)[:, None] + 0.5 * (self.points.nodes + 1.0) * w[:, None]
-
-    def sample(self, fn) -> np.ndarray:
-        """Sample ``fn(x, y, ...)`` at all solution points, in the FieldState
-        layout: coordinate m has length 1 off its own cell and node axes."""
-        d = self.grid.d
-        coords = (  # direction m owns the two axes i with i % d == d - 1 - m
-            np.expand_dims(
-                self.node_coordinates(m), [i for i in range(2 * d) if i % d != d - 1 - m]
-            )
-            for m in range(d)
-        )
-        return np.asarray(fn(*coords))
-
     # -- layout ---------------------------------------------------------------
 
     def _to_grid(self, values: np.ndarray) -> np.ndarray:
-        """FieldState values -> (planes, N_{d-1}, ..., N_0) float64 planes."""
+        """(cells..., nodes...) values -> (planes, N_{d-1}, ..., N_0) float64 planes.
+
+        Values of any other shape raise ValueError: a bare array carries no
+        layout, and numpy would reshape some wrong shapes without error.
+        """
         values = np.asarray(values)
+        if values.shape != self._layout:
+            raise ValueError(f"values have shape {values.shape}, expected {self._layout}")
         planes = np.stack((values.real, values.imag)) if np.iscomplexobj(values) else values[None]
         planes = np.asarray(planes, dtype=np.float64).transpose(self._order)
         return planes.reshape(len(planes), *self._shape)
@@ -241,8 +219,8 @@ class AdvectionProblem:
         (N_1, N_0) planes for direction 1, with no transposes. That costs
         O(N_m^2) per grid line against O(cells_m*(p+1)^2) element-wise, which
         pays at the at most 32 cells per direction that callers use but not
-        on long 1D lines. ``values`` and the result are in the FieldState
-        layout, converted once each way; a real state gives a real result.
+        on long 1D lines. ``values`` and the result are (cells..., nodes...)
+        arrays, converted once each way; a real state gives a real result.
         """
         return self._from_grid(self._apply(self._to_grid(values)))
 
@@ -284,12 +262,12 @@ class AdvectionProblem:
         return left @ y.reshape(len(x), left.shape[1], -1)
 
     def march(
-        self, state: FieldState, rk: RkScheme, tau: float, nsteps: int
-    ) -> tuple[FieldState, np.ndarray]:
-        """March nsteps steps; return the final state and the energy before
-        the first step and after each one.
+        self, values: np.ndarray, rk: RkScheme, tau: float, nsteps: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """March the (cells..., nodes...) ``values`` nsteps steps; return the
+        final values and the energy before the first step and after each one.
 
-        The state is converted to the solution-point grid once at entry and
+        The values are converted to the solution-point grid once at entry and
         back once at exit, and the update R(tau L) is built once
         (:meth:`_rk_update`), so a step costs two matrix products (one in
         1D). Each step forms |z|^2 once and takes from it both the peak
@@ -298,13 +276,12 @@ class AdvectionProblem:
         invalid operations are not warned about, as that check reports them.
         """
         check_time_step(tau)
-        if nsteps < 0:
-            raise ValueError(f"number of steps must be >= 0, got {nsteps}")
-        x = self._to_grid(state.values)
+        if not (isinstance(nsteps, (int, np.integer)) and nsteps >= 0):
+            raise ValueError(f"number of steps must be an integer >= 0, got {nsteps!r}")
+        x = self._to_grid(values)
         update = self._rk_update(rk, tau)
         weights = self._weights.ravel()
         energies = np.empty(nsteps + 1)
-        time = state.time
         with np.errstate(over="ignore", invalid="ignore"):
             energies[0] = weights @ np.square(x).sum(axis=0).ravel()
             for i in range(nsteps):
@@ -314,8 +291,7 @@ class AdvectionProblem:
                 if not peak <= BLOWUP_THRESHOLD:
                     raise DivergenceError(i + 1, peak)
                 energies[i + 1] = weights @ squared
-                time += tau
-        return FieldState(self._from_grid(x), time), energies
+        return self._from_grid(x), energies
 
     # -- quadrature functionals ------------------------------------------------
 
@@ -323,9 +299,6 @@ class AdvectionProblem:
         """Quadrature of grid array y, shape (N_{d-1}, ..., N_0), over each cell."""
         per_node = (self._weights * y).reshape(self._split)
         return per_node.sum(axis=tuple(range(1, per_node.ndim, 2)))
-
-    def total_integral(self, values: np.ndarray) -> complex:
-        return complex(*(self._cell_sums(plane).sum() for plane in self._to_grid(values)))
 
     def l2_energy(self, values: np.ndarray) -> float:
         return float(self.energy_by_cell(values).sum())
@@ -342,22 +315,14 @@ def _powers(a: np.ndarray, count: int) -> list[np.ndarray]:
     return out
 
 
-# -- plane-wave initial data ----------------------------------------------------
-
-
-def plane_wave_state(problem: AdvectionProblem, k: float) -> FieldState:
-    """Sample exp(i k (a.x)) at the solution points (direct sampling)."""
-
-    def wave(*coords):
-        return np.exp(1j * k * sum(a * x for a, x in zip(problem.velocity, coords)))
-
-    return FieldState(problem.sample(wave))
+# -- Bloch-mode initial data ----------------------------------------------------
 
 
 def eigenmode_state(
     problem: AdvectionProblem, k: float, theta: float = 0.0
-) -> tuple[FieldState, complex]:
-    """Initial data projected exactly onto the wave-carrying mode.
+) -> tuple[np.ndarray, complex]:
+    """Initial values, in the (cells..., nodes...) layout, projected exactly
+    onto the wave-carrying mode, and that mode's frequency omega.
 
     The cell values are the Kronecker product of the per-direction modes
     of :func:`~frspectra.spectrum.physical_eigenvector` times the Bloch phase
@@ -378,7 +343,7 @@ def eigenmode_state(
     d, n = problem.grid.d, problem.scheme.p + 1
     phases = [np.exp(1j * k * a * problem.grid.origins(m)) for m, a in enumerate(problem.velocity)]
     cellwise = reduce(np.multiply.outer, phases[::-1])
-    return FieldState(np.multiply.outer(cellwise, vec.reshape((n,) * d))), omega
+    return np.multiply.outer(cellwise, vec.reshape((n,) * d)), omega
 
 
 def commensurate_wave(
@@ -412,15 +377,9 @@ class RateCheck:
     predicted: float  # 2 Im(omega): the energy rate of the marched mode
     measured: float  # energy rate fitted to the march
     rel_error: float  # |measured - predicted| / max(|predicted|, 1e-3 k)
-    tol: float
-    passed: bool  # rel_error <= tol and residual <= AMPLIFICATION_TOL
+    passed: bool  # rel_error <= DECAY_TOL and residual <= AMPLIFICATION_TOL
     k: float
     k_hat: float
-    omega: complex
-    weight: float  # mass-weighted cosine between the marched state and the plane wave
-    # measured per-step gain: the n-th root of <u_0, u_n> / <u_0, u_0> nearest R(tau lambda)
-    amplification: complex
-    predicted_amplification: complex  # R(tau lambda), lambda = -i omega
     residual: float  # mass-weighted ||u_n - R(tau lambda)^n u_0|| / ||u_0||
     config: dict
 
@@ -433,13 +392,11 @@ def check_decay_rate(
     theta: float = 0.0,
     k_hat: float = 1.0,
     rk: RkScheme = RK44,
-    tol: float = 1e-6,
     iota: float | None = None,
 ) -> RateCheck:
     """March the wave-carrying Bloch mode and test it against the eigenanalysis.
 
-    The initial state u_0 is the wave-carrying Bloch mode, and ``weight`` its
-    mass-weighted cosine with the sampled plane wave. Two tests decide
+    The initial state u_0 is the wave-carrying Bloch mode. Two tests decide
     ``passed``:
 
     - Amplification: on a uniform grid u_0 is an exact eigenvector of the
@@ -450,11 +407,11 @@ def check_decay_rate(
       and that the marched state is its eigenvector, which the energy cannot
       show for the zero decay of central fluxes.
     - Decay rate: the exponential energy rate fitted to the march must match
-      2 Im(omega) within ``tol``. The relative error uses
+      2 Im(omega) within ``DECAY_TOL``. The relative error uses
       max(|predicted|, 1e-3*k) as denominator so energy-neutral central
       schemes (predicted rate 0) are judged against the natural frequency
       scale of the mode. The only systematic deviation is the RK truncation
-      bias, which the automatic time-step choice keeps below ``tol``.
+      bias, which the automatic time-step choice keeps below ``DECAY_TOL``.
 
     The grid has ``DECAY_CELLS`` cells per direction and the march
     ``DECAY_STEPS`` steps. A short march suffices for both tests. The energy
@@ -466,8 +423,6 @@ def check_decay_rate(
     """
     if not (isfinite(k_hat) and 0 < k_hat <= pi):  # above pi the wave aliases
         raise ValueError(f"k_hat must be finite and in (0, pi], got {k_hat}")
-    if not (isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
     family = make_family(family_kind, p, iota)
     scheme = SchemeConfig(p, family, alpha, d)
     k_target = wavenumber_for(k_hat, theta, 0.0, StretchedStencil.uniform(d), p)
@@ -477,10 +432,7 @@ def check_decay_rate(
     stencil = StretchedStencil(d, delta, (1.0,) * d)
     grid = PeriodicGrid.uniform(cells_per_dir, delta)
     problem = AdvectionProblem(grid, scheme, direction_cosines(theta, 0.0, d))
-    state0, omega = eigenmode_state(problem, k, theta)
-    u, v = plane_wave_state(problem, k).values, state0.values
-    weight = abs(problem.total_integral(np.conj(u) * v))
-    weight /= np.sqrt(problem.l2_energy(u) * problem.l2_energy(v))
+    initial, omega = eigenmode_state(problem, k, theta)
     predicted = 2.0 * omega.imag
     floor = max(abs(predicted), 1e-3 * k)
     # RK truncation bias on the fitted rate is ~ tau^s |omega|^(s+1) / (s+1)!
@@ -488,29 +440,22 @@ def check_decay_rate(
     omega_scale = max(abs(omega), 0.2 * k)
     tau = min(
         0.05 / omega_scale,
-        (0.5 * tol * floor * factorial(s + 1) / (2.0 * omega_scale ** (s + 1)))
+        (0.5 * DECAY_TOL * floor * factorial(s + 1) / (2.0 * omega_scale ** (s + 1)))
         ** (1.0 / s),
     )
-    final, energies = problem.march(state0, rk, tau, nsteps)
+    final, energies = problem.march(initial, rk, tau, nsteps)
     times = tau * np.arange(nsteps + 1)
     measured = float(np.polyfit(times, np.log(energies), 1)[0])
     rel = abs(measured - predicted) / floor
-    gain = complex(rk.stability(-1j * omega * tau))
-    total = gain**nsteps
-    residual = sqrt(problem.l2_energy(final.values - total * v) / energies[0])
-    overlap = problem.total_integral(np.conj(v) * final.values) / energies[0]
+    total = complex(rk.stability(-1j * omega * tau)) ** nsteps  # R(tau lambda)^n
+    residual = sqrt(problem.l2_energy(final - total * initial) / energies[0])
     return RateCheck(
         predicted=predicted,
         measured=measured,
         rel_error=rel,
-        tol=tol,
-        passed=bool(rel <= tol and residual <= AMPLIFICATION_TOL),
+        passed=bool(rel <= DECAY_TOL and residual <= AMPLIFICATION_TOL),
         k=k,
         k_hat=k * normalization_factor(theta, 0.0, stencil, p),
-        omega=omega,
-        weight=float(weight),
-        amplification=gain * (overlap / total) ** (1.0 / nsteps),
-        predicted_amplification=gain,
         residual=residual,
         config={
             "p": p,

@@ -12,11 +12,15 @@ Element quality is measured by the shape factor
     q_h = 6 sqrt(pi) V_h / S_h^(3/2)
 
 the ratio of the element volume to the volume of the sphere with the same
-surface area; a perfect cube scores sqrt(pi/6) ~ 0.7236 and any
-deformation scores lower. Volumes use a fixed six-tetrahedron split along
-the main diagonal; surface areas split each quad face into two triangles
-along its shorter diagonal (first diagonal on ties), so results are
-deterministic for non-planar faces.
+surface area; a perfect cube scores sqrt(pi/6) ~ 0.7236 and every
+rectangular box scores lower. Volumes use a fixed six-tetrahedron split
+along the main diagonal; surface areas split each quad face into two
+triangles along its shorter diagonal (first diagonal on ties), so results
+are deterministic for non-planar faces. The split makes corners c0 and c7
+special, so the cube is not a maximum of q_h over deformed hexahedra:
+moving c0 or c7 outward along the body diagonal, or any other corner
+inward, scores higher, and jittered meshes hold elements above
+sqrt(pi/6). The mean q_h of a jittered mesh still falls with the jitter.
 
 Generation is single-threaded per mesh (the RNG stream defines the mesh);
 the quality audit vectorizes over elements.

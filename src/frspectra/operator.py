@@ -106,8 +106,8 @@ class StretchedStencil:
             raise ValueError(f"neighbour widths must be finite and > 0, got {widths}")
 
     @classmethod
-    def uniform(cls, d: int, delta: float = 1.0) -> "StretchedStencil":
-        return cls(d, (delta,) * d, (1.0,) * d)
+    def uniform(cls, d: int) -> "StretchedStencil":
+        return cls(d, (1.0,) * d, (1.0,) * d)
 
     @classmethod
     def stretched(

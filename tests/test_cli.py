@@ -86,10 +86,6 @@ class TestUserErrors:
             ["cfl", "--d", "1", "--rk", "foo"],
             ["fully-discrete", "--d", "1", "--tau", "0.1", "--rk", "foo"],
             ["verify", "--rk", "foo"],
-            ["verify", "--tol", "-1"],
-            ["verify", "--tol", "0"],
-            ["verify", "--tol", "nan"],
-            ["verify", "--tol", "inf"],
             ["verify", "--d", "2", "--theta", "120"],
             ["verify", "--d", "2", "--theta", "-5"],
             ["verify", "--d", "1", "--theta", "30"],
@@ -150,6 +146,13 @@ class TestUserErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "frspectra: unrecognized arguments: --threads 2" in captured.err
+
+    def test_tol_is_an_unrecognized_argument(self, capsys):
+        # verify's tolerance is the fixed DECAY_TOL, which it prints
+        assert main(["verify", "--tol", "1e-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "frspectra: unrecognized arguments: --tol 1e-3" in captured.err
 
     @pytest.mark.parametrize(
         "argv",
@@ -533,6 +536,7 @@ class TestVerifyCommand:
         assert out[-1] == "PASS"
         assert "'nsteps': 16" in out[0]
         assert out[2].startswith("predicted rate")
+        assert out[4].startswith("relative error: ") and out[4].endswith(" (tolerance 1.0e-06)")
         residual = out[-2]
         assert residual.startswith("amplification residual: ")
         assert residual.endswith(" (bound 1.0e-12)")

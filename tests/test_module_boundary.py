@@ -202,11 +202,17 @@ def test_every_public_definition_has_a_production_caller():
     assert not UNCALLED_BY_DESIGN - {q for q, _, _ in _public_definitions()}  # no stale entry
 
 
+def _package_classes():
+    return {top.name for path in SRC.glob("*.py") for top in ast.parse(path.read_text()).body
+            if isinstance(top, ast.ClassDef)}
+
+
 def _defaulted_parameters():
     """(qualified name, callee name, {parameter: positional index or None}) of
     the defaulted parameters of every public function, public method and
     ``__init__`` of a top-level class; a constructor is called by its class
-    name, and the index of a method counts from after ``self``/``cls``."""
+    name, a classmethod by ``Class.method``, and the index of a method counts
+    from after ``self``/``cls``."""
     def defaulted(fn, bound):
         args = fn.args.posonlyargs + fn.args.args
         first = len(args) - len(fn.args.defaults)
@@ -223,11 +229,13 @@ def _defaulted_parameters():
                 for node in top.body:
                     if not isinstance(node, ast.FunctionDef):
                         continue
-                    static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                    decorators = {getattr(d, "id", None) for d in node.decorator_list}
+                    qualified = f"{top.name}.{node.name}"
                     if node.name == "__init__":
                         yield f"{top.name}.__init__", top.name, defaulted(node, 1)
                     elif not node.name.startswith("_"):
-                        yield f"{top.name}.{node.name}", node.name, defaulted(node, int(not static))
+                        name = qualified if "classmethod" in decorators else node.name
+                        yield qualified, name, defaulted(node, int("staticmethod" not in decorators))
 
 
 def _production_calls(oracles):
@@ -236,10 +244,19 @@ def _production_calls(oracles):
 
     The same trees as :func:`_production_loads`. ``partial(f, ...)`` passes its
     arguments to ``f``, and a call of a name assigned a ``partial`` of ``f``
-    counts as a call of ``f``.
+    counts as a call of ``f``. A call on a package class, ``Class.method(...)``,
+    also counts under ``Class.method``.
     """
+    classes = _package_classes()
+
     def callee(node):
         return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    def names(func):
+        receiver = getattr(func, "value", None)
+        if isinstance(func, ast.Attribute) and getattr(receiver, "id", None) in classes:
+            return [func.attr, f"{receiver.id}.{func.attr}"]
+        return [callee(func)]
 
     passed = {}
     paths = [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
@@ -260,14 +277,15 @@ def _production_calls(oracles):
             for node in ast.walk(top):
                 if not isinstance(node, ast.Call):
                     continue
-                name, args = callee(node.func), node.args
-                if name == "partial":
-                    name, args = callee(args[0]), args[1:]
+                func, args = node.func, node.args
+                if callee(func) == "partial":
+                    func, args = args[0], args[1:]
                 got = set(range(len(args))) | {k.arg for k in node.keywords}
                 if any(isinstance(a, ast.Starred) for a in args) or None in got:
                     got.add("*")
-                for target in partials.get(name, [name]):
-                    passed.setdefault(target, set()).update(got)
+                for name in names(func):
+                    for target in partials.get(name, [name]):
+                        passed.setdefault(target, set()).update(got)
     return passed
 
 
@@ -275,9 +293,11 @@ def test_every_defaulted_parameter_has_a_production_caller_that_passes_it():
     """A default only tests override is a knob production carries for nothing.
 
     A parameter counts as passed when some production call of its callee
-    name passes it by keyword or at its position. Two blind spots make this
-    a floor, not a proof: a method is matched by its attribute name alone,
-    so a call of any other class's method of that name counts (as for a
+    name passes it by keyword or at its position; a classmethod's callee
+    name is ``Class.method``, so ``rng.uniform(...)`` does not count for
+    ``StretchedStencil.uniform``. Two blind spots make this a floor, not a
+    proof: any other method is matched by its attribute name alone, so a
+    call of any other class's method of that name counts (as for a
     function loaded as an attribute in the test above); and a ``*args`` or
     ``**kwargs`` call counts as passing everything, so
     ``perfbench/workloads.py``'s ``check_decay_rate(**item["kwargs"])``
@@ -297,14 +317,18 @@ def test_every_defaulted_parameter_has_a_production_caller_that_passes_it():
 
 
 def test_parameter_walk_sees_keywords_positions_and_partials():
-    """The walk above is not vacuous: it sees ``verify``'s ``tol=``, the CFL
-    command's positional angles, and the sweeps' ``k_hat`` through ``partial``
-    and ``theta`` through the local name the CLI binds the partial to."""
+    """The walk above is not vacuous: it sees ``verify``'s ``iota=``, the CFL
+    command's positional angles, the sweeps' ``k_hat`` through ``partial``
+    and ``theta`` through the local name the CLI binds the partial to, and
+    the grid widths ``check_decay_rate`` passes ``PeriodicGrid.uniform``
+    apart from the arguments of ``rng.uniform``."""
     from test_oracle_boundary import ORACLES
 
     passed = _production_calls(ORACLES)
     params = {qualified: p for qualified, _, p in _defaulted_parameters()}
-    assert "tol" in passed["check_decay_rate"] and "tol" in params["check_decay_rate"]
+    assert "iota" in passed["check_decay_rate"] and "iota" in params["check_decay_rate"]
+    assert params["PeriodicGrid.uniform"] == {"delta": 1} and 1 in passed["PeriodicGrid.uniform"]
+    assert {0, 1, "size"} <= passed["uniform"] and passed["StretchedStencil.uniform"] == {0}
     assert params["cfl_limit"] == {"theta": 3, "phi": 4} and {3, 4} <= passed["cfl_limit"]
     for sweep in ("dispersion_sweep", "fully_discrete_sweep"):
         assert {"k_hat", "theta", "phi"} <= passed[sweep]

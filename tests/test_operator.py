@@ -153,7 +153,7 @@ class TestBlocks:
     def test_p0_upwind_reduces_to_first_order_fv(self):
         sch = SchemeConfig(0, CorrectionFamily.dg(0), 1.0, 1)
         delta = 0.7
-        stencil = StretchedStencil.uniform(1, delta)
+        stencil = StretchedStencil(1, (delta,), (1.0,))
         for k in (0.0, 0.4, 1.3, 3.0):
             sym = symbol_for(sch, stencil, WaveProbe(k=k))
             expected = -(1.0 - np.exp(-1j * k * delta)) / delta

@@ -47,7 +47,7 @@ def scheme(p, alpha, d, kind):
 
 def bloch_residuals(sch, grid, gamma, theta, k, cells):
     """Largest relative residual of W L W^-1 against Q over ``cells`` (cell
-    indices in FieldState order), and the smallest residual of L itself."""
+    indices in (cells..., nodes...) order), and the smallest residual of L itself."""
     d, n = grid.d, sch.p + 1
     velocity = direction_cosines(theta, 0.0, d)
     problem = AdvectionProblem(grid, sch, velocity)

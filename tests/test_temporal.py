@@ -271,7 +271,7 @@ class TestUpdateOperator:
         # first-order upwind with forward Euler at tau = delta: |R| = 1 for all k
         sch = SchemeConfig(0, CorrectionFamily.dg(0), 1.0, 1)
         delta = 0.9
-        stencil = StretchedStencil.uniform(1, delta)
+        stencil = StretchedStencil(1, (delta,), (1.0,))
         for k in np.linspace(0.1, 2 * np.pi / delta, 17):
             sym = symbol_for(sch, stencil, WaveProbe(k=k))
             up = build_update(sym, EULER, delta)
@@ -327,8 +327,8 @@ class TestCflLimit:
 
     def test_scale_invariance(self):
         sch = scheme(3, 1.0, 2)
-        r1 = cfl_limit(sch, StretchedStencil.uniform(2, 1.0), RK44, 0.4)
-        r2 = cfl_limit(sch, StretchedStencil.uniform(2, 3.0), RK44, 0.4)
+        r1 = cfl_limit(sch, StretchedStencil(2, (1.0,) * 2, (1.0,) * 2), RK44, 0.4)
+        r2 = cfl_limit(sch, StretchedStencil(2, (3.0,) * 2, (1.0,) * 2), RK44, 0.4)
         assert abs(r1.cfl_limit - r2.cfl_limit) < 1e-3 * r1.cfl_limit
         assert abs(r2.tau_limit - 3.0 * r1.tau_limit) < 1e-3 * r2.tau_limit
 
