@@ -142,7 +142,7 @@ class AdvectionProblem:
         self.scheme = scheme
         self.velocity = velocity
         self.points = make_points(scheme.p)
-        self.ops = operators_for(scheme)
+        self.ops = operators_for(scheme.family)
         d, n = grid.d, scheme.p + 1
         self._layout = (*grid.cells_per_dir[::-1], *(n,) * d)  # (cells..., nodes...)
         # (plane, cells..., nodes...) -> (plane, c_{d-1}, n_{d-1}, ..., c_0, n_0)

@@ -13,14 +13,13 @@ Element quality is measured by the shape factor
 
 the ratio of the element volume to the volume of the sphere with the same
 surface area; a perfect cube scores sqrt(pi/6) ~ 0.7236 and every
-rectangular box scores lower. Volumes use a fixed six-tetrahedron split
-along the main diagonal; surface areas split each quad face into two
-triangles along its shorter diagonal (first diagonal on ties), so results
-are deterministic for non-planar faces. The split makes corners c0 and c7
-special, so the cube is not a maximum of q_h over deformed hexahedra:
-moving c0 or c7 outward along the body diagonal, or any other corner
-inward, scores higher, and jittered meshes hold elements above
-sqrt(pi/6). The mean q_h of a jittered mesh still falls with the jitter.
+rectangular box scores lower. Volumes are the exact volume of the
+trilinear hexahedron, which treats all eight corners alike; surface areas
+split each quad face into two triangles along its shorter diagonal (first
+diagonal on ties), so results are deterministic for non-planar faces. No
+move of one corner of the unit cube along its diagonal, and no element of
+the seed-42 20^3 mesh at jitter 1e-3 to 0.9, scores above sqrt(pi/6); the
+mean q_h falls with the jitter.
 
 Generation is single-threaded per mesh (the RNG stream defines the mesh);
 the quality audit vectorizes over elements.
@@ -28,6 +27,7 @@ the quality audit vectorizes over elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import isfinite, pi, sqrt
 
 import numpy as np
@@ -39,8 +39,20 @@ _CORNER_OFFSETS = np.array(
     [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
 )
 
-# six tetrahedra around the c0-c7 diagonal, consistently oriented
-_TET_SPLIT = ((0, 1, 3, 7), (0, 3, 2, 7), (0, 2, 6, 7), (0, 6, 4, 7), (0, 4, 5, 7), (0, 5, 1, 7))
+
+def _trilinear_gradients() -> np.ndarray:
+    """Gradients (d/dxi, d/deta, d/dzeta) of the eight trilinear shape
+    functions at the 2x2x2 Gauss points of [0, 1]^3, shape (8 points, 3, 8 corners)."""
+    points = np.array(list(product(0.5 + np.array([-0.5, 0.5]) / sqrt(3.0), repeat=3)))
+    factors = np.where(_CORNER_OFFSETS == 1, points[:, None], 1.0 - points[:, None])
+    slopes = np.where(_CORNER_OFFSETS == 1, 1.0, -1.0)
+    return np.stack(
+        [slopes[:, a] * factors[..., (a + 1) % 3] * factors[..., (a + 2) % 3] for a in range(3)],
+        axis=1,
+    )
+
+
+_SHAPE_GRADIENTS = _trilinear_gradients()
 
 # quad faces as corner loops
 _FACES = (
@@ -57,20 +69,16 @@ class MeshGenerationError(RuntimeError):
     """A generated element failed validity checks."""
 
 
-def _tet_volumes(corners: np.ndarray) -> np.ndarray:
-    """Signed volumes of the six split tetrahedra; shape (..., 6)."""
-    vols = []
-    for (i0, i1, i2, i3) in _TET_SPLIT:
-        e1 = corners[..., i1, :] - corners[..., i0, :]
-        e2 = corners[..., i2, :] - corners[..., i0, :]
-        e3 = corners[..., i3, :] - corners[..., i0, :]
-        vols.append(np.einsum("...i,...i->...", np.cross(e1, e2), e3) / 6.0)
-    return np.stack(vols, axis=-1)
-
-
 def hex_volume(corners: np.ndarray) -> np.ndarray:
-    """Volume by the six-tetrahedron split; negative means inverted."""
-    return _tet_volumes(corners).sum(axis=-1)
+    """Exact volume of the trilinear hexahedron; negative means inverted.
+
+    The integral of det J over the reference cube by 2x2x2 Gauss points,
+    exact because det J is at most quadratic in each reference coordinate.
+    Every corner enters alike.
+    """
+    jac = np.einsum("qac,...cx->...qax", _SHAPE_GRADIENTS, corners)
+    det = np.einsum("...i,...i->...", np.cross(jac[..., 0, :], jac[..., 1, :]), jac[..., 2, :])
+    return det.sum(axis=-1) / 8.0
 
 
 def hex_surface_area(corners: np.ndarray) -> np.ndarray:
@@ -104,9 +112,7 @@ def shape_factor(corners) -> float:
     """q_h of a single hexahedron given its 8 corners (see corner order).
 
     The mesh audit's rule for one element: it rejects degenerate elements
-    (coincident corners) and inverted ones (non-positive total volume).
-    Individual split tetrahedra of a jittered element may carry either
-    sign because the faces are non-planar; only the total is constrained.
+    (coincident corners) and inverted ones (non-positive volume).
     """
     corners = np.asarray(corners, dtype=float)
     if corners.shape != (8, 3):

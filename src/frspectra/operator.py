@@ -60,13 +60,14 @@ class SchemeConfig:
 
 
 @cache
-def operators_for(scheme: SchemeConfig) -> BasisOperators:
-    """The scheme's 1D basis operators at its solution points.
+def operators_for(family: CorrectionFamily) -> BasisOperators:
+    """The 1D basis operators of a correction family at its solution points.
 
-    Built once per scheme: a repeated call (or a value-equal scheme)
-    returns the same object, whose arrays are read-only.
+    They read the family alone (its order is p), not alpha or d, so they are
+    built once per family: a repeated call (or a value-equal family) returns
+    the same object, whose arrays are read-only.
     """
-    ops = build_operators(make_points(scheme.p), scheme.family)
+    ops = build_operators(make_points(family.order), family)
     for arr in vars(ops).values():
         arr.setflags(write=False)
     return ops
@@ -182,8 +183,8 @@ class FrBlocks:
     """The three 1D interface-coupling blocks of a scheme, (p+1)x(p+1) each.
 
     c_minus couples to the upstream neighbour, c_plus to the downstream
-    one, c_zero is the in-cell operator. They depend on the scheme alone:
-    :func:`build_blocks` forms them once per scheme.
+    one, c_zero is the in-cell operator. They depend on the correction
+    family and alpha alone: :func:`build_blocks` forms them once per pair.
     """
 
     c_minus: np.ndarray
@@ -192,13 +193,14 @@ class FrBlocks:
 
 
 @cache
-def build_blocks(scheme: SchemeConfig) -> FrBlocks:
-    """The scheme's three 1D coupling blocks, from :func:`operators_for`.
+def build_blocks(family: CorrectionFamily, alpha: float) -> FrBlocks:
+    """The three 1D coupling blocks of a family and alpha, from :func:`operators_for`.
 
-    Built once per scheme: a repeated call (or a value-equal scheme)
-    returns the same object, whose arrays are read-only.
+    They read neither d nor the stencil, so they are built once per (family,
+    alpha): a repeated call (or a value-equal pair) returns the same object,
+    whose arrays are read-only.
     """
-    ops, a = operators_for(scheme), scheme.alpha
+    ops, a = operators_for(family), alpha
     c_minus = a * np.outer(ops.hL, ops.lR)
     c_plus = (1.0 - a) * np.outer(ops.hR, ops.lL)
     c_zero = ops.D - a * np.outer(ops.hL, ops.lL) - (1.0 - a) * np.outer(ops.hR, ops.lR)
@@ -236,7 +238,7 @@ class DirectionSymbols:
     A constant-amplitude wave has width-weighted values that grow by
     gamma_m per cell, hence the ln(gamma_m) in the omega_ex of
     :class:`StretchedStencil`. The blocks C are the scheme's own, from
-    :func:`build_blocks` (built once per scheme).
+    :func:`build_blocks` (built once per family and alpha).
 
     With upwind fluxes C_plus = 0, so Q_m(k; delta_m, gamma_m) equals the
     uniform Q_m(kt; delta_m, 1) at kt = k/gamma_m + i ln(gamma_m)/(a_m
@@ -276,7 +278,7 @@ class DirectionSymbols:
                 f"dimension mismatch: scheme d={scheme.d}, stencil d={stencil.d}"
             )
         self.scheme, self.stencil, self.theta, self.phi = scheme, stencil, theta, phi
-        blocks = build_blocks(scheme)
+        blocks = build_blocks(scheme.family, scheme.alpha)
         self.velocity = direction_cosines(theta, phi, scheme.d)
         self.active = np.flatnonzero(self.velocity)
         # axes: direction, then the (p+1)x(p+1) block
@@ -335,7 +337,7 @@ def assemble_symbol(
     :class:`DirectionSymbols`, each tensor-lifted to act along its own
     direction on the flattened (p+1)^d vector; a direction with a_m = 0
     adds nothing. The coupling blocks come from the scheme
-    (:func:`build_blocks`, built once per scheme).
+    (:func:`build_blocks`, built once per family and alpha).
     """
     symbols = DirectionSymbols(scheme, stencil, probe.theta, probe.phi)
     q = sum(
@@ -351,5 +353,5 @@ def symbol_for(
     probe: WaveProbe,
 ) -> SemiDiscreteSymbol:
     """The dense Q of one probe: :func:`assemble_symbol`, whose blocks are
-    the scheme's own (built once per scheme)."""
+    the scheme's own (built once per family and alpha)."""
     return assemble_symbol(scheme, stencil, probe)

@@ -13,14 +13,14 @@ concurrently as long as results are gathered in a deterministic order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import isfinite, sqrt
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import make_points
+from .basis import CorrectionFamily, make_points
 from .operator import (
     DirectionSymbols,
     SchemeConfig,
@@ -374,15 +374,17 @@ def _unit_spectra(s: np.ndarray, with_kappa: bool) -> tuple[np.ndarray, np.ndarr
 
 @lru_cache(maxsize=32)
 def _line_spectra(
-    scheme: SchemeConfig, delta: float, gamma: float, q_bytes: bytes, with_kappa: bool
+    family: CorrectionFamily, alpha: float, delta: float, gamma: float, q_bytes: bytes,
+    with_kappa: bool,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """:func:`_unit_spectra` of one direction's S(q) over a grid of q, read-only.
 
-    S depends on the scheme, delta and gamma alone, so the key holds those
-    and the bytes of q. A hit returns the arrays of the identical
-    computation, so it never changes an output.
+    S depends on the correction family, alpha, delta and gamma alone, not on
+    d, so the key holds those and the bytes of q. A hit returns the arrays
+    of the identical computation, so it never changes an output.
     """
-    line = DirectionSymbols(replace(scheme, d=1), StretchedStencil(1, (delta,), (gamma,)), 0.0, 0.0)
+    scheme = SchemeConfig(family.order, family, alpha)
+    line = DirectionSymbols(scheme, StretchedStencil(1, (delta,), (gamma,)), 0.0, 0.0)
     out = _unit_spectra(line.unit(np.frombuffer(q_bytes)[:, None])[:, 0], with_kappa)
     for arr in out:
         if arr is not None:
@@ -416,7 +418,8 @@ def factored_spectra(
     leading direction has q_m = k_hat (p+1) / ||a|| at every angle, so with
     ``memo`` (the default, for grids) each direction's 1D spectra are
     memoized per process in a bounded LRU cache of read-only arrays, keyed
-    on the scheme, delta_m, gamma_m, the bytes of q_m and ``with_kappa``. A
+    on the correction family, alpha, delta_m, gamma_m, the bytes of q_m and
+    ``with_kappa``, so schemes that differ only in d share an entry. A
     hit returns the arrays of the identical computation, so it never
     changes an output. Wavenumbers that never repeat across angles, such as
     the probes of a CFL refinement, are passed with ``memo=False``: they are
@@ -433,14 +436,14 @@ def factored_spectra(
     a, stencil, active = symbols.velocity.tolist(), symbols.stencil, symbols.active.tolist()
     a_max, length = max(map(abs, a)), _stretched_length(a, stencil)
     rates = [(symbols.scheme.p + 1) * (a[m] / a_max) / length for m in active]  # q_m / k_hat
-    k_hat = np.asarray(k_hat, dtype=float)
+    k_hat, scheme = np.asarray(k_hat, dtype=float), symbols.scheme
     if not memo:
         lam_1d, kappa_1d = _unit_spectra(symbols.unit(k_hat[:, None] * rates), with_kappa)
     else:
         parts = [
             _line_spectra(
-                symbols.scheme, stencil.delta[m], stencil.gamma[m], (k_hat * rate).tobytes(),
-                with_kappa,
+                scheme.family, scheme.alpha, stencil.delta[m], stencil.gamma[m],
+                (k_hat * rate).tobytes(), with_kappa,
             )
             for m, rate in zip(active, rates)
         ]

@@ -237,7 +237,7 @@ def test_criterion_9_mesh_metric():
     flat = generate((6, 6, 6), 1.0, 0.0, seed=1)
     uniform_ok = np.abs(flat.per_element_qh - CUBE_SHAPE_FACTOR).max() <= 1e-12
     golden = generate((20, 20, 20), 1.0, 0.5, seed=42)
-    golden_ok = float(golden.per_element_qh.mean()) == 0.68471567768923225
+    golden_ok = float(golden.per_element_qh.mean()) == 0.6846876930285654
     means = [
         generate((12, 12, 12), 2.0, jf, seed=7).per_element_qh.mean()
         for jf in np.arange(0.0, 0.81, 0.1)

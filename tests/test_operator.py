@@ -1,12 +1,18 @@
 """Block assembly and symbol tests against hand-computed oracles."""
+import os
+import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frspectra.basis import CorrectionFamily
+from frspectra import operator as operator_module
+from frspectra.advect import AdvectionProblem, PeriodicGrid
+from frspectra.basis import CorrectionFamily, build_operators
 from frspectra.operator import (
     DirectionSymbols,
     SchemeConfig,
@@ -127,8 +133,8 @@ class TestConfigValidation:
 class TestBlocks:
     def test_outer_product_identities(self):
         sch = scheme(3, 0.7)
-        ops = operators_for(sch)
-        blocks = build_blocks(sch)
+        ops = operators_for(sch.family)
+        blocks = build_blocks(sch.family, sch.alpha)
         assert np.allclose(blocks.c_minus, 0.7 * np.outer(ops.hL, ops.lR), atol=1e-15)
         assert np.allclose(blocks.c_plus, 0.3 * np.outer(ops.hR, ops.lL), atol=1e-15)
         expected_zero = (
@@ -138,15 +144,14 @@ class TestBlocks:
 
     def test_upwind_kills_downwind_block(self):
         sch = scheme(4, 1.0)
-        blocks = build_blocks(sch)
+        blocks = build_blocks(sch.family, sch.alpha)
         assert np.all(blocks.c_plus == 0.0)
 
     @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
     @pytest.mark.parametrize("p", [0, 1, 3, 5])
     def test_row_sum_identity(self, p, alpha):
         fam = CorrectionFamily.dg(p)
-        sch = SchemeConfig(p, fam, alpha, 1)
-        blocks = build_blocks(sch)
+        blocks = build_blocks(fam, alpha)
         total = blocks.c_minus + blocks.c_zero + blocks.c_plus
         assert np.abs(total @ np.ones(p + 1)).max() < 1e-12
 
@@ -159,18 +164,76 @@ class TestBlocks:
             expected = -(1.0 - np.exp(-1j * k * delta)) / delta
             assert abs(sym.Q[0, 0] - expected) < 1e-14
 
-    def test_built_once_per_scheme_and_read_only(self):
+
+class TestBuiltOncePerFamily:
+    """The basis operators read the correction family alone (its order is p)
+    and the coupling blocks the family and alpha, so schemes that differ only
+    in alpha or d share one operator set, and in d one block set."""
+
+    def test_schemes_share_what_they_read_and_arrays_are_read_only(self, monkeypatch):
+        operators_for.cache_clear()
+        build_blocks.cache_clear()
+        builds = []
+
+        def spy(*args):
+            builds.append(args)
+            return build_operators(*args)
+
+        monkeypatch.setattr(operator_module, "build_operators", spy)
         sch = scheme(3, 0.7, 2)
-        ops, blocks = operators_for(sch), build_blocks(sch)
-        assert operators_for(sch) is ops and build_blocks(sch) is blocks
-        twin = scheme(3, 0.7, 2)  # a distinct but value-equal scheme
-        assert twin is not sch
-        assert operators_for(twin) is ops and build_blocks(twin) is blocks
+        variants = (sch, replace(sch, alpha=1.0), replace(sch, d=1), replace(sch, alpha=0.5, d=3))
+        for variant in variants:
+            DirectionSymbols(variant, StretchedStencil.uniform(variant.d), 0.0, 0.0)
+        AdvectionProblem(PeriodicGrid.uniform((4, 4)), sch)
+        assert len(builds) == 1
+        assert build_blocks.cache_info().misses == 3  # alpha 0.7, 1 and 0.5
+        ops, blocks = operators_for(sch.family), build_blocks(sch.family, sch.alpha)
+        twin = CorrectionFamily.huynh_g2(3)  # a distinct but value-equal family
+        assert twin is not sch.family
+        assert operators_for(twin) is ops and build_blocks(twin, 0.7) is blocks
+        assert len(builds) == 1
         arrays = [ops.D, ops.lL, ops.lR, ops.hL, ops.hR,
                   blocks.c_minus, blocks.c_zero, blocks.c_plus]
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
+
+    @pytest.mark.parametrize("work, builds", [
+        # the benchmark's 12 decay checks: 3 families, 6 (family, alpha) pairs
+        ("""
+for d in (1, 2):
+    for p in (2, 3, 4):
+        for alpha in (1.0, 0.5):
+            check_decay_rate(p, "huynh-g2", alpha, d, theta=math.radians(30.0) if d == 2 else 0.0)
+""", 3),
+        # one 2D sweep: its d = 2 symbols and its memoized 1D lines share the family
+        ("""
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["dispersion", "--d", "2", "--p", "3", "--family", "huynh", "--theta", "30"])
+""", 1),
+    ], ids=["timedomain", "dispersion"])
+    def test_a_fresh_process_builds_each_family_once(self, work, builds):
+        code = f"""
+import contextlib, io, math
+from frspectra import operator
+from frspectra.advect import check_decay_rate
+from frspectra.cli import main
+calls = []
+build = operator.build_operators
+
+def spy(*args):
+    calls.append(args)
+    return build(*args)
+
+operator.build_operators = spy
+{work}
+print(len(calls))
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        run = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout) == builds
 
 
 class TestSymbol:
@@ -273,7 +336,7 @@ class TestSymbol:
 
 def scalar_direction_symbols(scheme, stencil, probe):
     """Per-probe, per-direction loop: the oracle for DirectionSymbols."""
-    blocks = build_blocks(scheme)
+    blocks = build_blocks(scheme.family, scheme.alpha)
     vel = probe.velocity(scheme.d)
     k = probe.k
     out = []

@@ -140,7 +140,7 @@ class TestExactFrozenValue:
 def uniform_symbol_at(sch, delta, a, k):
     """The uniform (gamma = 1) direction symbol at a complex wavenumber k,
     from the scheme's blocks."""
-    blocks = build_blocks(sch)
+    blocks = build_blocks(sch.family, sch.alpha)
     return -a * (2.0 / delta) * (
         blocks.c_minus * np.exp(-1j * k * a * delta)
         + blocks.c_zero

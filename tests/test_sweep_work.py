@@ -120,7 +120,9 @@ def test_memo_never_changes_an_output(tmp_path, command):
 
 def test_memo_holds_read_only_arrays_and_is_bounded():
     grid = default_k_hat_grid() * (SCHEME.p + 1)
-    lam, kappa = spectrum._line_spectra(SCHEME, 1.0, 1.0, grid.tobytes(), True)
+    lam, kappa = spectrum._line_spectra(
+        SCHEME.family, SCHEME.alpha, 1.0, 1.0, grid.tobytes(), True
+    )
     assert lam.shape == (grid.size, SCHEME.p + 1) and kappa.shape == (grid.size,)
     for arr in (lam, kappa):
         assert not arr.flags.writeable
@@ -129,7 +131,9 @@ def test_memo_holds_read_only_arrays_and_is_bounded():
     size = spectrum._line_spectra.cache_info().maxsize
     assert isinstance(size, int)
     for shift in range(size + 3):
-        spectrum._line_spectra(SCHEME, 1.0, 1.0, (grid + shift).tobytes(), False)
+        spectrum._line_spectra(
+            SCHEME.family, SCHEME.alpha, 1.0, 1.0, (grid + shift).tobytes(), False
+        )
     assert spectrum._line_spectra.cache_info().currsize == size
 
 

@@ -447,6 +447,17 @@ class TestCflLimit:
         again = spectrum._line_spectra.cache_info()
         assert (again.hits, again.misses, again.currsize) == (1, 3, 3)  # the other direction's
 
+    def test_a_line_shared_across_dimensions_is_one_memo_entry(self):
+        # at theta = 0 the 2D wave moves along x alone, on the 1D search's
+        # grid of q, and the memo keys on the family and alpha, not on d
+        fam = CorrectionFamily.dg(3)
+        spectrum._line_spectra.cache_clear()
+        one = cfl_limit(SchemeConfig(3, fam, 1.0, 1), StretchedStencil.uniform(1), RK44)
+        two = cfl_limit(SchemeConfig(3, fam, 1.0, 2), StretchedStencil.uniform(2), RK44, 0.0)
+        info = spectrum._line_spectra.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert two.tau_limit == one.tau_limit
+
     @pytest.mark.xfail(
         strict=True,
         raises=AssertionError,
